@@ -14,7 +14,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.stats import binom
 
 from .model import PopularityDistribution, SystemParams, make_two_level_pair
 
@@ -179,6 +178,8 @@ class SwitchingConstants:
 def switching_constants(
     dist: PopularityDistribution, params: SystemParams
 ) -> SwitchingConstants:
+    from scipy.stats import binom  # local import keeps scipy out of CLI start-up
+
     gaps = np.abs(dist.probs - params.threshold)
     cut = math.floor(1.0 / params.cache_size)
     scale = np.exp(2.0 * gaps**2)

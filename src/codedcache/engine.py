@@ -13,14 +13,17 @@ import numpy as np
 
 from .model import PopularityDistribution, RequestProfile, SystemParams
 
-# multicast groups are enumerated exhaustively, so 2**|group| must stay sane
+# a plan can hold one message per (member, holder bucket) pair, up to
+# |group| * min(F, 2**|group|) of them, so large groups stay opt-in
 DEFAULT_SUBSET_CAP = 20
+# holder sets are int64 bit masks with one bit per group member
+MAX_GROUP_USERS = 63
 
 _EMPTY_INT = np.empty(0, dtype=np.int64)
 
 
 class DeliveryCapError(RuntimeError):
-    """Raised when the multicast group is too large to enumerate exactly."""
+    """Raised when the multicast group is too large for exact delivery."""
 
 
 @dataclass
@@ -127,13 +130,20 @@ def build_delivery(
 ) -> Transmission:
     """Multicast plan for one slot.
 
-    Users whose request lies in the cached set form the coded group.  For every
-    nonempty subgroup s, the message XORs, per member k, the subpackets of k's
-    file that k misses and exactly the members s\\{k} hold (zero-padded, so the
-    message is as long as the largest share; skipped when all shares are
-    empty).  Payload-identical messages are broadcast once.  Every request
-    outside the cached set is sent whole, one transmission per request, with
-    duplicates not merged.
+    Users whose request lies in the cached set form the coded group.  The
+    subpackets of each requested file are bucketed by exactly which members
+    hold them.  A member k and a bucket W of k's file with k not in W give k's
+    share of the subgroup W | {k}: the subpackets k misses and exactly W holds.
+    Each subgroup that receives at least one share sends one message, in
+    ascending bit order of the subgroup, XOR-ing its members' shares in group
+    order (zero-padded, so the message is as long as the largest share).  Any
+    other subgroup would carry nothing, so none is enumerated.  A message whose
+    (file, holder set) shares repeat an earlier message's payload is not sent.
+    Every request outside the cached set is sent whole, one transmission per
+    request, with duplicates not merged.
+
+    Raises DeliveryCapError when the group exceeds ``subset_cap`` users, or
+    MAX_GROUP_USERS users whatever the cap, since holder sets are int64 masks.
     """
     req = profile.requests
     n, f = params.n_files, params.subpackets
@@ -145,12 +155,17 @@ def build_delivery(
     group = [k for k in range(params.n_users) if int(req[k]) in S]
     if len(group) > subset_cap:
         raise DeliveryCapError("exact delivery infeasible; use analytic rate")
+    if len(group) > MAX_GROUP_USERS:
+        raise DeliveryCapError(
+            f"coded group of {len(group)} users exceeds the {MAX_GROUP_USERS}-user "
+            "holder mask; use analytic rate"
+        )
 
     # Bucket the subpackets of each requested cached file by exactly which
-    # group members hold them.  A member k missing a subpacket held by the set
-    # W then has it in bucket W, so share lookups are O(1) per subgroup.
+    # group members hold them.  The stable argsort leaves each run of equal
+    # holder masks in ascending index order, so a bucket is a slice order[a:b].
     bit = {k: 1 << j for j, k in enumerate(group)}
-    buckets: dict[int, dict[int, np.ndarray]] = {}
+    buckets: dict[int, tuple[np.ndarray, list[tuple[int, int, int]]]] = {}
     for file in sorted({int(req[k]) for k in group}):
         holders = np.zeros(f, dtype=np.int64)
         for k in group:
@@ -158,32 +173,37 @@ def build_delivery(
             if len(idx):
                 holders[idx] |= bit[k]
         order = np.argsort(holders, kind="stable")
-        cuts = np.flatnonzero(np.diff(holders[order])) + 1
-        buckets[file] = {
-            int(holders[chunk[0]]): np.sort(chunk) for chunk in np.split(order, cuts)
-        }
+        ranked = holders[order]
+        cuts = [0, *(np.flatnonzero(np.diff(ranked)) + 1).tolist(), f]
+        buckets[file] = order, list(zip(ranked[cuts[:-1]].tolist(), cuts, cuts[1:]))
+
+    # Key every share by its subgroup; members are visited in group order, so
+    # each subgroup's shares come out in segment order.
+    shares: dict[int, list[tuple[int, Segment]]] = {}
+    for k in group:
+        file = int(req[k])
+        order, runs = buckets[file]
+        own = bit[k]
+        for held, a, b in runs:
+            if not held & own:
+                shares.setdefault(held | own, []).append((held, Segment(k, file, order[a:b])))
 
     coded: list[CodedMessage] = []
     seen: set[frozenset] = set()
     total = 0
-    for sbits in range(1, 1 << len(group)):
-        members = [group[j] for j in range(len(group)) if sbits >> j & 1]
-        segments = []
-        for k in members:
-            share = buckets[int(req[k])].get(sbits & ~bit[k])
-            if share is not None and len(share):
-                segments.append(Segment(k, int(req[k]), share))
-        if not segments:
-            continue
+    for sbits in sorted(shares):
+        entries = shares[sbits]
         # two messages with the same (file, holder-set) shares carry the same
         # payload, so broadcasting the second one would be pure waste
-        signature = frozenset((s.file, sbits & ~bit[s.user]) for s in segments)
+        signature = frozenset([(seg.file, held) for held, seg in entries])
         if signature in seen:
             continue
         seen.add(signature)
-        length = max(len(s.indices) for s in segments)
+        segments = tuple([seg for _, seg in entries])
+        length = max([len(seg.indices) for seg in segments])
         total += length
-        coded.append(CodedMessage(tuple(members), length, tuple(segments)))
+        members = tuple([k for k in group if sbits & bit[k]])
+        coded.append(CodedMessage(members, length, segments))
 
     direct = []
     in_group = set(group)

@@ -174,9 +174,13 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 def sample_requests(
     dist: PopularityDistribution, n_users: int, rng: np.random.Generator
 ) -> RequestProfile:
-    """One i.i.d. request per user, drawn by inverse cdf on a single uniform each."""
+    """One i.i.d. request per user, drawn by inverse cdf on a single uniform each.
+
+    A zero-probability file is never drawn.  The cumsum can end just below 1,
+    and a uniform past it goes to the last file with positive mass.
+    """
     if n_users < 1:
         raise ValueError("n_users must be >= 1")
     edges = np.cumsum(dist.probs)
     idx = np.searchsorted(edges, rng.random(n_users), side="right")
-    return RequestProfile(np.minimum(idx, dist.n_files - 1))
+    return RequestProfile(np.minimum(idx, np.flatnonzero(dist.probs)[-1]))

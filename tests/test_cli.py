@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import codedcache
 from codedcache.cli import main
 
 
@@ -74,6 +79,29 @@ def test_simulate_cap_exit_code(capsys):
     )
     assert code == 3
     assert "analytic" in err
+
+
+def test_simulate_group_above_mask_limit_exit_code(capsys):
+    # a raised cap does not let a coded group past the 63-user holder mask
+    code, _, err = run(
+        capsys,
+        "simulate", "--n", "2", "--k", "64", "--m", "1", "--f", "4", "--dist", "zipf:1",
+        "--policies", "uniform", "--horizon", "1", "--trials", "1",
+        "--rate-mode", "bitlevel", "--subset-cap", "64",
+    )
+    assert code == 3
+    assert "63-user" in err and "analytic" in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy costs about a second of start-up and only the bounds report needs it
+    src = str(Path(codedcache.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, codedcache.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_simulate_lbpair_dist(tmp_path, capsys):

@@ -1,0 +1,161 @@
+"""build_delivery checked field by field against an exhaustive reference.
+
+The reference walks every nonempty subgroup of the coded group in ascending
+bit order, which is how delivery plans were once built.  It is exponential in
+the group size, so it only runs on groups of up to 12 users here.
+"""
+import numpy as np
+import pytest
+
+from codedcache.engine import (
+    MAX_GROUP_USERS,
+    CacheState,
+    CodedMessage,
+    DeliveryCapError,
+    DirectSend,
+    Segment,
+    Transmission,
+    build_delivery,
+    decode,
+    sample_placement,
+)
+from codedcache.model import (
+    RequestProfile,
+    SystemParams,
+    make_zipf,
+    sample_requests,
+    substream,
+)
+
+
+def reference_delivery(params, profile, caches, cached):
+    """Exhaustive subgroup walk: the plan build_delivery must reproduce."""
+    req = profile.requests
+    f = params.subpackets
+    S = {int(i) for i in cached}
+    group = [k for k in range(params.n_users) if int(req[k]) in S]
+    bit = {k: 1 << j for j, k in enumerate(group)}
+    buckets = {}
+    for file in sorted({int(req[k]) for k in group}):
+        holders = np.zeros(f, dtype=np.int64)
+        for k in group:
+            idx = caches[k].subpackets(file)
+            if len(idx):
+                holders[idx] |= bit[k]
+        order = np.argsort(holders, kind="stable")
+        cuts = np.flatnonzero(np.diff(holders[order])) + 1
+        buckets[file] = {
+            int(holders[chunk[0]]): np.sort(chunk) for chunk in np.split(order, cuts)
+        }
+
+    coded = []
+    seen = set()
+    total = 0
+    for sbits in range(1, 1 << len(group)):
+        members = [group[j] for j in range(len(group)) if sbits >> j & 1]
+        segments = []
+        for k in members:
+            share = buckets[int(req[k])].get(sbits & ~bit[k])
+            if share is not None and len(share):
+                segments.append(Segment(k, int(req[k]), share))
+        if not segments:
+            continue
+        signature = frozenset((s.file, sbits & ~bit[s.user]) for s in segments)
+        if signature in seen:
+            continue
+        seen.add(signature)
+        length = max(len(s.indices) for s in segments)
+        total += length
+        coded.append(CodedMessage(tuple(members), length, tuple(segments)))
+
+    direct = []
+    for k in range(params.n_users):
+        if k not in bit:
+            direct.append(DirectSend(k, int(req[k]), f))
+            total += f
+    return Transmission(tuple(coded), tuple(direct), total, total / f)
+
+
+def assert_same_plan(got, want):
+    assert len(got.coded) == len(want.coded)
+    for a, b in zip(got.coded, want.coded):
+        assert a.users == b.users
+        assert a.length == b.length
+        assert len(a.segments) == len(b.segments)
+        for sa, sb in zip(a.segments, b.segments):
+            assert (sa.user, sa.file) == (sb.user, sb.file)
+            assert sa.indices.dtype == sb.indices.dtype
+            assert np.array_equal(sa.indices, sb.indices)
+    assert got.direct == want.direct
+    assert got.subpackets_sent == want.subpackets_sent
+    assert got.rate == want.rate
+
+
+def check_instance(params, cached, caches, requests):
+    profile = RequestProfile(np.asarray(requests))
+    got = build_delivery(params, profile, caches, cached)
+    assert_same_plan(got, reference_delivery(params, profile, caches, cached))
+    return profile, got
+
+
+def test_matches_reference_on_random_instances():
+    groups = []
+    for trial in range(700):
+        rng = substream(101, trial)
+        n = int(rng.integers(1, 7))
+        k = int(rng.integers(1, 13))
+        params = SystemParams(n, k, float(rng.uniform(0.1, n)), int(rng.integers(1, 65)))
+        size = int(rng.integers(0, n + 1))
+        cached = sorted(int(i) for i in rng.choice(n, size=size, replace=False))
+        caches = sample_placement(params, cached, rng)
+        requests = rng.integers(0, n, size=k)
+        check_instance(params, cached, caches, requests)
+        groups.append(int(np.isin(requests, cached).sum()))
+    # at least 500 draws code something, and they reach groups of 12 users
+    assert sum(g > 0 for g in groups) >= 500 and max(groups) == 12
+
+
+def test_matches_reference_at_bitlevel_shape():
+    # the shape of the bit-level benchmark run: N=20, K=10, M=4, F=200
+    params = SystemParams(20, 10, 4.0, 200)
+    dist = make_zipf(20, 1.0)
+    for trial in range(6):
+        rng = substream(202, trial)
+        cached = list(range(5 + 3 * trial))
+        caches = sample_placement(params, cached, rng)
+        requests = sample_requests(dist, params.n_users, rng).requests
+        profile, tx = check_instance(params, cached, caches, requests)
+        assert tx.coded
+        assert all(decode(params, u, profile, caches, tx) for u in range(params.n_users))
+
+
+def test_matches_reference_when_every_user_holds_everything():
+    params = SystemParams(3, 8, 3.0, 16)
+    cached = [0, 1, 2]
+    caches = sample_placement(params, cached, substream(303, 0))
+    _, tx = check_instance(params, cached, caches, [0, 1, 2, 0, 1, 2, 0, 1])
+    assert tx.coded == () and tx.rate == 0.0
+
+
+def test_matches_reference_when_nobody_holds_anything():
+    # every subpacket sits in the empty holder bucket, so each distinct
+    # requested file goes out once, to the first user asking for it
+    params = SystemParams(4, 7, 1.0, 12)
+    caches = [CacheState() for _ in range(7)]
+    _, tx = check_instance(params, [0, 1, 2], caches, [2, 0, 2, 3, 1, 0, 2])
+    assert [m.users for m in tx.coded] == [(0,), (1,), (4,)]
+    assert [d.user for d in tx.direct] == [3]
+    assert tx.rate == 4.0
+
+
+def test_group_at_mask_limit_builds_and_above_it_is_refused():
+    params = SystemParams(1, MAX_GROUP_USERS, 1.0, 1)
+    caches = sample_placement(params, [0], substream(404, 0))
+    profile = RequestProfile(np.zeros(MAX_GROUP_USERS, dtype=np.int64))
+    tx = build_delivery(params, profile, caches, [0], subset_cap=MAX_GROUP_USERS)
+    assert tx.rate == 0.0
+    params = SystemParams(1, MAX_GROUP_USERS + 1, 1.0, 1)
+    caches = sample_placement(params, [0], substream(404, 1))
+    profile = RequestProfile(np.zeros(MAX_GROUP_USERS + 1, dtype=np.int64))
+    with pytest.raises(DeliveryCapError, match="analytic rate"):
+        build_delivery(params, profile, caches, [0], subset_cap=MAX_GROUP_USERS + 1)

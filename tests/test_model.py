@@ -175,6 +175,21 @@ def test_sample_requests_point_mass():
     assert (sample_requests(d, 100, substream(0, 0)).requests == 0).all()
 
 
+class _TopUniform:
+    """Stub generator whose every uniform is the largest double below 1."""
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+def test_sample_requests_never_draws_zero_probability_file():
+    # the cumsum of ten 0.1s ends at 0.9999999999999999, which the top
+    # uniform reaches, so the inverse cdf runs past every file
+    d = PopularityDistribution(np.array([0.1] * 10 + [0.0]))
+    assert np.cumsum(d.probs)[-1] <= np.nextafter(1.0, 0.0)
+    assert (sample_requests(d, 5, _TopUniform()).requests == 9).all()
+
+
 def test_sample_requests_empirical_convergence():
     # one million draws track the pmf to within 5e-3 in sup norm
     d = make_zipf(10, 0.8)
