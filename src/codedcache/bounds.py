@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from .engine import slot_rates
 from .model import PopularityDistribution, SystemParams, make_two_level_pair
 
 
@@ -57,11 +58,6 @@ def _positive_gaps(dist: PopularityDistribution, params: SystemParams) -> GapVec
     return gv
 
 
-def popular_count(dist: PopularityDistribution, params: SystemParams) -> int:
-    """How many files clear the caching threshold (ties included)."""
-    return int(np.count_nonzero(dist.probs >= params.threshold))
-
-
 def oracle_rate_upper(dist: PopularityDistribution, params: SystemParams) -> float:
     """Upper estimate of the benchmark's expected per-slot rate.
 
@@ -71,7 +67,7 @@ def oracle_rate_upper(dist: PopularityDistribution, params: SystemParams) -> flo
     _require_sorted(dist)
     if dist.n_files != params.n_files:
         raise ValueError("popularity length does not match file count")
-    n1 = popular_count(dist, params)
+    n1 = int(np.count_nonzero(params.popular(dist.probs)))
     m = params.cache_size
     head = max(n1 / m - 1.0, 0.0)
     tail = float(dist.probs[n1:].sum())
@@ -87,7 +83,7 @@ def rate_lower_bound(dist: PopularityDistribution, params: SystemParams) -> floa
     _require_sorted(dist)
     if dist.n_files != params.n_files:
         raise ValueError("popularity length does not match file count")
-    n1 = popular_count(dist, params)
+    n1 = int(np.count_nonzero(params.popular(dist.probs)))
     tail = float(dist.probs[n1:].sum())
     head_route = max(n1 / params.cache_size - 1.0, 0.0) / 29.0
     tail_route = max(params.n_users * tail - 2.0, 0.0) / 58.0
@@ -193,7 +189,7 @@ def switch_count_bound(dist: PopularityDistribution, params: SystemParams) -> fl
     _require_sorted(dist)
     gv = _positive_gaps(dist, params)
     const = switching_constants(dist, params)
-    popular = dist.probs >= params.threshold
+    popular = params.popular(dist.probs)
     weight = np.where(popular, 1.0 + const.high_count, 1.0 + const.low_count)
     return 1.0 + float((weight / (2.0 * params.n_users * gv.gaps**2)).sum())
 
@@ -206,7 +202,7 @@ def switch_event_tails(
         raise ValueError("slots are numbered from 1")
     gaps = np.abs(dist.probs - params.threshold)
     const = switching_constants(dist, params)
-    popular = dist.probs >= params.threshold
+    popular = params.popular(dist.probs)
     decay = np.exp(-2.0 * params.n_users * (t - 1) * gaps**2)
     drop = float(np.where(popular, decay, const.low_count * decay).sum())
     add = float(np.where(popular, const.high_count * decay, decay).sum())
@@ -307,26 +303,14 @@ def regret_lower_curve(
     return t * gap / 4.0 * np.exp(-t * kl)
 
 
-def _rates_over_masks(params: SystemParams, probs: np.ndarray) -> np.ndarray:
-    """Analytic rate of every nonempty cache set, indexed by bitmask - 1."""
-    n, k, m = params.n_files, params.n_users, params.cache_size
-    masks = np.arange(1, 1 << n, dtype=np.int64)
-    bits = ((masks[:, None] >> np.arange(n)) & 1).astype(np.float64)
-    sizes = bits.sum(axis=1)
-    inside = bits @ probs
-    with np.errstate(divide="ignore", invalid="ignore"):
-        large = sizes / m - 1.0 + k * (1.0 - inside)
-        small = (n - sizes) / (m - sizes) - 1.0
-    rates = np.where(
-        sizes > m,
-        large,
-        np.where(sizes == n, 0.0, np.where(sizes >= m, np.inf, small)),
-    )
-    return rates
-
-
 def bad_set_min_excess(params: SystemParams, a: float, b: float) -> float:
-    """Smallest rate excess over the benchmark among all bad cache sets."""
+    """Smallest rate excess over the benchmark among all bad cache sets.
+
+    Every nonempty set is charged :func:`slot_rates`.  A set of exactly M
+    files therefore competes with its finite rate K * (mass outside), which
+    is what the engine charges for it (the set is stored whole and every
+    outside request is sent whole); it is not excluded as infinitely costly.
+    """
     _require_hard_pair(params, a, b)
     n = params.n_files
     if n > 16:
@@ -334,7 +318,7 @@ def bad_set_min_excess(params: SystemParams, a: float, b: float) -> float:
     head, tail = make_two_level_pair(n, a, b)
     oracle = pair_oracle_rate(params, b)
     masks = np.arange(1, 1 << n, dtype=np.int64)
-    bits = (masks[:, None] >> np.arange(n)) & 1
+    bits = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
     sizes = bits.sum(axis=1)
     in_first = bits[:, : n // 2].sum(axis=1)
     best = math.inf
@@ -344,7 +328,7 @@ def bad_set_min_excess(params: SystemParams, a: float, b: float) -> float:
     ):
         if not bad.any():
             continue
-        excess = _rates_over_masks(params, dist.probs)[bad] - oracle
+        excess = slot_rates(bits, dist.probs, params)[bad] - oracle
         best = min(best, float(excess.min()))
     return best
 

@@ -1,7 +1,8 @@
-"""Bit-level cache placement, XOR multicast delivery, and decoding.
+"""Bit-level cache placement, XOR multicast delivery, decoding, and the slot rate.
 
 Files are split into `subpackets` equal pieces and caches are tracked as index
 sets, so delivery plans carry exact lengths without simulating payload bytes.
+:func:`slot_rates` is the analytic (upper) estimate of that delivery's rate.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import PopularityDistribution, RequestProfile, SystemParams
+from .model import RequestProfile, SystemParams
 
 # a plan can hold one message per (member, holder bucket) pair, up to
 # |group| * min(F, 2**|group|) of them, so large groups stay opt-in
@@ -259,45 +260,24 @@ def decode(
     return all((want, j) in known for j in range(params.subpackets))
 
 
-def approx_rate(
-    params: SystemParams, cached: Iterable[int], dist: PopularityDistribution
-) -> float:
-    """Expected one-slot rate of threshold-style caching of the given set.
+def slot_rates(decisions: np.ndarray, probs: np.ndarray, params: SystemParams) -> np.ndarray:
+    """Analytic one-slot coded-delivery rate of each cached set, over the last axis.
 
-    Upper-bound approximation: |S|/M - 1 + K * (mass outside S) when the set
-    exceeds the budget; otherwise the set is stored whole and the leftover
-    budget is spread over the rest, giving (N - |S|)/(M - |S|) - 1.  The
-    spread vanishes exactly at |S| == M < N, where this returns +inf.
+    ``decisions`` is a boolean array of shape (..., N), one row per set S.  A
+    set at least as large as the budget is charged |S|/M - 1 + K * (mass
+    outside S); a smaller one is stored whole with the leftover budget spread
+    over the other files, giving (N - |S|)/(M - |S|) - 1.  At |S| == M < N the
+    spread vanishes, and the first branch gives K * (mass outside S), which is
+    what the engine charges there: placement stores S whole, so every request
+    outside S is sent whole and every request inside it costs nothing.
     """
-    S = _check_files(params, cached)
     n, k, m = params.n_files, params.n_users, params.cache_size
-    size = len(S)
-    if size > m:
-        inside = float(dist.probs[S].sum())
-        return size / m - 1.0 + k * (1.0 - inside)
-    if size == n:
-        return 0.0
-    if m - size <= 0:
-        return math.inf
-    return (n - size) / (m - size) - 1.0
-
-
-def expected_slot_rate(
-    params: SystemParams, cached: Iterable[int], dist: PopularityDistribution
-) -> float:
-    """approx_rate with the budget boundary charged the way the engine behaves.
-
-    At |S| == M < N the placement stores the set whole and every outside
-    request costs a full file, so the per-request branch applies instead of
-    the infinite sentinel.  Elsewhere the two functions agree.
-    """
-    S = _check_files(params, cached)
-    n, k, m = params.n_files, params.n_users, params.cache_size
-    size = len(S)
-    if size >= m:
-        inside = float(dist.probs[S].sum())
-        return size / m - 1.0 + k * (1.0 - inside)
-    return (n - size) / (m - size) - 1.0
+    sizes = decisions.sum(axis=-1).astype(np.float64)
+    inside = decisions @ probs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coded = sizes / m - 1.0 + k * (1.0 - inside)
+        leftover = (n - sizes) / (m - sizes) - 1.0
+    return np.where(sizes >= m, coded, leftover)
 
 
 @dataclass(frozen=True)

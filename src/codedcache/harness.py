@@ -19,10 +19,11 @@ import numpy as np
 from .bounds import oracle_rate_upper
 from .engine import (
     DEFAULT_SUBSET_CAP,
+    MAX_GROUP_USERS,
     DeliveryCapError,
     build_delivery,
-    expected_slot_rate,
     sample_placement,
+    slot_rates,
 )
 from .model import (
     PopularityDistribution,
@@ -31,13 +32,7 @@ from .model import (
     sample_requests,
     substream,
 )
-from .policies import (
-    POLICY_NAMES,
-    lfu_expected_rate,
-    lfu_realized_rate,
-    make_policy,
-    popular_set,
-)
+from .policies import POLICY_NAMES, check_policy, decision_matrix, switch_flags
 
 # placement substream index per policy; request stream uses index 0
 POLICY_STREAM_KEYS = {name: i + 1 for i, name in enumerate(POLICY_NAMES)}
@@ -72,20 +67,22 @@ class ExperimentConfig:
         if not self.policies:
             raise ValueError("need at least one policy")
         for name in self.policies:
-            if name not in POLICY_STREAM_KEYS:
-                raise ValueError(f"unknown policy: {name}")
+            check_policy(name, self.params)
         if len(set(self.policies)) != len(self.policies):
             raise ValueError("duplicate policy names")
-        if "lfu" in self.policies and self.params.cache_size != int(self.params.cache_size):
-            raise ValueError("LFU needs an integer cache size")
         if self.rate_mode not in RATE_MODES:
             raise ValueError(f"unknown rate mode: {self.rate_mode}")
         if self.reference not in REFERENCES:
             raise ValueError(f"unknown reference mode: {self.reference}")
         if self.lfu_accounting not in LFU_ACCOUNTINGS:
             raise ValueError(f"unknown LFU accounting: {self.lfu_accounting}")
-        if self.rate_mode == "bitlevel" and self.params.n_users > self.subset_cap:
-            raise DeliveryCapError("exact delivery infeasible; use analytic rate")
+        if self.rate_mode == "bitlevel" and self.params.n_users > min(
+            self.subset_cap, MAX_GROUP_USERS
+        ):
+            raise DeliveryCapError(
+                f"exact delivery infeasible for {self.params.n_users} users (subset cap "
+                f"{self.subset_cap}, {MAX_GROUP_USERS}-user holder mask); use analytic rate"
+            )
         if self.reference == "closed-form" and not self.dist.is_sorted():
             raise ValueError("closed-form reference needs sorted popularities")
 
@@ -134,130 +131,90 @@ def _draw_requests(config: ExperimentConfig, trial: int) -> np.ndarray:
     return flat.requests.reshape(config.horizon, config.params.n_users)
 
 
-def _decision_matrix(config: ExperimentConfig, policy: str, requests: np.ndarray) -> np.ndarray:
-    """(horizon, n_files) cached-set indicators, identical to the policy class.
-
-    Decisions depend on requests only through per-file counts of the
-    slots already served, so the whole horizon vectorizes.
-    """
-    params, dist = config.params, config.dist
-    t_len, n = config.horizon, params.n_files
-    if policy == "oracle":
-        row = np.zeros(n, dtype=bool)
-        row[list(popular_set(dist.probs, params))] = True
-        return np.broadcast_to(row, (t_len, n))
-    if policy == "uniform":
-        return np.ones((t_len, n), dtype=bool)
-
-    slot_counts = np.zeros((t_len, n), dtype=np.int64)
-    rows = np.repeat(np.arange(t_len), params.n_users)
-    np.add.at(slot_counts, (rows, requests.ravel()), 1)
-    before = np.zeros_like(slot_counts)
-    np.cumsum(slot_counts[:-1], axis=0, out=before[1:])
-
-    if policy == "tracking":
-        seen = np.arange(t_len)[:, None] * params.n_users
-        with np.errstate(invalid="ignore"):
-            est = np.where(seen > 0, before / np.maximum(seen, 1), 0.0)
-        decisions = est >= params.threshold
-        decisions[0, :] = True
-        return decisions
-    if policy == "lfu":
-        keep = int(params.cache_size)
-        order = np.argsort(-before, axis=1, kind="stable")[:, :keep]
-        decisions = np.zeros((t_len, n), dtype=bool)
-        np.put_along_axis(decisions, order, True, axis=1)
-        return decisions
-    raise ValueError(f"unknown policy: {policy}")
-
-
-def _switch_flags(decisions: np.ndarray) -> np.ndarray:
-    flags = np.zeros(len(decisions), dtype=bool)
-    flags[1:] = np.any(decisions[1:] != decisions[:-1], axis=1)
-    return flags
-
-
 def _analytic_rates(config: ExperimentConfig, policy: str, decisions: np.ndarray) -> np.ndarray:
-    """Expected per-slot rate of each decided set, vectorized over slots."""
+    """Expected per-slot rate of each decided set, vectorized over slots.
+
+    LFU is served uncoded: each request outside the set costs one file, or
+    with dedup accounting each distinct outside file that is requested does.
+    """
     params, probs = config.params, config.dist.probs
-    n, k, m = params.n_files, params.n_users, params.cache_size
-    sizes = decisions.sum(axis=1).astype(np.float64)
-    inside = decisions @ probs
     if policy == "lfu":
         if config.lfu_per_request():
-            return k * (1.0 - inside)
-        weight = 1.0 - (1.0 - probs) ** k
+            return params.n_users * (1.0 - decisions @ probs)
+        weight = 1.0 - (1.0 - probs) ** params.n_users
         return weight.sum() - decisions @ weight
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coded = sizes / m - 1.0 + k * (1.0 - inside)
-        leftover = (n - sizes) / (m - sizes) - 1.0
-    return np.where(sizes >= m, coded, leftover)
+    return slot_rates(decisions, probs, params)
+
+
+def _lfu_realized_rates(
+    decisions: np.ndarray, requests: np.ndarray, per_request: bool
+) -> np.ndarray:
+    """Files an uncoded server sends per slot: misses, or distinct missed files."""
+    if per_request:
+        missed = ~np.take_along_axis(decisions, requests, axis=1)
+        return missed.sum(axis=1).astype(np.float64)
+    requested = np.zeros(decisions.shape, dtype=bool)
+    requested[np.arange(len(requests))[:, None], requests] = True
+    return (requested & ~decisions).sum(axis=1).astype(np.float64)
 
 
 def _bitlevel_rates(
-    config: ExperimentConfig, policy: str, trial: int, requests: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slot loop with real placement and delivery; returns rates, sizes, switches."""
+    config: ExperimentConfig,
+    policy: str,
+    trial: int,
+    requests: np.ndarray,
+    decisions: np.ndarray,
+    switches: np.ndarray,
+) -> np.ndarray:
+    """Realized per-slot rates with real placement and coded delivery.
+
+    Placement is sampled in the first slot and again on every cache switch.
+    """
+    if policy == "lfu":
+        return _lfu_realized_rates(decisions, requests, config.lfu_per_request())
     params = config.params
-    pol = make_policy(policy, params, config.dist)
     place_rng = substream(config.seed, trial, POLICY_STREAM_KEYS[policy])
     rates = np.zeros(config.horizon)
-    sizes = np.zeros(config.horizon, dtype=np.int64)
-    switches = np.zeros(config.horizon, dtype=bool)
-    caches = None
-    cached_sorted: list[int] = []
     for s in range(config.horizon):
-        decision = pol.decide()
-        sizes[s] = len(decision.cached)
-        switches[s] = decision.switched
-        if policy == "lfu":
-            rates[s] = lfu_realized_rate(
-                decision.cached, requests[s], per_request=config.lfu_per_request()
-            )
-        else:
-            if caches is None or decision.switched:
-                cached_sorted = sorted(decision.cached)
-                caches = sample_placement(params, cached_sorted, place_rng)
-            profile = RequestProfile(requests[s])
-            tx = build_delivery(
-                params, profile, caches, cached_sorted, subset_cap=config.subset_cap
-            )
-            rates[s] = tx.rate
-        pol.observe(requests[s])
-    return rates, sizes, switches
+        if s == 0 or switches[s]:
+            cached = np.flatnonzero(decisions[s]).tolist()
+            caches = sample_placement(params, cached, place_rng)
+        tx = build_delivery(
+            params, RequestProfile(requests[s]), caches, cached, subset_cap=config.subset_cap
+        )
+        rates[s] = tx.rate
+    return rates
 
 
 def _policy_record(
     config: ExperimentConfig, policy: str, trial: int, requests: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One policy's per-slot rates, cached-set sizes and switch flags."""
+    decisions = decision_matrix(policy, requests, config.dist.probs, config.params)
+    switches = switch_flags(decisions)
     if config.rate_mode == "analytic":
-        decisions = _decision_matrix(config, policy, requests)
         rates = _analytic_rates(config, policy, decisions)
-        return rates, decisions.sum(axis=1), _switch_flags(decisions)
-    return _bitlevel_rates(config, policy, trial, requests)
+    else:
+        rates = _bitlevel_rates(config, policy, trial, requests, decisions, switches)
+    return rates, decisions.sum(axis=1), switches
 
 
 def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
     """Play every configured policy against one sampled request history."""
     requests = _draw_requests(config, trial)
+    records = {}  # a paired reference is the oracle's record, reused for its trace
     if config.reference == "closed-form":
         ref = np.full(
             config.horizon, oracle_rate_upper(config.dist, config.params)
         )
     else:
-        ref = _policy_record(config, "oracle", trial, requests)[0]
+        records["oracle"] = _policy_record(config, "oracle", trial, requests)
+        ref = records["oracle"][0]
     traces = []
     for name in config.policies:
-        if name == "oracle" and config.reference == "paired":
-            rates = ref
-            decisions_sizes = np.full(
-                config.horizon, len(popular_set(config.dist.probs, config.params))
-            )
-            switches = np.zeros(config.horizon, dtype=bool)
-        else:
-            rates, decisions_sizes, switches = _policy_record(
-                config, name, trial, requests
-            )
+        if name not in records:
+            records[name] = _policy_record(config, name, trial, requests)
+        rates, decisions_sizes, switches = records[name]
         traces.append(
             PolicyTrace(
                 policy=name,

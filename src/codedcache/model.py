@@ -42,6 +42,10 @@ class SystemParams:
         """Popularity level at which caching a file starts to pay off: 1/(K*M)."""
         return 1.0 / (self.n_users * self.cache_size)
 
+    def popular(self, probs: np.ndarray) -> np.ndarray:
+        """Mask of the popularities that clear the threshold; ties cache."""
+        return np.asarray(probs) >= self.threshold
+
 
 @dataclass(frozen=True)
 class PopularityDistribution:

@@ -2,190 +2,74 @@
 
 A policy decides, at the start of every slot, which files each user
 should cache.  All users apply the same decision; randomness enters
-only through the subpacket sampling done elsewhere.  Policies are
-consumed slot by slot: call :meth:`decide` to get the set for the
-coming slot, serve the requests, then feed them back via
-:meth:`observe`.
+only through the subpacket sampling done elsewhere.  A decision depends
+on the requests only through the per-file counts of the slots already
+served, so :func:`decision_matrix` decides a whole request history at
+once: row t is the set cached during slot t, decided before its
+requests arrive.
 """
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
-from .model import PopularityDistribution, SystemParams
-
-
-@dataclasses.dataclass(frozen=True)
-class EmpiricalEstimator:
-    """Running per-file request counts and the popularity estimate they imply."""
-
-    counts: np.ndarray
-    slots_seen: int
-    n_users: int
-
-    @staticmethod
-    def initial(n_files: int, n_users: int) -> "EmpiricalEstimator":
-        return EmpiricalEstimator(np.zeros(n_files, dtype=np.int64), 0, n_users)
-
-    def update(self, requests: np.ndarray) -> "EmpiricalEstimator":
-        add = np.bincount(np.asarray(requests), minlength=len(self.counts))
-        return EmpiricalEstimator(self.counts + add, self.slots_seen + 1, self.n_users)
-
-    def probabilities(self) -> np.ndarray:
-        """Empirical request frequencies; uniform before any observation."""
-        if self.slots_seen == 0:
-            n = len(self.counts)
-            return np.full(n, 1.0 / n)
-        return self.counts / (self.slots_seen * self.n_users)
-
-
-@dataclasses.dataclass(frozen=True)
-class PolicyDecision:
-    cached: frozenset[int]
-    switched: bool
-
-
-def popular_set(probs: np.ndarray, params: SystemParams) -> frozenset[int]:
-    """Files whose popularity clears the caching threshold (ties cache)."""
-    return frozenset(int(i) for i in np.flatnonzero(probs >= params.threshold))
-
-
-class TrackingPolicy:
-    """Thresholds the empirical popularity estimate each slot.
-
-    With no data yet (the first slot) every file is cached, which the
-    cache budget accommodates by spreading subpackets thinly.
-    """
-
-    name = "tracking"
-
-    def __init__(self, params: SystemParams):
-        self.params = params
-        self._est = EmpiricalEstimator.initial(params.n_files, params.n_users)
-        self._prev: frozenset[int] | None = None
-
-    def decide(self) -> PolicyDecision:
-        if self._est.slots_seen == 0:
-            cached = frozenset(range(self.params.n_files))
-        else:
-            cached = popular_set(self._est.probabilities(), self.params)
-        switched = self._prev is not None and cached != self._prev
-        self._prev = cached
-        return PolicyDecision(cached, switched)
-
-    def observe(self, requests: np.ndarray) -> None:
-        self._est = self._est.update(requests)
-
-
-class OraclePolicy:
-    """Thresholds the true popularity; never changes its mind."""
-
-    name = "oracle"
-
-    def __init__(self, params: SystemParams, dist: PopularityDistribution):
-        if dist.n_files != params.n_files:
-            raise ValueError("popularity length does not match file count")
-        self._cached = popular_set(dist.probs, params)
-
-    def decide(self) -> PolicyDecision:
-        return PolicyDecision(self._cached, False)
-
-    def observe(self, requests: np.ndarray) -> None:
-        pass
-
-
-class UniformPolicy:
-    """Caches every file regardless of popularity."""
-
-    name = "uniform"
-
-    def __init__(self, params: SystemParams):
-        self._cached = frozenset(range(params.n_files))
-
-    def decide(self) -> PolicyDecision:
-        return PolicyDecision(self._cached, False)
-
-    def observe(self, requests: np.ndarray) -> None:
-        pass
-
-
-class LfuPolicy:
-    """Caches the most-requested whole files, breaking ties toward lower ids.
-
-    Whole-file caching only makes sense for an integer budget.
-    """
-
-    name = "lfu"
-
-    def __init__(self, params: SystemParams):
-        if params.cache_size != int(params.cache_size):
-            raise ValueError("LFU needs an integer cache size")
-        self.params = params
-        self._keep = min(int(params.cache_size), params.n_files)
-        self._est = EmpiricalEstimator.initial(params.n_files, params.n_users)
-        self._prev: frozenset[int] | None = None
-
-    def decide(self) -> PolicyDecision:
-        # stable sort on negated counts: ties resolve to the lower file id
-        order = np.argsort(-self._est.counts, kind="stable")
-        cached = frozenset(int(i) for i in order[: self._keep])
-        switched = self._prev is not None and cached != self._prev
-        self._prev = cached
-        return PolicyDecision(cached, switched)
-
-    def observe(self, requests: np.ndarray) -> None:
-        self._est = self._est.update(requests)
-
+from .model import SystemParams
 
 POLICY_NAMES = ("tracking", "oracle", "uniform", "lfu")
 
 
-def make_policy(name: str, params: SystemParams, dist: PopularityDistribution | None = None):
-    if name == "tracking":
-        return TrackingPolicy(params)
-    if name == "oracle":
-        if dist is None:
-            raise ValueError("oracle policy needs the true popularity")
-        return OraclePolicy(params, dist)
-    if name == "uniform":
-        return UniformPolicy(params)
-    if name == "lfu":
-        return LfuPolicy(params)
-    raise ValueError(f"unknown policy: {name}")
+def check_policy(name: str, params: SystemParams) -> None:
+    """Reject an unknown policy name, and LFU with a fractional budget.
 
-
-def lfu_realized_rate(
-    cached: frozenset[int], requests: np.ndarray, *, per_request: bool = False
-) -> float:
-    """Files sent by an uncoded server for one slot of requests.
-
-    Cached requests cost nothing.  By default duplicate misses of the
-    same file share one broadcast; ``per_request=True`` charges each
-    miss separately.
+    LFU caches whole files, which only makes sense for an integer budget.
     """
-    misses = [int(r) for r in requests if int(r) not in cached]
-    if per_request:
-        return float(len(misses))
-    return float(len(set(misses)))
+    if name not in POLICY_NAMES:
+        raise ValueError(f"unknown policy: {name}")
+    if name == "lfu" and params.cache_size != int(params.cache_size):
+        raise ValueError("LFU needs an integer cache size")
 
 
-def lfu_expected_rate(
-    cached: frozenset[int],
-    dist: PopularityDistribution,
-    n_users: int,
-    *,
-    per_request: bool = True,
-) -> float:
-    """Expected uncoded rate under the given popularity.
+def decision_matrix(
+    policy: str, requests: np.ndarray, probs: np.ndarray, params: SystemParams
+) -> np.ndarray:
+    """(horizon, n_files) cached-set indicators for a (horizon, n_users) history.
 
-    ``per_request=True`` gives the per-miss accounting (a linear
-    function of the miss probability); the deduplicated variant uses
-    the chance that at least one user misses each file.
+    - ``tracking`` caches the files whose empirical popularity, the request
+      count so far over slots seen times K, clears the threshold (ties
+      cache); with no data yet, in the first slot, it caches every file.
+    - ``oracle`` thresholds the true popularity ``probs`` and never switches.
+    - ``uniform`` caches every file.
+    - ``lfu`` caches the M most-requested files so far, breaking ties
+      toward lower ids.
     """
-    outside = np.array([p for i, p in enumerate(dist.probs) if i not in cached])
-    if outside.size == 0:
-        return 0.0
-    if per_request:
-        return float(n_users * outside.sum())
-    return float((1.0 - (1.0 - outside) ** n_users).sum())
+    check_policy(policy, params)
+    t_len, n = len(requests), params.n_files
+    if policy == "oracle":
+        return np.broadcast_to(params.popular(probs), (t_len, n))
+    if policy == "uniform":
+        return np.ones((t_len, n), dtype=bool)
+
+    slot_counts = np.zeros((t_len, n), dtype=np.int64)
+    rows = np.repeat(np.arange(t_len), params.n_users)
+    np.add.at(slot_counts, (rows, requests.ravel()), 1)
+    before = np.zeros_like(slot_counts)
+    np.cumsum(slot_counts[:-1], axis=0, out=before[1:])
+
+    if policy == "tracking":
+        seen = np.arange(t_len)[:, None] * params.n_users
+        with np.errstate(invalid="ignore"):
+            est = np.where(seen > 0, before / np.maximum(seen, 1), 0.0)
+        decisions = params.popular(est)
+        decisions[0, :] = True
+        return decisions
+    # lfu: a stable sort on negated counts sends ties to the lower file id
+    order = np.argsort(-before, axis=1, kind="stable")[:, : int(params.cache_size)]
+    decisions = np.zeros((t_len, n), dtype=bool)
+    np.put_along_axis(decisions, order, True, axis=1)
+    return decisions
+
+
+def switch_flags(decisions: np.ndarray) -> np.ndarray:
+    """Per-slot flags: the cached set differs from the previous slot's."""
+    flags = np.zeros(len(decisions), dtype=bool)
+    flags[1:] = np.any(decisions[1:] != decisions[:-1], axis=1)
+    return flags

@@ -26,10 +26,10 @@ from codedcache.bounds import (
 )
 from codedcache.engine import (
     CacheState,
-    approx_rate,
     build_delivery,
     run_decode_fuzz,
     sample_placement,
+    slot_rates,
 )
 from codedcache.harness import ExperimentConfig, run_experiment
 from codedcache.model import (
@@ -124,7 +124,7 @@ def test_criterion_3_realized_vs_analytic(report):
     params = SystemParams(8, 6, 2.0, 10_000)
     dist = make_zipf(8, 0.0)
     cached = range(8)
-    target = approx_rate(params, cached, dist)
+    target = float(slot_rates(np.ones(8, dtype=bool), dist.probs, params))
     rng = substream(11, 3)
     rates = []
     for _ in range(500):

@@ -15,7 +15,6 @@ from codedcache.bounds import (
     pair_kl_per_slot,
     pair_kl_total,
     pair_oracle_rate,
-    popular_count,
     rate_lower_bound,
     regret_lower_bound,
     regret_lower_curve,
@@ -26,13 +25,14 @@ from codedcache.bounds import (
     tracking_regret_bound,
     verify_bad_set_gap,
 )
-from codedcache.engine import approx_rate
+from codedcache.engine import slot_rates
 from codedcache.model import (
     PopularityDistribution,
     SystemParams,
     make_two_level_pair,
     make_zipf,
 )
+from test_policy_reference import reference_slot_rate
 
 WORKED = SystemParams(4, 4, 1.0)
 WORKED_DIST = PopularityDistribution(np.array([0.40, 0.35, 0.15, 0.10]))
@@ -46,7 +46,7 @@ def random_sorted_dist(rng, n):
 # --- rate sandwich ---------------------------------------------------------
 
 def test_popular_count_and_gaps():
-    assert popular_count(WORKED_DIST, WORKED) == 2
+    assert np.count_nonzero(WORKED.popular(WORKED_DIST.probs)) == 2
     gv = threshold_gaps(WORKED_DIST, WORKED)
     assert np.allclose(gv.gaps, [0.15, 0.10, 0.10, 0.15], atol=1e-15)
     assert gv.min_gap == pytest.approx(0.10, abs=1e-15)
@@ -354,6 +354,20 @@ def test_brute_force_size_guard():
         bad_set_min_excess(params, 27, 54)
 
 
+def integer_budget_pairs():
+    """Valid pair instances with an integer M, so sets of exactly M files exist."""
+    rng = np.random.default_rng(76)
+    for n in (4, 6, 8, 10):
+        for k in range(3, 9):
+            for m in range(1, n // 2 + 1):
+                # the threshold 1/(KM) must separate 2(1-u)/N and 2u/N
+                lo = max(0.5, n / (2 * k * m), 1 - n / (2 * k * m))
+                if not n / k < m < n / 2 or lo >= 1:
+                    continue
+                u = float(rng.uniform(lo, 1))
+                yield SystemParams(n, k, float(m)), n / u, n / (1 - u)
+
+
 def test_brute_force_gap_random_valid_pairs():
     rng = np.random.default_rng(74)
     done = 0
@@ -372,22 +386,23 @@ def test_brute_force_gap_random_valid_pairs():
         except ValueError:
             continue
         done += 1
+    pairs = list(integer_budget_pairs())
+    assert len(pairs) >= 20
+    for params, a, b in pairs:
+        assert verify_bad_set_gap(params, a, b)
 
 
 def test_mask_rates_agree_with_scalar_rate():
-    from codedcache.bounds import _rates_over_masks
-
     rng = np.random.default_rng(75)
-    for _ in range(30):
+    for case in range(30):
         n = int(rng.integers(1, 8))
-        params = SystemParams(n, int(rng.integers(1, 6)), float(rng.uniform(0.3, n)))
+        m = float(rng.integers(1, n + 1)) if case % 2 else float(rng.uniform(0.3, n))
+        params = SystemParams(n, int(rng.integers(1, 6)), m)
         probs = rng.dirichlet(np.ones(n))
-        dist = PopularityDistribution(probs)
-        rates = _rates_over_masks(params, probs)
+        masks = np.arange(1, 1 << n)
+        bits = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
+        rates = slot_rates(bits, probs, params)
         for mask in range(1, 1 << n):
             members = [i for i in range(n) if mask >> i & 1]
-            expect = approx_rate(params, members, dist)
-            if math.isinf(expect):
-                assert math.isinf(rates[mask - 1])
-            else:
-                assert rates[mask - 1] == pytest.approx(expect, abs=1e-12)
+            expect = reference_slot_rate(members, probs, params)
+            assert rates[mask - 1] == pytest.approx(expect, abs=1e-12)

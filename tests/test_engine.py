@@ -1,26 +1,25 @@
 """Tests for placement, delivery, decoding, and the analytic rate."""
-import math
-
 import numpy as np
 import pytest
 
 from codedcache.engine import (
     CacheState,
     DeliveryCapError,
-    approx_rate,
     build_delivery,
     decode,
-    expected_slot_rate,
     run_decode_fuzz,
     sample_placement,
+    slot_rates,
 )
 from codedcache.model import (
     PopularityDistribution,
     RequestProfile,
     SystemParams,
     make_zipf,
+    sample_requests,
     substream,
 )
+from test_policy_reference import reference_slot_rate
 
 A, B = 0, 1  # file indices of the two-file worked example
 
@@ -208,48 +207,69 @@ def test_fuzz_clean_and_corrupt():
 
 # --- analytic rate --------------------------------------------------------
 
+def set_rate(params, cached, dist):
+    """slot_rates of a single cached set."""
+    row = np.zeros(params.n_files, dtype=bool)
+    row[list(cached)] = True
+    return float(slot_rates(row, dist.probs, params))
+
+
 def test_approx_rate_large_set_branch():
     params = SystemParams(4, 5, 1.0)
     dist = PopularityDistribution(np.array([1 / 3, 1 / 3, 1 / 6, 1 / 6]))
-    assert approx_rate(params, [0, 1, 2], dist) == pytest.approx(2 + 5 / 6, abs=1e-12)
+    assert set_rate(params, [0, 1, 2], dist) == pytest.approx(2 + 5 / 6, abs=1e-12)
 
 
 def test_approx_rate_small_set_branch():
     params = SystemParams(4, 2, 2.0)
     dist = make_zipf(4, 1.0)
-    assert approx_rate(params, [0], dist) == pytest.approx(2.0, abs=1e-12)
+    assert set_rate(params, [0], dist) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_approx_rate_everything_cached():
     params = SystemParams(3, 2, 3.0)
-    assert approx_rate(params, [0, 1, 2], make_zipf(3, 1.0)) == 0.0
+    assert set_rate(params, [0, 1, 2], make_zipf(3, 1.0)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_approx_rate_boundary_sentinel():
+    # at |S| == M < N there is no leftover budget to spread; the set is
+    # stored whole and each outside request is charged a full file
     params = SystemParams(4, 2, 2.0)
     dist = make_zipf(4, 1.0)
-    assert approx_rate(params, [0, 1], dist) == math.inf
-    # the engine-consistent variant charges outside requests per file instead
     expected = 2 * float(dist.probs[2] + dist.probs[3])
-    assert expected_slot_rate(params, [0, 1], dist) == pytest.approx(expected, abs=1e-12)
+    assert set_rate(params, [0, 1], dist) == pytest.approx(expected, abs=1e-12)
+
+
+def test_slot_rates_boundary_matches_engine():
+    params = SystemParams(4, 3, 2.0, 8)
+    dist = make_zipf(4, 1.0)
+    cached = [0, 1]
+    rates = []
+    for t in range(2000):
+        rng = substream(37, t)
+        caches = sample_placement(params, cached, rng)
+        profile = sample_requests(dist, params.n_users, rng)
+        rate = build_delivery(params, profile, caches, cached).rate
+        assert rate == float(np.count_nonzero(profile.requests >= 2))
+        rates.append(rate)
+    mean, stderr = np.mean(rates), np.std(rates, ddof=1) / np.sqrt(len(rates))
+    assert abs(mean - set_rate(params, cached, dist)) <= 4 * stderr
 
 
 def test_expected_slot_rate_agrees_off_boundary():
+    # one call over a batch of sets equals the scalar reference for each;
+    # an integer budget puts some sets exactly on the |S| == M boundary
     rng = np.random.default_rng(9)
-    for _ in range(200):
+    for case in range(200):
         n = int(rng.integers(1, 10))
-        params = SystemParams(n, int(rng.integers(1, 6)), float(rng.uniform(0.2, n)))
+        m = float(rng.integers(1, n + 1)) if case % 2 else float(rng.uniform(0.2, n))
+        params = SystemParams(n, int(rng.integers(1, 6)), m)
         dist = PopularityDistribution(rng.dirichlet(np.ones(n)))
-        size = int(rng.integers(0, n + 1))
-        cached = rng.choice(n, size=size, replace=False)
-        a = approx_rate(params, cached, dist)
-        b = expected_slot_rate(params, cached, dist)
-        if math.isfinite(a):
-            assert a == pytest.approx(b, abs=1e-12)
-        else:
-            assert b == pytest.approx(
-                params.n_users * (1.0 - float(dist.probs[list(cached)].sum())), abs=1e-12
-            )
+        decisions = rng.random((8, n)) < rng.random()
+        rates = slot_rates(decisions, dist.probs, params)
+        for row, rate in zip(decisions, rates):
+            cached = np.flatnonzero(row).tolist()
+            assert rate == pytest.approx(reference_slot_rate(cached, dist.probs, params), abs=1e-12)
 
 
 def test_realized_rate_never_beats_unicast():
@@ -275,7 +295,7 @@ def test_realized_rate_tracks_analytic_bound():
     params = SystemParams(4, 4, 1.0, 2000)
     dist = make_zipf(4, 0.0)
     cached = [0, 1, 2, 3]
-    bound = approx_rate(params, cached, dist)
+    bound = set_rate(params, cached, dist)
     total = 0.0
     slots = 200
     for t in range(slots):

@@ -5,22 +5,21 @@ import numpy as np
 import pytest
 
 from codedcache.bounds import oracle_rate_upper
-from codedcache.engine import DeliveryCapError, expected_slot_rate
+from codedcache.engine import DeliveryCapError
 from codedcache.harness import (
     ExperimentConfig,
     ExperimentResult,
     PolicyAggregate,
     _analytic_rates,
-    _decision_matrix,
     _draw_requests,
-    _switch_flags,
     config_summary,
     emit_csv,
     run_experiment,
     run_trial,
 )
 from codedcache.model import PopularityDistribution, SystemParams, make_zipf
-from codedcache.policies import lfu_expected_rate, make_policy
+from codedcache.policies import POLICY_NAMES, decision_matrix, switch_flags
+from test_policy_reference import SteppedPolicy, reference_lfu_rate, reference_slot_rate
 
 WORKED = SystemParams(4, 4, 1.0)
 WORKED_DIST = PopularityDistribution(np.array([0.40, 0.35, 0.15, 0.10]))
@@ -64,6 +63,9 @@ def test_config_rejects_bad_inputs():
         config(dist=make_zipf(3, 1.0))
     with pytest.raises(DeliveryCapError):
         config(params=SystemParams(4, 25, 1.0), rate_mode="bitlevel")
+    # a raised cap still stops at the 63-user holder mask, before any placement
+    with pytest.raises(DeliveryCapError, match="63-user"):
+        config(params=SystemParams(4, 64, 1.0), rate_mode="bitlevel", subset_cap=64)
     with pytest.raises(ValueError, match="sorted"):
         config(dist=PopularityDistribution(np.array([0.1, 0.4, 0.35, 0.15])))
 
@@ -118,7 +120,7 @@ def test_paired_oracle_regret_is_zero():
         assert tr.total_switches == 0
 
 
-# --- vectorized analytic path equals the stepped policies -------------------
+# --- vectorized analytic path equals the stepped reference -----------------
 
 def test_decision_matrix_matches_policy_classes():
     rng = np.random.default_rng(91)
@@ -133,19 +135,19 @@ def test_decision_matrix_matches_policy_classes():
             horizon=40, trials=1, seed=case, reference="paired",
         )
         requests = _draw_requests(cfg, 0)
-        for name in ("tracking", "oracle", "uniform", "lfu"):
-            decisions = _decision_matrix(cfg, name, requests)
-            flags = _switch_flags(decisions)
+        for name in POLICY_NAMES:
+            decisions = decision_matrix(name, requests, dist.probs, params)
+            flags = switch_flags(decisions)
             rates = _analytic_rates(cfg, name, decisions)
-            pol = make_policy(name, params, dist)
+            pol = SteppedPolicy(name, params, dist.probs)
             for s in range(cfg.horizon):
-                d = pol.decide()
-                assert frozenset(int(i) for i in np.flatnonzero(decisions[s])) == d.cached
-                assert flags[s] == d.switched
+                cached, switched = pol.decide()
+                assert frozenset(np.flatnonzero(decisions[s]).tolist()) == cached
+                assert flags[s] == switched
                 if name == "lfu":
-                    expect = lfu_expected_rate(d.cached, dist, k, per_request=True)
+                    expect = reference_lfu_rate(cached, dist.probs, k, per_request=True)
                 else:
-                    expect = expected_slot_rate(params, d.cached, dist)
+                    expect = reference_slot_rate(cached, dist.probs, params)
                 assert rates[s] == pytest.approx(expect, abs=1e-12)
                 pol.observe(requests[s])
 
@@ -154,10 +156,10 @@ def test_lfu_dedup_accounting_in_analytic_mode():
     cfg = config(policies=("lfu",), lfu_accounting="dedup", horizon=3, trials=1)
     tr = run_trial(cfg, 0).trace("lfu")
     requests = _draw_requests(cfg, 0)
-    pol = make_policy("lfu", cfg.params, cfg.dist)
+    pol = SteppedPolicy("lfu", cfg.params, cfg.dist.probs)
     for s in range(3):
-        d = pol.decide()
-        expect = lfu_expected_rate(d.cached, cfg.dist, 4, per_request=False)
+        cached, _ = pol.decide()
+        expect = reference_lfu_rate(cached, cfg.dist.probs, 4, per_request=False)
         assert tr.rates[s] == pytest.approx(expect, abs=1e-12)
         pol.observe(requests[s])
 

@@ -1,145 +1,129 @@
-"""Tests for the cache-content policies."""
+"""Tests for the policy decision rules and the LFU rate accounting."""
 import numpy as np
 import pytest
 
-from codedcache.model import (
-    PopularityDistribution,
-    SystemParams,
-    make_zipf,
-    substream,
-)
-from codedcache.policies import (
-    EmpiricalEstimator,
-    LfuPolicy,
-    OraclePolicy,
-    TrackingPolicy,
-    UniformPolicy,
-    lfu_expected_rate,
-    lfu_realized_rate,
-    make_policy,
-    popular_set,
-)
+from codedcache.harness import ExperimentConfig, _analytic_rates, _lfu_realized_rates
+from codedcache.model import PopularityDistribution, SystemParams, make_zipf, substream
+from codedcache.policies import POLICY_NAMES, decision_matrix, switch_flags
+
+
+def decide(policy, requests, params, probs=None):
+    """Cached sets and switch flags of ``policy`` over a scripted history."""
+    if probs is None:
+        probs = np.full(params.n_files, 1.0 / params.n_files)
+    decisions = decision_matrix(policy, np.asarray(requests), probs, params)
+    sets = [frozenset(np.flatnonzero(row).tolist()) for row in decisions]
+    return sets, switch_flags(decisions).tolist()
+
+
+def lfu_config(params, probs, accounting):
+    return ExperimentConfig(
+        params=params, dist=PopularityDistribution(probs), policies=("lfu",),
+        horizon=1, trials=1, seed=0, lfu_accounting=accounting,
+    )
 
 
 def test_estimator_counts_and_frequencies():
-    est = EmpiricalEstimator.initial(3, 2)
-    assert np.array_equal(est.probabilities(), [1 / 3, 1 / 3, 1 / 3])
-    est = est.update(np.array([0, 2])).update(np.array([0, 0]))
-    assert np.array_equal(est.counts, [3, 0, 1])
-    assert est.slots_seen == 2
-    assert np.array_equal(est.probabilities(), [0.75, 0.0, 0.25])
+    # after requests [0, 2] and [0, 0] the counts are [3, 0, 1] over 2 slots
+    # of 2 users, so tracking thresholds the estimate [0.75, 0, 0.25]
+    history = [[0, 2], [0, 0], [1, 1]]
+    sets, _ = decide("tracking", history, SystemParams(3, 2, 2.0))  # threshold 1/4
+    assert sets[2] == frozenset({0, 2})
+    sets, _ = decide("tracking", history, SystemParams(3, 2, 1.5))  # threshold 1/3
+    assert sets[2] == frozenset({0})
 
 
 def test_popular_set_keeps_threshold_ties():
     params = SystemParams(4, 4, 1.0)  # threshold 0.25
     probs = np.array([0.4, 0.25, 0.25, 0.1])
-    assert popular_set(probs, params) == frozenset({0, 1, 2})
+    assert params.popular(probs).tolist() == [True, True, True, False]
+    sets, _ = decide("oracle", [[3, 3, 3, 3]], params, probs)
+    assert sets == [frozenset({0, 1, 2})]
 
 
 def test_tracking_first_slot_caches_everything():
-    params = SystemParams(5, 2, 1.0)
-    pol = TrackingPolicy(params)
-    first = pol.decide()
-    assert first.cached == frozenset(range(5)) and not first.switched
+    sets, flags = decide("tracking", [[0, 0], [0, 1]], SystemParams(5, 2, 1.0))
+    assert sets[0] == frozenset(range(5)) and not flags[0]
 
 
 def test_tracking_follows_the_estimate():
     params = SystemParams(3, 2, 3.0)  # threshold 1/6
-    pol = TrackingPolicy(params)
-    pol.decide()
-    pol.observe(np.array([0, 0]))
-    second = pol.decide()
-    assert second.cached == frozenset({0}) and second.switched
-    pol.observe(np.array([1, 2]))  # estimates now [0.5, 0.25, 0.25]
-    third = pol.decide()
-    assert third.cached == frozenset({0, 1, 2}) and third.switched
-    pol.observe(np.array([0, 0]))
-    fourth = pol.decide()  # estimates [4, 1, 1]/6, all at or above 1/6
-    assert fourth.cached == frozenset({0, 1, 2}) and not fourth.switched
+    sets, flags = decide("tracking", [[0, 0], [1, 2], [0, 0], [1, 1]], params)
+    # estimates: none yet, [1, 0, 0], [0.5, 0.25, 0.25], [4, 1, 1]/6 (ties cache)
+    assert sets == [frozenset({0, 1, 2}), frozenset({0}), frozenset({0, 1, 2}),
+                    frozenset({0, 1, 2})]
+    assert flags == [False, True, True, False]
 
 
 def test_oracle_is_constant():
     params = SystemParams(4, 4, 1.0)
-    dist = PopularityDistribution(np.array([0.4, 0.35, 0.15, 0.10]))
-    pol = OraclePolicy(params, dist)
-    for _ in range(3):
-        d = pol.decide()
-        assert d.cached == frozenset({0, 1}) and not d.switched
-        pol.observe(np.array([3, 3, 3, 3]))
-    with pytest.raises(ValueError, match="does not match"):
-        OraclePolicy(SystemParams(3, 4, 1.0), dist)
+    probs = np.array([0.4, 0.35, 0.15, 0.10])
+    sets, flags = decide("oracle", [[3, 3, 3, 3]] * 3, params, probs)
+    assert sets == [frozenset({0, 1})] * 3
+    assert flags == [False] * 3
 
 
 def test_uniform_caches_all():
-    pol = UniformPolicy(SystemParams(6, 2, 1.0))
-    assert pol.decide().cached == frozenset(range(6))
+    sets, flags = decide("uniform", [[0, 1], [1, 1], [5, 5]], SystemParams(6, 2, 1.0))
+    assert sets == [frozenset(range(6))] * 3
+    assert flags == [False] * 3
 
 
 def test_lfu_requires_integer_budget():
     with pytest.raises(ValueError, match="integer cache size"):
-        LfuPolicy(SystemParams(4, 2, 1.5))
+        decide("lfu", [[0, 1]], SystemParams(4, 2, 1.5))
 
 
 def test_lfu_tie_break_and_switching():
     params = SystemParams(4, 2, 2.0)
-    pol = LfuPolicy(params)
-    assert pol.decide().cached == frozenset({0, 1})  # zero counts tie to low ids
-    pol.observe(np.array([3, 3]))
-    d = pol.decide()
-    assert d.cached == frozenset({3, 0}) and d.switched
-    pol.observe(np.array([2, 0]))  # counts [1, 0, 1, 2]: keep 3, tie 0 vs 2 -> 0
-    d = pol.decide()
-    assert d.cached == frozenset({3, 0}) and not d.switched
+    sets, flags = decide("lfu", [[3, 3], [2, 0], [1, 1]], params)
+    assert sets[0] == frozenset({0, 1})  # zero counts tie to low ids
+    assert sets[1] == frozenset({3, 0}) and flags[1]
+    # counts [1, 0, 1, 2]: keep 3, tie 0 vs 2 -> 0
+    assert sets[2] == frozenset({3, 0}) and not flags[2]
 
 
 def test_factory_round_trip():
+    # every name the harness accepts gives a (horizon, n_files) decision matrix
     params = SystemParams(4, 2, 1.0)
-    dist = make_zipf(4, 1.0)
-    for name, cls in [
-        ("tracking", TrackingPolicy),
-        ("oracle", OraclePolicy),
-        ("uniform", UniformPolicy),
-        ("lfu", LfuPolicy),
-    ]:
-        assert isinstance(make_policy(name, params, dist), cls)
+    requests = np.array([[0, 1], [2, 2], [3, 0]])
+    for name in POLICY_NAMES:
+        decisions = decision_matrix(name, requests, make_zipf(4, 1.0).probs, params)
+        assert decisions.shape == (3, 4) and decisions.dtype == bool
     with pytest.raises(ValueError, match="unknown policy"):
-        make_policy("mru", params)
-    with pytest.raises(ValueError, match="needs the true popularity"):
-        make_policy("oracle", params)
+        decision_matrix("mru", requests, make_zipf(4, 1.0).probs, params)
 
 
 def test_lfu_realized_rate_accounting():
-    cached = frozenset({0})
-    requests = np.array([0, 1, 1, 2])
-    assert lfu_realized_rate(cached, requests) == 2.0
-    assert lfu_realized_rate(cached, requests, per_request=True) == 3.0
-    assert lfu_realized_rate(frozenset({0, 1, 2}), requests) == 0.0
+    cached = np.array([[True, False, False]])
+    requests = np.array([[0, 1, 1, 2]])
+    assert _lfu_realized_rates(cached, requests, False).tolist() == [2.0]
+    assert _lfu_realized_rates(cached, requests, True).tolist() == [3.0]
+    assert _lfu_realized_rates(np.ones((1, 3), dtype=bool), requests, False).tolist() == [0.0]
 
 
 def test_lfu_expected_rate_accounting():
-    dist = PopularityDistribution(np.array([0.5, 0.3, 0.2]))
-    cached = frozenset({0})
-    assert lfu_expected_rate(cached, dist, 4) == pytest.approx(2.0, abs=1e-12)
-    dedup = (1 - 0.7**4) + (1 - 0.8**4)
-    assert lfu_expected_rate(cached, dist, 4, per_request=False) == pytest.approx(
-        dedup, abs=1e-12
-    )
-    assert lfu_expected_rate(frozenset({0, 1, 2}), dist, 4) == 0.0
+    params = SystemParams(3, 4, 1.0)
+    probs = np.array([0.5, 0.3, 0.2])
+    sets = np.array([[True, False, False], [True, True, True]])
+    per_request = _analytic_rates(lfu_config(params, probs, "per-request"), "lfu", sets)
+    assert per_request == pytest.approx([2.0, 0.0], abs=1e-12)
+    dedup = _analytic_rates(lfu_config(params, probs, "dedup"), "lfu", sets)
+    assert dedup == pytest.approx([(1 - 0.7**4) + (1 - 0.8**4), 0.0], abs=1e-12)
 
 
 def test_lfu_expected_matches_simulated_mean():
     dist = make_zipf(5, 1.0)
-    cached = frozenset({0, 1})
+    params = SystemParams(5, 3, 2.0)
+    cached = np.broadcast_to([True, True, False, False, False], (20000, 5))
     rng = substream(41, 0)
     draws = rng.random((20000, 3))
     cdf = np.cumsum(dist.probs)
     reqs = np.searchsorted(cdf, draws, side="right").clip(max=4)
-    per_req = np.mean([lfu_realized_rate(cached, r, per_request=True) for r in reqs])
-    dedup = np.mean([lfu_realized_rate(cached, r) for r in reqs])
-    assert per_req == pytest.approx(lfu_expected_rate(cached, dist, 3), abs=0.02)
-    assert dedup == pytest.approx(
-        lfu_expected_rate(cached, dist, 3, per_request=False), abs=0.02
-    )
+    for accounting, per_request in (("per-request", True), ("dedup", False)):
+        simulated = _lfu_realized_rates(cached, reqs, per_request).mean()
+        expected = _analytic_rates(lfu_config(params, dist.probs, accounting), "lfu", cached[:1])
+        assert simulated == pytest.approx(expected[0], abs=0.02)
 
 
 def test_tracking_matches_oracle_inside_the_gap_tube():
@@ -156,7 +140,7 @@ def test_tracking_matches_oracle_inside_the_gap_tube():
         gaps = np.abs(probs - params.threshold)
         if gaps.min() < 1e-6:
             continue
-        target = popular_set(probs, params)
+        target = params.popular(probs)
         shift = rng.uniform(-1.0, 1.0, size=n) * gaps * 0.999
         perturbed = probs + shift
-        assert popular_set(perturbed, params) == target
+        assert np.array_equal(params.popular(perturbed), target)
