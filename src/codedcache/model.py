@@ -10,8 +10,6 @@ import numpy as np
 # tolerance for "sums to one" style checks on probability vectors
 PMF_TOL = 1e-12
 
-_EMPTY_INT = np.empty(0, dtype=np.int64)
-
 
 @dataclass(frozen=True)
 class SystemParams:

@@ -16,6 +16,9 @@ from .model import SystemParams
 
 POLICY_NAMES = ("tracking", "oracle", "uniform", "lfu")
 
+# slot-by-file counts held at once while deciding tracking and LFU
+BLOCK_ELEMS = 2**16
+
 
 def check_policy(name: str, params: SystemParams) -> None:
     """Reject an unknown policy name, and LFU with a fractional budget.
@@ -40,6 +43,12 @@ def decision_matrix(
     - ``uniform`` caches every file.
     - ``lfu`` caches the M most-requested files so far, breaking ties
       toward lower ids.
+
+    Tracking and LFU walk the horizon in blocks of about ``BLOCK_ELEMS``
+    slot-by-file counts, carrying the running counts from block to block, so
+    beyond the (horizon, n_files) bool result they hold O(BLOCK_ELEMS)
+    memory.  LFU refuses a history whose requests times n_files reaches
+    2**63, where its int64 ranking key would overflow.
     """
     check_policy(policy, params)
     t_len, n = len(requests), params.n_files
@@ -47,24 +56,37 @@ def decision_matrix(
         return np.broadcast_to(params.popular(probs), (t_len, n))
     if policy == "uniform":
         return np.ones((t_len, n), dtype=bool)
+    if policy == "lfu" and requests.size * n >= 2**63:
+        raise ValueError("LFU history too long: requests * n_files must stay below 2**63")
 
-    slot_counts = np.zeros((t_len, n), dtype=np.int64)
-    rows = np.repeat(np.arange(t_len), params.n_users)
-    np.add.at(slot_counts, (rows, requests.ravel()), 1)
-    before = np.zeros_like(slot_counts)
-    np.cumsum(slot_counts[:-1], axis=0, out=before[1:])
-
+    decisions = np.empty((t_len, n), dtype=bool)
+    m = int(params.cache_size)
+    # LFU ranks by the key before * N + (N - 1 - id): more requests first,
+    # then the lower id.  Keys are unique in a row, so the M keys at or
+    # above the (N - M)-th order statistic are exactly the top M.
+    tie_break = np.arange(n - 1, -1, -1)
+    running = np.zeros(n, dtype=np.int64)
+    step = max(1, BLOCK_ELEMS // n)
+    for start in range(0, t_len, step):
+        block = requests[start : start + step]
+        rows = len(block)
+        flat = (np.arange(rows)[:, None] * n + block).ravel()
+        counts = np.bincount(flat, minlength=rows * n).reshape(rows, n)
+        before = np.cumsum(counts, axis=0)
+        before -= counts
+        before += running
+        running = before[-1] + counts[-1]
+        if policy == "tracking":
+            seen = np.arange(start, start + rows)[:, None] * params.n_users
+            with np.errstate(invalid="ignore"):
+                est = np.where(seen > 0, before / np.maximum(seen, 1), 0.0)
+            decisions[start : start + rows] = params.popular(est)
+        else:
+            key = before * n + tie_break
+            kth = np.partition(key, n - m, axis=1)[:, n - m, None]
+            np.greater_equal(key, kth, out=decisions[start : start + rows])
     if policy == "tracking":
-        seen = np.arange(t_len)[:, None] * params.n_users
-        with np.errstate(invalid="ignore"):
-            est = np.where(seen > 0, before / np.maximum(seen, 1), 0.0)
-        decisions = params.popular(est)
-        decisions[0, :] = True
-        return decisions
-    # lfu: a stable sort on negated counts sends ties to the lower file id
-    order = np.argsort(-before, axis=1, kind="stable")[:, : int(params.cache_size)]
-    decisions = np.zeros((t_len, n), dtype=bool)
-    np.put_along_axis(decisions, order, True, axis=1)
+        decisions[:1] = True
     return decisions
 
 

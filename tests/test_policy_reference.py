@@ -10,6 +10,7 @@ reference from here.
 import numpy as np
 import pytest
 
+from codedcache import policies
 from codedcache.engine import build_delivery, sample_placement
 from codedcache.harness import (
     POLICY_STREAM_KEYS,
@@ -19,7 +20,7 @@ from codedcache.harness import (
     run_trial,
 )
 from codedcache.model import RequestProfile, SystemParams, make_zipf, substream
-from codedcache.policies import POLICY_NAMES
+from codedcache.policies import POLICY_NAMES, decision_matrix
 
 
 class SteppedPolicy:
@@ -56,6 +57,17 @@ class SteppedPolicy:
         self.slots_seen += 1
 
 
+def stepped_decisions(name, params, probs, requests):
+    """(horizon, n_files) indicators of the sets a stepped run caches."""
+    pol = SteppedPolicy(name, params, probs)
+    rows = np.zeros((len(requests), params.n_files), dtype=bool)
+    for s, req in enumerate(requests):
+        cached, _ = pol.decide()
+        rows[s, sorted(cached)] = True
+        pol.observe(req)
+    return rows
+
+
 def reference_slot_rate(cached, probs, params):
     """Expected coded-delivery rate of one set, per-request charged at |S| == M."""
     n, k, m = params.n_files, params.n_users, params.cache_size
@@ -78,6 +90,50 @@ def reference_lfu_realized(cached, requests, *, per_request):
     """Files an uncoded server sends for one slot of requests."""
     misses = [int(r) for r in requests if int(r) not in cached]
     return float(len(misses) if per_request else len(set(misses)))
+
+
+def test_block_decisions_match_stepped_reference(monkeypatch):
+    # block sizes of 1 to 5 rows against random horizons, so blocks end
+    # mid-horizon and the last one is short; few users over few files give
+    # LFU count ties, and M == N is drawn too
+    rng = np.random.default_rng(23)
+    short_tail = 0
+    for _ in range(40):
+        n, k = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+        params = SystemParams(n, k, float(rng.integers(1, n + 1)))
+        probs = rng.dirichlet(np.ones(n))
+        t_len = int(rng.integers(1, 24))
+        requests = rng.choice(n, size=(t_len, k), p=probs)
+        want = {name: stepped_decisions(name, params, probs, requests) for name in POLICY_NAMES}
+        for elems in (1, 3, n - 1, n + 1, 2 * n + 1, 5 * n):
+            monkeypatch.setattr(policies, "BLOCK_ELEMS", elems)
+            short_tail += t_len % max(1, elems // n) != 0
+            for name in POLICY_NAMES:
+                got = decision_matrix(name, requests, probs, params)
+                assert got.shape == (t_len, n)
+                assert got.tolist() == want[name].tolist(), (name, elems)
+    assert short_tail > 0
+
+
+def test_block_decisions_match_stepped_reference_wide_shape():
+    # the default block holds 65 slots of N=1000 files: 200 slots make
+    # three full blocks and a 5-slot remainder
+    params = SystemParams(1000, 100, 20.0)
+    probs = make_zipf(1000, 0.8).probs
+    requests = np.random.default_rng(5).choice(1000, size=(200, 100), p=probs)
+    assert 200 % (policies.BLOCK_ELEMS // 1000) != 0
+    for name in ("tracking", "lfu"):
+        got = decision_matrix(name, requests, probs, params)
+        assert got.tolist() == stepped_decisions(name, params, probs, requests).tolist()
+
+
+def test_lfu_refuses_a_history_its_key_would_overflow():
+    # T * K * N == 2**63: the ranking key before * N + (N - 1 - id) could
+    # pass int64; a broadcast stub has the shape without the memory
+    params = SystemParams(2**10, 2**10, 4.0)
+    requests = np.broadcast_to(np.zeros(1, dtype=np.int64), (2**43, 2**10))
+    with pytest.raises(ValueError, match="2\\*\\*63"):
+        decision_matrix("lfu", requests, np.full(2**10, 2.0**-10), params)
 
 
 def test_lfu_realized_rates_match_reference():
