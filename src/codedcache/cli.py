@@ -6,8 +6,8 @@ two-level pair, with optional exhaustive verification), ``verify-decode``
 (randomized decodability fuzzer), and ``ingest`` (counts file to a
 normalized popularity table).
 
-Exit codes: 0 success, 2 usage or validation error, 3 exact delivery
-infeasible at this scale, 4 bound inapplicable on this instance.
+Exit codes: 0 success, 2 usage or validation error, 4 bound inapplicable
+on this instance.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from .bounds import (
     tracking_regret_bound,
     verify_bad_set_gap,
 )
-from .engine import DEFAULT_SUBSET_CAP, DeliveryCapError, run_decode_fuzz
+from .engine import run_decode_fuzz
 from .harness import ExperimentConfig, emit_csv, run_experiment
 from .model import (
     PopularityDistribution,
@@ -36,7 +36,6 @@ from .model import (
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_CAP = 3
 EXIT_INAPPLICABLE = 4
 
 
@@ -112,7 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--rate-mode", choices=("analytic", "bitlevel"), default="analytic")
     sim.add_argument("--reference", choices=("closed-form", "paired"), default="closed-form")
     sim.add_argument("--lfu-accounting", choices=("auto", "per-request", "dedup"), default="auto")
-    sim.add_argument("--subset-cap", type=int, default=DEFAULT_SUBSET_CAP)
     sim.add_argument("--out", help="CSV destination (default stdout)")
 
     bnd = subs.add_parser("bounds", help="print the closed-form bound report")
@@ -155,7 +153,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         rate_mode=args.rate_mode,
         reference=args.reference,
         lfu_accounting=args.lfu_accounting,
-        subset_cap=args.subset_cap,
         dist_label=args.dist,
     )
     result = run_experiment(cfg)
@@ -251,9 +248,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(spliced)
     try:
         return _DISPATCH[args.command](args)
-    except DeliveryCapError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CAP
     except DegenerateGapError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INAPPLICABLE

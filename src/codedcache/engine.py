@@ -14,17 +14,17 @@ import numpy as np
 
 from .model import RequestProfile, SystemParams
 
-# a plan can hold one message per (member, holder bucket) pair, up to
-# |group| * min(F, 2**|group|) of them, so large groups stay opt-in
-DEFAULT_SUBSET_CAP = 20
-# holder sets are int64 bit masks with one bit per group member
-MAX_GROUP_USERS = 63
+# a holder set is stored as int64 words of this many members each, so any
+# group size fits and no word's sign bit is ever set
+_WORD_MEMBERS = 63
+
+# run_decode_fuzz draws each instance's shape below these limits
+FUZZ_MAX_FILES = 6
+FUZZ_MAX_USERS = 5
+FUZZ_MAX_CACHE = 3.0
+FUZZ_MAX_SUBPACKETS = 64
 
 _EMPTY_INT = np.empty(0, dtype=np.int64)
-
-
-class DeliveryCapError(RuntimeError):
-    """Raised when the multicast group is too large for exact delivery."""
 
 
 @dataclass
@@ -126,8 +126,6 @@ def build_delivery(
     profile: RequestProfile,
     caches: Sequence[CacheState],
     cached: Iterable[int],
-    *,
-    subset_cap: int = DEFAULT_SUBSET_CAP,
 ) -> Transmission:
     """Multicast plan for one slot.
 
@@ -143,8 +141,10 @@ def build_delivery(
     Every request outside the cached set is sent whole, one transmission per
     request, with duplicates not merged.
 
-    Raises DeliveryCapError when the group exceeds ``subset_cap`` users, or
-    MAX_GROUP_USERS users whatever the cap, since holder sets are int64 masks.
+    Each member has at most one share per holder bucket of its file, and a
+    file has at most min(F, 2**|group|) buckets, so a slot sends at most
+    |group| * min(F, 2**|group|) coded messages.  The cost grows with the
+    group size times F, and a group of any size is built.
     """
     req = profile.requests
     n, f = params.n_files, params.subpackets
@@ -154,29 +154,32 @@ def build_delivery(
         raise ValueError("request index out of range")
     S = set(_check_files(params, cached))
     group = [k for k in range(params.n_users) if int(req[k]) in S]
-    if len(group) > subset_cap:
-        raise DeliveryCapError("exact delivery infeasible; use analytic rate")
-    if len(group) > MAX_GROUP_USERS:
-        raise DeliveryCapError(
-            f"coded group of {len(group)} users exceeds the {MAX_GROUP_USERS}-user "
-            "holder mask; use analytic rate"
-        )
 
     # Bucket the subpackets of each requested cached file by exactly which
-    # group members hold them.  The stable argsort leaves each run of equal
-    # holder masks in ascending index order, so a bucket is a slice order[a:b].
+    # group members hold them.  Member j is bit j % 63 of word j // 63; the
+    # stable lexsort, last word first, orders the holder sets ascending and
+    # leaves each run of equal sets in ascending index order, so a bucket is a
+    # slice order[a:b].  Its key folds the words back into one int, bit j set
+    # for member j.
     bit = {k: 1 << j for j, k in enumerate(group)}
+    n_words = -(-len(group) // _WORD_MEMBERS)
     buckets: dict[int, tuple[np.ndarray, list[tuple[int, int, int]]]] = {}
     for file in sorted({int(req[k]) for k in group}):
-        holders = np.zeros(f, dtype=np.int64)
-        for k in group:
+        holders = np.zeros((n_words, f), dtype=np.int64)
+        for j, k in enumerate(group):
             idx = caches[k].subpackets(file)
             if len(idx):
-                holders[idx] |= bit[k]
-        order = np.argsort(holders, kind="stable")
-        ranked = holders[order]
-        cuts = [0, *(np.flatnonzero(np.diff(ranked)) + 1).tolist(), f]
-        buckets[file] = order, list(zip(ranked[cuts[:-1]].tolist(), cuts, cuts[1:]))
+                word, offset = divmod(j, _WORD_MEMBERS)
+                holders[word][idx] |= 1 << offset
+        order = np.lexsort(holders)
+        ranked = holders.take(order, axis=1)
+        change = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
+        cuts = [0, *(np.flatnonzero(change) + 1).tolist(), f]
+        heads = ranked[:, cuts[:-1]].tolist()
+        keys = heads[0]
+        for word in range(1, n_words):
+            keys = [key | head << word * _WORD_MEMBERS for key, head in zip(keys, heads[word])]
+        buckets[file] = order, list(zip(keys, cuts, cuts[1:]))
 
     # Key every share by its subgroup; members are visited in group order, so
     # each subgroup's shares come out in segment order.
@@ -292,10 +295,6 @@ def run_decode_fuzz(
     seed: int,
     *,
     corrupt: bool = False,
-    max_files: int = 6,
-    max_users: int = 5,
-    max_cache: float = 3.0,
-    max_subpackets: int = 64,
 ) -> FuzzResult:
     """Random placement/delivery/decode round trips; failures should stay at zero.
 
@@ -309,10 +308,10 @@ def run_decode_fuzz(
     users_checked = 0
     for trial in range(n_trials):
         rng = substream(seed, trial)
-        n = int(rng.integers(1, max_files + 1))
-        k = int(rng.integers(1, max_users + 1))
-        m = float(rng.uniform(0.2, min(max_cache, n)))
-        f = int(rng.integers(1, max_subpackets + 1))
+        n = int(rng.integers(1, FUZZ_MAX_FILES + 1))
+        k = int(rng.integers(1, FUZZ_MAX_USERS + 1))
+        m = float(rng.uniform(0.2, min(FUZZ_MAX_CACHE, n)))
+        f = int(rng.integers(1, FUZZ_MAX_SUBPACKETS + 1))
         params = SystemParams(n, k, m, f)
         size = int(rng.integers(0, n + 1))
         cached = sorted(int(i) for i in rng.choice(n, size=size, replace=False))

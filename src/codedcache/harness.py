@@ -17,14 +17,7 @@ import io
 import numpy as np
 
 from .bounds import oracle_rate_upper
-from .engine import (
-    DEFAULT_SUBSET_CAP,
-    MAX_GROUP_USERS,
-    DeliveryCapError,
-    build_delivery,
-    sample_placement,
-    slot_rates,
-)
+from .engine import build_delivery, sample_placement, slot_rates
 from .model import (
     PopularityDistribution,
     RequestProfile,
@@ -53,7 +46,6 @@ class ExperimentConfig:
     rate_mode: str = "analytic"
     reference: str = "closed-form"
     lfu_accounting: str = "auto"
-    subset_cap: int = DEFAULT_SUBSET_CAP
     dist_label: str = "custom"
 
     def __post_init__(self):
@@ -76,13 +68,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown reference mode: {self.reference}")
         if self.lfu_accounting not in LFU_ACCOUNTINGS:
             raise ValueError(f"unknown LFU accounting: {self.lfu_accounting}")
-        if self.rate_mode == "bitlevel" and self.params.n_users > min(
-            self.subset_cap, MAX_GROUP_USERS
-        ):
-            raise DeliveryCapError(
-                f"exact delivery infeasible for {self.params.n_users} users (subset cap "
-                f"{self.subset_cap}, {MAX_GROUP_USERS}-user holder mask); use analytic rate"
-            )
         if self.reference == "closed-form" and not self.dist.is_sorted():
             raise ValueError("closed-form reference needs sorted popularities")
 
@@ -179,9 +164,7 @@ def _bitlevel_rates(
         if s == 0 or switches[s]:
             cached = np.flatnonzero(decisions[s]).tolist()
             caches = sample_placement(params, cached, place_rng)
-        tx = build_delivery(
-            params, RequestProfile(requests[s]), caches, cached, subset_cap=config.subset_cap
-        )
+        tx = build_delivery(params, RequestProfile(requests[s]), caches, cached)
         rates[s] = tx.rate
     return rates
 

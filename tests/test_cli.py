@@ -71,26 +71,34 @@ def test_simulate_lfu_fractional_cache_usage_error(capsys):
 
 
 def test_simulate_cap_exit_code(capsys):
-    code, _, err = run(
+    # 30 users was above the 20-user subset cap that once made this exit 3
+    code, out, err = run(
         capsys,
         "simulate", "--n", "2", "--k", "30", "--m", "1", "--dist", "zipf:1",
         "--policies", "tracking", "--horizon", "2", "--trials", "1",
         "--rate-mode", "bitlevel",
     )
-    assert code == 3
-    assert "analytic" in err
+    assert code == 0 and err == ""
+    lines = out.strip().split("\n")
+    assert lines[1].startswith("t,policy,")
+    assert len(lines) == 2 + 2
 
 
 def test_simulate_group_above_mask_limit_exit_code(capsys):
-    # a raised cap does not let a coded group past the 63-user holder mask
-    code, _, err = run(
-        capsys,
+    # a coded group past the 63 members of one holder-mask word runs, and
+    # reruns byte for byte
+    argv = (
         "simulate", "--n", "2", "--k", "64", "--m", "1", "--f", "4", "--dist", "zipf:1",
         "--policies", "uniform", "--horizon", "1", "--trials", "1",
-        "--rate-mode", "bitlevel", "--subset-cap", "64",
+        "--rate-mode", "bitlevel",
     )
-    assert code == 3
-    assert "63-user" in err and "analytic" in err
+    code_a, out_a, err_a = run(capsys, *argv)
+    code_b, out_b, err_b = run(capsys, *argv)
+    assert code_a == code_b == 0 and err_a == err_b == ""
+    assert out_a == out_b
+    lines = out_a.strip().split("\n")
+    assert lines[1].startswith("t,policy,")
+    assert len(lines) == 2 + 1
 
 
 def test_cli_import_leaves_scipy_unloaded():

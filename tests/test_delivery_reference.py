@@ -1,17 +1,17 @@
-"""build_delivery checked field by field against an exhaustive reference.
+"""build_delivery checked field by field against two references.
 
-The reference walks every nonempty subgroup of the coded group in ascending
-bit order, which is how delivery plans were once built.  It is exponential in
-the group size, so it only runs on groups of up to 12 users here.
+The first walks every nonempty subgroup of the coded group in ascending bit
+order, which is how delivery plans were once built.  It is exponential in the
+group size, so it only runs on groups of up to 12 users here.  The second
+builds each subpacket's holder set as one Python int and follows the same
+(member, holder bucket) rule as build_delivery, so it reaches groups wider
+than the engine's 63-member holder words.
 """
 import numpy as np
-import pytest
 
 from codedcache.engine import (
-    MAX_GROUP_USERS,
     CacheState,
     CodedMessage,
-    DeliveryCapError,
     DirectSend,
     Segment,
     Transmission,
@@ -67,6 +67,55 @@ def reference_delivery(params, profile, caches, cached):
         length = max(len(s.indices) for s in segments)
         total += length
         coded.append(CodedMessage(tuple(members), length, tuple(segments)))
+
+    direct = []
+    for k in range(params.n_users):
+        if k not in bit:
+            direct.append(DirectSend(k, int(req[k]), f))
+            total += f
+    return Transmission(tuple(coded), tuple(direct), total, total / f)
+
+
+def bucket_reference_delivery(params, profile, caches, cached):
+    """Holder sets as Python ints, one subpacket at a time; a message per
+    subgroup W | {k} for a member k and a holder set W of k's file without k."""
+    req = profile.requests
+    f = params.subpackets
+    S = {int(i) for i in cached}
+    group = [k for k in range(params.n_users) if int(req[k]) in S]
+    bit = {k: 1 << j for j, k in enumerate(group)}
+    buckets = {}
+    for file in sorted({int(req[k]) for k in group}):
+        holders = [0] * f
+        for k in group:
+            for i in caches[k].subpackets(file).tolist():
+                holders[i] |= bit[k]
+        by_set = {}
+        for i, held in enumerate(holders):
+            by_set.setdefault(held, []).append(i)
+        buckets[file] = by_set
+
+    shares = {}
+    for k in group:
+        file = int(req[k])
+        for held, idx in buckets[file].items():
+            if not held & bit[k]:
+                segment = Segment(k, file, np.array(idx, dtype=np.int64))
+                shares.setdefault(held | bit[k], []).append((held, segment))
+
+    coded = []
+    seen = set()
+    total = 0
+    for sbits in sorted(shares):
+        signature = frozenset((seg.file, held) for held, seg in shares[sbits])
+        if signature in seen:
+            continue
+        seen.add(signature)
+        segments = tuple(seg for _, seg in shares[sbits])
+        length = max(len(seg.indices) for seg in segments)
+        total += length
+        members = tuple(k for k in group if sbits & bit[k])
+        coded.append(CodedMessage(members, length, segments))
 
     direct = []
     for k in range(params.n_users):
@@ -148,14 +197,60 @@ def test_matches_reference_when_nobody_holds_anything():
     assert tx.rate == 4.0
 
 
-def test_group_at_mask_limit_builds_and_above_it_is_refused():
-    params = SystemParams(1, MAX_GROUP_USERS, 1.0, 1)
-    caches = sample_placement(params, [0], substream(404, 0))
-    profile = RequestProfile(np.zeros(MAX_GROUP_USERS, dtype=np.int64))
-    tx = build_delivery(params, profile, caches, [0], subset_cap=MAX_GROUP_USERS)
-    assert tx.rate == 0.0
-    params = SystemParams(1, MAX_GROUP_USERS + 1, 1.0, 1)
-    caches = sample_placement(params, [0], substream(404, 1))
-    profile = RequestProfile(np.zeros(MAX_GROUP_USERS + 1, dtype=np.int64))
-    with pytest.raises(DeliveryCapError, match="analytic rate"):
-        build_delivery(params, profile, caches, [0], subset_cap=MAX_GROUP_USERS + 1)
+def test_groups_at_and_above_one_mask_word_build():
+    # 63 members fill one holder word and 64 spill into a second
+    for users, trial in ((63, 0), (64, 1)):
+        params = SystemParams(1, users, 1.0, 1)
+        caches = sample_placement(params, [0], substream(404, trial))
+        profile = RequestProfile(np.zeros(users, dtype=np.int64))
+        tx = build_delivery(params, profile, caches, [0])
+        assert tx.rate == 0.0
+
+
+def shared_holder_caches(params, cached, group, rng):
+    """Caches in which every subpacket of one kind has the same holders.
+
+    The kinds sit at scattered indices, so a holder set repeats across
+    non-adjacent subpackets, and kinds 0 and 1 agree on the first 63 group
+    members, so only the later holder words tell them apart.
+    """
+    kind = rng.integers(0, 3, size=params.subpackets)
+    held = rng.random((params.n_users, 3)) < 0.5
+    first_word = group[:63]
+    held[first_word, 1] = held[first_word, 0]
+    return [
+        CacheState({file: np.flatnonzero(held[k][kind]) for file in cached})
+        for k in range(params.n_users)
+    ]
+
+
+def test_matches_bucket_reference_past_the_word_boundaries():
+    # coded groups of 60-140 users straddle the 63- and 126-member word
+    # boundaries of the engine's holder sets
+    groups = []
+    for trial in range(24):
+        rng = substream(505, trial)
+        n = int(rng.integers(2, 6))
+        width = int(rng.integers(60, 141))
+        outside = int(rng.integers(0, 4))
+        f = int(rng.integers(4, 25))
+        params = SystemParams(n, width + outside, float(rng.uniform(0.2, n - 1)), f)
+        cached = list(range(n - 1))
+        requests = np.concatenate(
+            [rng.integers(0, n - 1, size=width), np.full(outside, n - 1)]
+        )
+        requests = rng.permutation(requests)
+        if trial % 2:
+            group = np.flatnonzero(requests < n - 1)
+            caches = shared_holder_caches(params, cached, group, rng)
+        else:
+            caches = sample_placement(params, cached, rng)
+        profile = RequestProfile(requests)
+        tx = build_delivery(params, profile, caches, cached)
+        assert_same_plan(tx, bucket_reference_delivery(params, profile, caches, cached))
+        assert tx.coded
+        if trial < 4:
+            assert all(decode(params, u, profile, caches, tx) for u in range(params.n_users))
+        groups.append(width)
+    assert min(groups) < 63 and 63 < 126 < max(groups)
+

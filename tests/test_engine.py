@@ -4,7 +4,6 @@ import pytest
 
 from codedcache.engine import (
     CacheState,
-    DeliveryCapError,
     build_delivery,
     decode,
     run_decode_fuzz,
@@ -117,13 +116,12 @@ def test_duplicate_uncached_requests_are_not_merged():
 
 
 def test_group_size_cap():
+    # there is no group size cap: a 21-user group, one past the 20-user cap
+    # that delivery once had, builds like any other
     params = SystemParams(1, 21, 1.0, 1)
     caches = sample_placement(params, [0], substream(0, 2))
     profile = RequestProfile(np.zeros(21, dtype=np.int64))
-    with pytest.raises(DeliveryCapError, match="analytic rate"):
-        build_delivery(params, profile, caches, [0])
-    # a raised cap enumerates fine
-    tx = build_delivery(params, profile, caches, [0], subset_cap=21)
+    tx = build_delivery(params, profile, caches, [0])
     assert tx.rate == 0.0  # a single fully cached file costs nothing
 
 

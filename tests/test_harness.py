@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from codedcache.bounds import oracle_rate_upper
-from codedcache.engine import DeliveryCapError
 from codedcache.harness import (
     ExperimentConfig,
     ExperimentResult,
@@ -61,13 +60,19 @@ def test_config_rejects_bad_inputs():
         config(lfu_accounting="amortized")
     with pytest.raises(ValueError, match="does not match"):
         config(dist=make_zipf(3, 1.0))
-    with pytest.raises(DeliveryCapError):
-        config(params=SystemParams(4, 25, 1.0), rate_mode="bitlevel")
-    # a raised cap still stops at the 63-user holder mask, before any placement
-    with pytest.raises(DeliveryCapError, match="63-user"):
-        config(params=SystemParams(4, 64, 1.0), rate_mode="bitlevel", subset_cap=64)
     with pytest.raises(ValueError, match="sorted"):
         config(dist=PopularityDistribution(np.array([0.1, 0.4, 0.35, 0.15])))
+
+
+def test_bitlevel_config_runs_at_any_user_count():
+    # 25 users is past the 20-user subset cap bit-level mode once had, and 64
+    # past the 63-user holder mask; both configs are accepted and run
+    for users in (25, 64):
+        cfg = config(params=SystemParams(4, users, 1.0, 16), rate_mode="bitlevel")
+        result = run_experiment(cfg)
+        for agg in result.aggregates:
+            assert agg.mean_rate.shape == (cfg.horizon,)
+            assert np.isfinite(agg.mean_rate).all()
 
 
 def test_lfu_accounting_default_follows_mode():
