@@ -2,12 +2,18 @@
 
 Files are split into `subpackets` equal pieces and caches are tracked as index
 sets, so delivery plans carry exact lengths without simulating payload bytes.
-:func:`slot_rates` is the analytic (upper) estimate of that delivery's rate.
+:func:`build_delivery` computes a slot's plan as flat numpy arrays: holder
+sets as int64 words, one share row per (member, holder bucket), messages as
+runs of sorted subgroup keys, and the payload dedup as one rule over the
+single-share messages.  The :class:`CodedMessage`/:class:`Segment` view of a
+plan is built only when ``Transmission.coded`` is read.  :func:`slot_rates`
+is the analytic (upper) estimate of that delivery's rate.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -70,12 +76,65 @@ class DirectSend:
     length: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Transmission:
-    coded: tuple[CodedMessage, ...]
+    """One slot's broadcast: the direct sends and the coded plan as flat arrays.
+
+    Coded message i XORs the share rows ``message_offsets[i]:message_offsets[i
+    + 1]``, zero-padded to ``message_length[i]``, for the coded-group positions
+    set in column i of ``message_key`` (63 positions per int64 word; position j
+    is user ``group[j]``).  Share row r is user ``share_user[r]``'s piece of
+    file ``share_file[r]``: subpacket indices ``subpackets[share_start[r]:
+    share_stop[r]]``.  ``coded`` builds the same plan as a tuple of
+    :class:`CodedMessage` on first access and caches it; the rate and the
+    counts never need it, so the per-slot cost stays in numpy.
+    """
+
     direct: tuple[DirectSend, ...]
     subpackets_sent: int
     rate: float
+    group: np.ndarray
+    message_key: np.ndarray
+    message_offsets: np.ndarray
+    message_length: np.ndarray
+    share_user: np.ndarray
+    share_file: np.ndarray
+    share_start: np.ndarray
+    share_stop: np.ndarray
+    subpackets: np.ndarray
+
+    @cached_property
+    def coded(self) -> tuple[CodedMessage, ...]:
+        """The coded messages in send order, each member list read from the
+        set bits of its subgroup key."""
+        count = len(self.message_length)
+        if not count:
+            return ()
+        key = np.ascontiguousarray(self.message_key.T, dtype="<i8")
+        bits = np.unpackbits(key.view(np.uint8), axis=1, bitorder="little")
+        bits = bits.reshape(count, -1, 64)[:, :, :_WORD_MEMBERS].reshape(count, -1)
+        rows, positions = np.nonzero(bits)
+        users = self.group[positions].tolist()
+        member_cuts = [0, *np.cumsum(np.bincount(rows, minlength=count)).tolist()]
+        sub = self.subpackets
+        segments = [
+            Segment(user, file, sub[a:b])
+            for user, file, a, b in zip(
+                self.share_user.tolist(),
+                self.share_file.tolist(),
+                self.share_start.tolist(),
+                self.share_stop.tolist(),
+            )
+        ]
+        share_cuts = self.message_offsets.tolist()
+        return tuple([
+            CodedMessage(
+                tuple(users[member_cuts[i]:member_cuts[i + 1]]),
+                length,
+                tuple(segments[share_cuts[i]:share_cuts[i + 1]]),
+            )
+            for i, length in enumerate(self.message_length.tolist())
+        ])
 
 
 def _check_files(params: SystemParams, files: Iterable[int]) -> list[int]:
@@ -93,32 +152,35 @@ def sample_placement(
     When the set is at least the budget, each user keeps min(F, floor(M*F/|S|))
     uniformly random subpackets of every file in it.  A smaller set is stored
     whole and the leftover budget is split evenly over the remaining files.
+    Both floors are taken from the decimal M, not its binary float (in floating
+    point 0.57 * 100 / 57 falls just short of 1).  The random keys of every
+    (user, file) draw come from one ``rng.random((K, files, F))`` call, user by
+    user and file by file.
     """
+    from fractions import Fraction  # local import keeps module load cheap
+
     S = _check_files(params, cached)
-    n, f, m = params.n_files, params.subpackets, params.cache_size
-    states = [CacheState() for _ in range(params.n_users)]
+    n, f = params.n_files, params.subpackets
+    m = Fraction(str(params.cache_size))
     if not S:
-        return states
+        return [CacheState() for _ in range(params.n_users)]
     if len(S) >= m:
-        per = min(f, int(m * f / len(S)))
-        plan = [(i, per) for i in S]
+        whole, part, take = [], S, min(f, math.floor(m * f / len(S)))
     else:
-        leftover = int((m - len(S)) * f / (n - len(S)))
         chosen = set(S)
-        plan = [(i, f) for i in S]
-        plan += [(i, leftover) for i in range(n) if i not in chosen]
+        whole, part = S, [i for i in range(n) if i not in chosen]
+        take = math.floor((m - len(S)) * f / (n - len(S)))
+    if take >= f:
+        whole, part = whole + part, []
     full = np.arange(f, dtype=np.int64)
-    for state in states:
-        for i, take in plan:
-            if take <= 0:
-                continue
-            if take >= f:
-                state.files[i] = full
-            else:
-                keys = rng.random(f)
-                pick = np.argpartition(keys, take)[:take]
-                state.files[i] = np.sort(pick).astype(np.int64)
-    return states
+    if take > 0 and part:
+        keys = rng.random((params.n_users, len(part), f))
+        picks = np.sort(np.argpartition(keys, take, axis=-1)[..., :take], axis=-1)
+    else:
+        part, picks = [], [()] * params.n_users
+    return [
+        CacheState({**dict.fromkeys(whole, full), **dict(zip(part, row))}) for row in picks
+    ]
 
 
 def build_delivery(
@@ -127,7 +189,7 @@ def build_delivery(
     caches: Sequence[CacheState],
     cached: Iterable[int],
 ) -> Transmission:
-    """Multicast plan for one slot.
+    """Multicast plan for one slot, computed as flat arrays.
 
     Users whose request lies in the cached set form the coded group.  The
     subpackets of each requested file are bucketed by exactly which members
@@ -136,15 +198,25 @@ def build_delivery(
     Each subgroup that receives at least one share sends one message, in
     ascending bit order of the subgroup, XOR-ing its members' shares in group
     order (zero-padded, so the message is as long as the largest share).  Any
-    other subgroup would carry nothing, so none is enumerated.  A message whose
-    (file, holder set) shares repeat an earlier message's payload is not sent.
-    Every request outside the cached set is sent whole, one transmission per
-    request, with duplicates not merged.
+    other subgroup would carry nothing, so none is enumerated.  Every request
+    outside the cached set is sent whole, one transmission per request, with
+    duplicates not merged.
+
+    A message whose payload, the set of its shares' (file, holder set) pairs,
+    repeats an earlier message's is not sent.  Only single-share messages can
+    repeat: if subgroups A != B carried the same pairs (f, H) and (f', H')
+    with H != H', then H = A - {a} = B - {b} and H' = A - {a'} = B - {b'};
+    a != a' puts a in H', a subset of B, and a is not in H, so a = b and
+    A = B.  A (file, holder set) pair is one bucket, so the rule is: among
+    single-share subgroups, keep the first of each bucket in ascending
+    subgroup order.
 
     Each member has at most one share per holder bucket of its file, and a
     file has at most min(F, 2**|group|) buckets, so a slot sends at most
     |group| * min(F, 2**|group|) coded messages.  The cost grows with the
-    group size times F, and a group of any size is built.
+    group size times F, and a group of any size is built.  The returned
+    :class:`Transmission` holds the plan as arrays; its ``coded`` tuple of
+    message objects is built only when read.
     """
     req = profile.requests
     n, f = params.n_files, params.subpackets
@@ -152,70 +224,107 @@ def build_delivery(
         raise ValueError("profile size != n_users")
     if int(req.max()) >= n:
         raise ValueError("request index out of range")
-    S = set(_check_files(params, cached))
-    group = [k for k in range(params.n_users) if int(req[k]) in S]
+    in_set = np.zeros(n, dtype=bool)
+    in_set[_check_files(params, cached)] = True
+    coded = in_set[req]
+    group = np.flatnonzero(coded)
+    direct = tuple([DirectSend(k, int(req[k]), f) for k in np.flatnonzero(~coded).tolist()])
+    plan = _coded_plan(f, req, caches, group)
+    total = int(plan["message_length"].sum()) + f * len(direct)
+    return Transmission(direct, total, total / f, group, **plan)
 
-    # Bucket the subpackets of each requested cached file by exactly which
-    # group members hold them.  Member j is bit j % 63 of word j // 63; the
-    # stable lexsort, last word first, orders the holder sets ascending and
-    # leaves each run of equal sets in ascending index order, so a bucket is a
-    # slice order[a:b].  Its key folds the words back into one int, bit j set
-    # for member j.
-    bit = {k: 1 << j for j, k in enumerate(group)}
-    n_words = -(-len(group) // _WORD_MEMBERS)
-    buckets: dict[int, tuple[np.ndarray, list[tuple[int, int, int]]]] = {}
-    for file in sorted({int(req[k]) for k in group}):
-        holders = np.zeros((n_words, f), dtype=np.int64)
-        for j, k in enumerate(group):
+
+def _coded_plan(
+    f: int, req: np.ndarray, caches: Sequence[CacheState], group: np.ndarray
+) -> dict[str, np.ndarray]:
+    """The coded part of :func:`build_delivery` as Transmission's array fields."""
+    members = len(group)
+    n_words = -(-members // _WORD_MEMBERS)
+    if not members:
+        return _empty_plan(n_words)
+    files, member_file = np.unique(req[group], return_inverse=True)
+    word, offset = np.divmod(np.arange(members), _WORD_MEMBERS)
+
+    # Bucket the subpackets of every requested file by exactly which members
+    # hold them.  Member j is bit j % 63 of holder word j // 63.  The stable
+    # lexsort along each file's row, last word primary, orders the file's
+    # holder sets ascending and leaves each run of equal sets in ascending
+    # index order, so a bucket is a slice of the flattened order.
+    holders = np.zeros((n_words, len(files), f), dtype=np.int64)
+    file_list = files.tolist()
+    for j, k in enumerate(group.tolist()):
+        words = holders[j // _WORD_MEMBERS]
+        bit = 1 << j % _WORD_MEMBERS
+        for rank, file in enumerate(file_list):
             idx = caches[k].subpackets(file)
             if len(idx):
-                word, offset = divmod(j, _WORD_MEMBERS)
-                holders[word][idx] |= 1 << offset
-        order = np.lexsort(holders)
-        ranked = holders.take(order, axis=1)
-        change = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
-        cuts = [0, *(np.flatnonzero(change) + 1).tolist(), f]
-        heads = ranked[:, cuts[:-1]].tolist()
-        keys = heads[0]
-        for word in range(1, n_words):
-            keys = [key | head << word * _WORD_MEMBERS for key, head in zip(keys, heads[word])]
-        buckets[file] = order, list(zip(keys, cuts, cuts[1:]))
+                words[rank][idx] |= bit
+    order = np.lexsort(holders, axis=-1)
+    ranked = np.take_along_axis(holders, order[None], axis=-1)
+    new = np.ones((len(files), f), dtype=bool)
+    new[:, 1:] = (ranked[:, :, 1:] != ranked[:, :, :-1]).any(axis=0)
+    bucket_start = np.flatnonzero(new)
+    bucket_stop = np.append(bucket_start[1:], new.size)
+    bucket_rank = bucket_start // f
+    heads = ranked.reshape(n_words, -1)[:, bucket_start]
 
-    # Key every share by its subgroup; members are visited in group order, so
-    # each subgroup's shares come out in segment order.
-    shares: dict[int, list[tuple[int, Segment]]] = {}
-    for k in group:
-        file = int(req[k])
-        order, runs = buckets[file]
-        own = bit[k]
-        for held, a, b in runs:
-            if not held & own:
-                shares.setdefault(held | own, []).append((held, Segment(k, file, order[a:b])))
+    # One share row per (member, bucket of its file without it), generated
+    # in group order; its subgroup key is the bucket's holder words with the
+    # member's bit set.
+    n_buckets = np.bincount(bucket_rank, minlength=len(files))
+    per_member = n_buckets[member_file]
+    first_bucket = (np.cumsum(n_buckets) - n_buckets)[member_file]
+    first_row = np.cumsum(per_member) - per_member
+    pos = np.repeat(np.arange(members), per_member)
+    bucket = np.arange(pos.size) + np.repeat(first_bucket - first_row, per_member)
+    free = (heads[word[pos], bucket] >> offset[pos]) & 1 == 0
+    pos, bucket = pos[free], bucket[free]
+    if not pos.size:
+        return _empty_plan(n_words)
+    subgroup = heads[:, bucket]
+    subgroup[word[pos], np.arange(pos.size)] |= 1 << offset[pos]
 
-    coded: list[CodedMessage] = []
-    seen: set[frozenset] = set()
-    total = 0
-    for sbits in sorted(shares):
-        entries = shares[sbits]
-        # two messages with the same (file, holder-set) shares carry the same
-        # payload, so broadcasting the second one would be pure waste
-        signature = frozenset([(seg.file, held) for held, seg in entries])
-        if signature in seen:
-            continue
-        seen.add(signature)
-        segments = tuple([seg for _, seg in entries])
-        length = max([len(seg.indices) for seg in segments])
-        total += length
-        members = tuple([k for k in group if sbits & bit[k]])
-        coded.append(CodedMessage(members, length, segments))
+    # Sort the rows by subgroup, last word primary; the sort is stable, so
+    # each subgroup's rows stay in group order.  Each run of equal subgroup
+    # words is one message.
+    perm = np.lexsort(subgroup)
+    subgroup = subgroup[:, perm]
+    change = (subgroup[:, 1:] != subgroup[:, :-1]).any(axis=0)
+    starts = np.concatenate(([0], np.flatnonzero(change) + 1))
+    sizes = (bucket_stop - bucket_start)[bucket[perm]]
+    length = np.maximum.reduceat(sizes, starts)
+    count = np.diff(np.append(starts, perm.size))
 
-    direct = []
-    in_group = set(group)
-    for k in range(params.n_users):
-        if k not in in_group:
-            direct.append(DirectSend(k, int(req[k]), f))
-            total += f
-    return Transmission(tuple(coded), tuple(direct), total, total / f)
+    # Payload dedup: multi-share messages are all kept, and single-share ones
+    # keep the first message of each bucket.
+    keep = count > 1
+    single = np.flatnonzero(~keep)
+    _, first = np.unique(bucket[perm[starts[single]]], return_index=True)
+    keep[single[first]] = True
+    rows = perm[np.repeat(keep, count)]
+    share_bucket = bucket[rows]
+    return {
+        "message_key": subgroup[:, starts[keep]],
+        "message_offsets": np.concatenate(([0], np.cumsum(count[keep]))),
+        "message_length": length[keep],
+        "share_user": group[pos[rows]],
+        "share_file": files[bucket_rank[share_bucket]],
+        "share_start": bucket_start[share_bucket],
+        "share_stop": bucket_stop[share_bucket],
+        "subpackets": order.ravel(),
+    }
+
+
+def _empty_plan(n_words: int) -> dict[str, np.ndarray]:
+    return {
+        "message_key": np.zeros((n_words, 0), dtype=np.int64),
+        "message_offsets": np.zeros(1, dtype=np.int64),
+        **dict.fromkeys(
+            ("message_length", "share_user", "share_file", "share_start", "share_stop",
+             "subpackets"),
+            _EMPTY_INT,
+        ),
+    }
 
 
 def decode(

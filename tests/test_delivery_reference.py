@@ -7,14 +7,17 @@ builds each subpacket's holder set as one Python int and follows the same
 (member, holder bucket) rule as build_delivery, so it reaches groups wider
 than the engine's 63-member holder words.
 """
+from collections import namedtuple
+
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codedcache.engine import (
     CacheState,
     CodedMessage,
     DirectSend,
     Segment,
-    Transmission,
     build_delivery,
     decode,
     sample_placement,
@@ -26,6 +29,9 @@ from codedcache.model import (
     sample_requests,
     substream,
 )
+
+# what the references return: the fields a Transmission plan is compared on
+ReferencePlan = namedtuple("ReferencePlan", "coded direct subpackets_sent rate")
 
 
 def reference_delivery(params, profile, caches, cached):
@@ -73,7 +79,7 @@ def reference_delivery(params, profile, caches, cached):
         if k not in bit:
             direct.append(DirectSend(k, int(req[k]), f))
             total += f
-    return Transmission(tuple(coded), tuple(direct), total, total / f)
+    return ReferencePlan(tuple(coded), tuple(direct), total, total / f)
 
 
 def bucket_reference_delivery(params, profile, caches, cached):
@@ -122,7 +128,7 @@ def bucket_reference_delivery(params, profile, caches, cached):
         if k not in bit:
             direct.append(DirectSend(k, int(req[k]), f))
             total += f
-    return Transmission(tuple(coded), tuple(direct), total, total / f)
+    return ReferencePlan(tuple(coded), tuple(direct), total, total / f)
 
 
 def assert_same_plan(got, want):
@@ -254,3 +260,70 @@ def test_matches_bucket_reference_past_the_word_boundaries():
         groups.append(width)
     assert min(groups) < 63 and 63 < 126 < max(groups)
 
+
+def reference_duplicate_share_counts(params, profile, caches, cached):
+    """Share count of every subgroup whose payload repeats an earlier one's.
+
+    Subgroups, shares and signatures are the bucket reference's, built here
+    from Python-int holder sets so the engine's lemma can be checked against
+    them: only single-share payloads ever repeat.
+    """
+    req = profile.requests
+    group = [k for k in range(params.n_users) if int(req[k]) in set(cached)]
+    bit = {k: 1 << j for j, k in enumerate(group)}
+    holder_sets = {}
+    for file in {int(req[k]) for k in group}:
+        holders = [0] * params.subpackets
+        for k in group:
+            for i in caches[k].subpackets(file).tolist():
+                holders[i] |= bit[k]
+        holder_sets[file] = set(holders)
+    signatures = {}
+    for k in group:
+        file = int(req[k])
+        for held in holder_sets[file]:
+            if not held & bit[k]:
+                signatures.setdefault(held | bit[k], set()).add((file, held))
+    seen = set()
+    counts = []
+    for sbits in sorted(signatures):
+        signature = frozenset(signatures[sbits])
+        if signature in seen:
+            counts.append(len(signature))
+        seen.add(signature)
+    return counts
+
+
+@st.composite
+def delivery_instances(draw):
+    """Coded groups of 1-140 users over 1-5 cached files (so requests repeat),
+    F of 1-64, a few users asking for the one uncached file, and caches that
+    are either sampled or built so that holder sets repeat."""
+    width = draw(st.integers(1, 140))
+    outside = draw(st.integers(0, 3))
+    n = draw(st.integers(2, 6))
+    f = draw(st.integers(1, 64))
+    m = (n - 1) * draw(st.integers(1, 20)) / 20
+    repeated = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = SystemParams(n, width + outside, m, f)
+    cached = list(range(n - 1))
+    requests = rng.permutation(
+        np.concatenate([rng.integers(0, n - 1, size=width), np.full(outside, n - 1)])
+    )
+    if repeated:
+        caches = shared_holder_caches(params, cached, np.flatnonzero(requests < n - 1), rng)
+    else:
+        caches = sample_placement(params, cached, rng)
+    return params, cached, caches, RequestProfile(requests)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(delivery_instances())
+def test_plan_property_against_bucket_reference(instance):
+    params, cached, caches, profile = instance
+    tx = build_delivery(params, profile, caches, cached)
+    assert_same_plan(tx, bucket_reference_delivery(params, profile, caches, cached))
+    assert all(c == 1 for c in reference_duplicate_share_counts(params, profile, caches, cached))
+    if params.n_users * params.subpackets <= 400:
+        assert all(decode(params, u, profile, caches, tx) for u in range(params.n_users))

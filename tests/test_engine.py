@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from codedcache import engine
 from codedcache.engine import (
     CacheState,
     build_delivery,
@@ -10,6 +11,7 @@ from codedcache.engine import (
     sample_placement,
     slot_rates,
 )
+from codedcache.harness import ExperimentConfig, run_experiment
 from codedcache.model import (
     PopularityDistribution,
     RequestProfile,
@@ -174,6 +176,41 @@ def test_placement_respects_budget_everywhere():
             assert st.within_budget(params)
 
 
+def test_placement_floors_the_decimal_budget():
+    # in floating point M*F/|S| lands just under 1 for these, so a float
+    # floor would leave every cache empty (or the leftover files bare)
+    for params, cached, per in (
+        (SystemParams(60, 2, 0.57, 100), range(57), 1),
+        (SystemParams(120, 2, 1.15, 100), range(115), 1),
+    ):
+        for st in sample_placement(params, list(cached), substream(1, 5)):
+            assert [len(st.subpackets(i)) for i in cached] == [per] * len(cached)
+            assert st.within_budget(params)
+    (state,) = sample_placement(SystemParams(5, 1, 2.3, 10), [0, 1], substream(1, 6))
+    # floor((2.3 - 2) * 10 / 3) = 1 subpacket of each file outside the set
+    assert [len(state.subpackets(i)) for i in range(5)] == [10, 10, 1, 1, 1]
+
+
+def test_placement_draws_keys_user_by_user_and_file_by_file():
+    # one rng.random(F) per (user, partly cached file), in that order, is the
+    # draw sequence every placement has used
+    for params, cached, plan in (
+        (SystemParams(20, 10, 4.0, 200), list(range(12)), [(i, 66) for i in range(12)]),
+        # |S| < M: file 4 whole, then floor(1.5 * 30 / 5) of each other file
+        (SystemParams(6, 3, 2.5, 30), [4], [(4, 30)] + [(i, 9) for i in (0, 1, 2, 3, 5)]),
+        (SystemParams(7, 4, 3.0, 9), [0, 2, 3, 5, 6], [(i, 5) for i in (0, 2, 3, 5, 6)]),
+    ):
+        f = params.subpackets
+        rng = substream(31, 0)
+        for st in sample_placement(params, cached, substream(31, 0)):
+            assert list(st.files) == [i for i, _ in plan]
+            for i, take in plan:
+                want = np.arange(f)
+                if take < f:
+                    want = np.sort(np.argpartition(rng.random(f), take)[:take])
+                assert np.array_equal(st.files[i], want) and st.files[i].dtype == np.int64
+
+
 def test_placement_deterministic():
     params = SystemParams(5, 3, 1.5, 64)
     a = sample_placement(params, [0, 1, 2], substream(8, 0))
@@ -182,6 +219,32 @@ def test_placement_deterministic():
         assert sa.files.keys() == sb.files.keys()
         for i in sa.files:
             assert np.array_equal(sa.files[i], sb.files[i])
+
+
+def test_plan_objects_are_built_only_on_demand(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("plan object built")
+
+    monkeypatch.setattr(engine, "CodedMessage", refuse)
+    monkeypatch.setattr(engine, "Segment", refuse)
+    params = SystemParams(20, 10, 4.0, 200)
+    cached = list(range(8))
+    caches = sample_placement(params, cached, substream(9, 0))
+    profile = RequestProfile(np.arange(10) % 9)
+    tx = build_delivery(params, profile, caches, cached)
+    assert tx.rate > 0 and tx.subpackets_sent > 0 and len(tx.message_length) > 0
+    with pytest.raises(RuntimeError, match="plan object built"):
+        tx.coded
+    result = run_experiment(ExperimentConfig(
+        params=params,
+        dist=make_zipf(20, 1.0),
+        policies=("tracking", "oracle", "uniform"),
+        horizon=5,
+        trials=1,
+        seed=1,
+        rate_mode="bitlevel",
+    ))
+    assert all(np.isfinite(agg.mean_rate).all() for agg in result.aggregates)
 
 
 # --- decoding -------------------------------------------------------------
