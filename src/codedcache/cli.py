@@ -24,6 +24,7 @@ from .bounds import (
     verify_bad_set_gap,
 )
 from .engine import run_decode_fuzz
+from .harness import LFU_ACCOUNTINGS, RATE_MODES, REFERENCES
 from .harness import ExperimentConfig, emit_csv, run_experiment
 from .model import (
     PopularityDistribution,
@@ -108,9 +109,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--horizon", type=int, required=True)
     sim.add_argument("--trials", type=int, required=True)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--rate-mode", choices=("analytic", "bitlevel"), default="analytic")
-    sim.add_argument("--reference", choices=("closed-form", "paired"), default="closed-form")
-    sim.add_argument("--lfu-accounting", choices=("auto", "per-request", "dedup"), default="auto")
+    sim.add_argument("--rate-mode", choices=RATE_MODES, default="analytic")
+    sim.add_argument("--reference", choices=REFERENCES, default="closed-form")
+    sim.add_argument("--lfu-accounting", choices=LFU_ACCOUNTINGS, default="auto")
     sim.add_argument("--out", help="CSV destination (default stdout)")
 
     bnd = subs.add_parser("bounds", help="print the closed-form bound report")

@@ -5,9 +5,9 @@ sets, so delivery plans carry exact lengths without simulating payload bytes.
 :func:`build_delivery` computes a slot's plan as flat numpy arrays: holder
 sets as int64 words, one share row per (member, holder bucket), messages as
 runs of sorted subgroup keys, and the payload dedup as one rule over the
-single-share messages.  The :class:`CodedMessage`/:class:`Segment` view of a
-plan is built only when ``Transmission.coded`` is read.  :func:`slot_rates`
-is the analytic (upper) estimate of that delivery's rate.
+single-share messages, and :func:`decode` peels those arrays; only reading
+``Transmission.coded`` builds a :class:`CodedMessage`/:class:`Segment` view.
+:func:`slot_rates` is the analytic (upper) estimate of that delivery's rate.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .model import RequestProfile, SystemParams
+from .policies import BLOCK_ELEMS
 
 # a holder set is stored as int64 words of this many members each, so any
 # group size fits and no word's sign bit is ever set
@@ -31,6 +32,12 @@ FUZZ_MAX_CACHE = 3.0
 FUZZ_MAX_SUBPACKETS = 64
 
 _EMPTY_INT = np.empty(0, dtype=np.int64)
+
+
+def _decimal_cache_size(params: SystemParams):
+    """M as an exact Fraction of its decimal text: as floats, 0.07 * 100 > 7."""
+    from fractions import Fraction  # local import keeps module load cheap
+    return Fraction(str(params.cache_size))
 
 
 @dataclass
@@ -46,7 +53,7 @@ class CacheState:
         return int(sum(len(v) for v in self.files.values()))
 
     def within_budget(self, params: SystemParams) -> bool:
-        return self.total_cached() <= math.ceil(params.cache_size * params.subpackets)
+        return self.total_cached() <= math.ceil(_decimal_cache_size(params) * params.subpackets)
 
 
 @dataclass(frozen=True)
@@ -85,9 +92,9 @@ class Transmission:
     set in column i of ``message_key`` (63 positions per int64 word; position j
     is user ``group[j]``).  Share row r is user ``share_user[r]``'s piece of
     file ``share_file[r]``: subpacket indices ``subpackets[share_start[r]:
-    share_stop[r]]``.  ``coded`` builds the same plan as a tuple of
-    :class:`CodedMessage` on first access and caches it; the rate and the
-    counts never need it, so the per-slot cost stays in numpy.
+    share_stop[r]]``.  The rate, the counts and :func:`decode` read only these
+    arrays.  ``coded`` builds the same plan as a tuple of :class:`CodedMessage`
+    on first access and caches it, for callers that want message objects.
     """
 
     direct: tuple[DirectSend, ...]
@@ -152,16 +159,14 @@ def sample_placement(
     When the set is at least the budget, each user keeps min(F, floor(M*F/|S|))
     uniformly random subpackets of every file in it.  A smaller set is stored
     whole and the leftover budget is split evenly over the remaining files.
-    Both floors are taken from the decimal M, not its binary float (in floating
-    point 0.57 * 100 / 57 falls just short of 1).  The random keys of every
-    (user, file) draw come from one ``rng.random((K, files, F))`` call, user by
-    user and file by file.
+    Both floors are taken from the decimal M, not its binary float.  The
+    random keys of every (user, file) draw come user by user and file by file
+    from ``rng.random`` calls over blocks of users of about ``BLOCK_ELEMS``
+    keys each, which draw the same stream as one call.
     """
-    from fractions import Fraction  # local import keeps module load cheap
-
     S = _check_files(params, cached)
     n, f = params.n_files, params.subpackets
-    m = Fraction(str(params.cache_size))
+    m = _decimal_cache_size(params)
     if not S:
         return [CacheState() for _ in range(params.n_users)]
     if len(S) >= m:
@@ -174,8 +179,10 @@ def sample_placement(
         whole, part = whole + part, []
     full = np.arange(f, dtype=np.int64)
     if take > 0 and part:
-        keys = rng.random((params.n_users, len(part), f))
-        picks = np.sort(np.argpartition(keys, take, axis=-1)[..., :take], axis=-1)
+        step, picks = max(1, BLOCK_ELEMS // (len(part) * f)), []
+        for start in range(0, params.n_users, step):
+            keys = rng.random((min(step, params.n_users - start), len(part), f))
+            picks.extend(np.sort(np.argpartition(keys, take, axis=-1)[..., :take], axis=-1))
     else:
         part, picks = [], [()] * params.n_users
     return [
@@ -338,38 +345,31 @@ def decode(
 
     True iff every subpacket of the user's requested file is recovered.  XOR
     terms are modeled symbolically: a position is solved once all but one of
-    its terms are known.
+    its terms are known.  Subpacket i of file n is entry n*F + i of a mask of
+    what the user knows, and the p-th subpacket of a share row is a term at
+    position p of its message.  Each round learns every unknown term alone at
+    its position; the rule only adds terms, so rounds reach the known set
+    that peeling one position at a time does.
     """
-    want = int(profile.requests[user])
-    known: set[tuple[int, int]] = set()
+    f, tx = params.subpackets, transmission
+    known = np.zeros(params.n_files * f, dtype=bool)
     for file, idx in caches[user].files.items():
-        known.update((file, int(j)) for j in idx)
-    for send in transmission.direct:
-        known.update((send.file, j) for j in range(send.length))
-
-    pending = list(transmission.coded)
-    progress = True
-    while progress and pending:
-        progress = False
-        stuck = []
-        for msg in pending:
-            unsolved = False
-            for pos in range(msg.length):
-                terms = [
-                    (seg.file, int(seg.indices[pos]))
-                    for seg in msg.segments
-                    if pos < len(seg.indices)
-                ]
-                unknown = [t for t in terms if t not in known]
-                if len(unknown) == 1:
-                    known.add(unknown[0])
-                    progress = True
-                elif unknown:
-                    unsolved = True
-            if unsolved:
-                stuck.append(msg)
-        pending = stuck
-    return all((want, j) in known for j in range(params.subpackets))
+        known[file * f + idx] = True
+    for send in tx.direct:
+        known[send.file * f : send.file * f + send.length] = True
+    sizes = tx.share_stop - tx.share_start
+    row = np.repeat(np.arange(len(sizes)), sizes)
+    offset = np.arange(row.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    term = tx.share_file[row] * f + tx.subpackets[tx.share_start[row] + offset]
+    message = np.repeat(np.arange(len(tx.message_length)), np.diff(tx.message_offsets))
+    position = (np.cumsum(tx.message_length) - tx.message_length)[message[row]] + offset
+    while True:
+        unknown = np.flatnonzero(~known[term])
+        at = position[unknown]
+        learned = unknown[np.bincount(at)[at] == 1]
+        if not learned.size:
+            return bool(known.reshape(-1, f)[profile.requests[user]].all())
+        known[term[learned]] = True
 
 
 def slot_rates(decisions: np.ndarray, probs: np.ndarray, params: SystemParams) -> np.ndarray:

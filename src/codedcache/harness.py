@@ -119,13 +119,12 @@ def _draw_requests(config: ExperimentConfig, trial: int) -> np.ndarray:
 def _analytic_rates(config: ExperimentConfig, policy: str, decisions: np.ndarray) -> np.ndarray:
     """Expected per-slot rate of each decided set, vectorized over slots.
 
-    LFU is served uncoded: each request outside the set costs one file, or
-    with dedup accounting each distinct outside file that is requested does.
+    LFU caches exactly M whole files, so ``slot_rates`` charges it one file
+    per request outside the set.  With dedup accounting each distinct outside
+    file that is requested costs one file instead.
     """
     params, probs = config.params, config.dist.probs
-    if policy == "lfu":
-        if config.lfu_per_request():
-            return params.n_users * (1.0 - decisions @ probs)
+    if policy == "lfu" and not config.lfu_per_request():
         weight = 1.0 - (1.0 - probs) ** params.n_users
         return weight.sum() - decisions @ weight
     return slot_rates(decisions, probs, params)

@@ -6,6 +6,10 @@ group size, so it only runs on groups of up to 12 users here.  The second
 builds each subpacket's holder set as one Python int and follows the same
 (member, holder bucket) rule as build_delivery, so it reaches groups wider
 than the engine's 63-member holder words.
+
+decode is checked user by user against reference_decode, the peel decode
+once ran: one message position at a time over Python sets of (file, index)
+pairs, reading the plan's CodedMessage/Segment view.
 """
 from collections import namedtuple
 
@@ -131,6 +135,66 @@ def bucket_reference_delivery(params, profile, caches, cached):
     return ReferencePlan(tuple(coded), tuple(direct), total, total / f)
 
 
+def reference_decode(params, user, profile, caches, transmission):
+    """Peel the slot's transmissions against one user's cache, one position
+    at a time over a set of (file, index) pairs: what decode must reproduce.
+
+    True iff every subpacket of the user's requested file is recovered.  XOR
+    terms are modeled symbolically: a position is solved once all but one of
+    its terms are known.
+    """
+    want = int(profile.requests[user])
+    known: set[tuple[int, int]] = set()
+    for file, idx in caches[user].files.items():
+        known.update((file, int(j)) for j in idx)
+    for send in transmission.direct:
+        known.update((send.file, j) for j in range(send.length))
+
+    pending = list(transmission.coded)
+    progress = True
+    while progress and pending:
+        progress = False
+        stuck = []
+        for msg in pending:
+            unsolved = False
+            for pos in range(msg.length):
+                terms = [
+                    (seg.file, int(seg.indices[pos]))
+                    for seg in msg.segments
+                    if pos < len(seg.indices)
+                ]
+                unknown = [t for t in terms if t not in known]
+                if len(unknown) == 1:
+                    known.add(unknown[0])
+                    progress = True
+                elif unknown:
+                    unsolved = True
+            if unsolved:
+                stuck.append(msg)
+        pending = stuck
+    return all((want, j) in known for j in range(params.subpackets))
+
+
+def assert_decodes_like_reference(params, profile, caches, tx):
+    """decode agrees with reference_decode for every user; their verdicts."""
+    got = [decode(params, u, profile, caches, tx) for u in range(params.n_users)]
+    want = [reference_decode(params, u, profile, caches, tx) for u in range(params.n_users)]
+    assert got == want
+    return got
+
+
+def corrupted(caches, rng):
+    """Copies of the caches with a random part of some users' subpackets gone."""
+    out = []
+    for state in caches:
+        if rng.random() < 0.5:
+            state = CacheState({
+                file: idx[rng.random(len(idx)) < 0.8] for file, idx in state.files.items()
+            })
+        out.append(state)
+    return out
+
+
 def assert_same_plan(got, want):
     assert len(got.coded) == len(want.coded)
     for a, b in zip(got.coded, want.coded):
@@ -168,6 +232,26 @@ def test_matches_reference_on_random_instances():
         groups.append(int(np.isin(requests, cached).sum()))
     # at least 500 draws code something, and they reach groups of 12 users
     assert sum(g > 0 for g in groups) >= 500 and max(groups) == 12
+
+
+def test_decode_matches_reference_on_random_instances():
+    # groups of up to 29 users; every other instance loses cached
+    # subpackets after its plan is built, so some users cannot decode
+    verdicts = []
+    for trial in range(200):
+        rng = substream(606, trial)
+        n = int(rng.integers(1, 7))
+        k = int(rng.integers(1, 30))
+        params = SystemParams(n, k, float(rng.uniform(0.1, n)), int(rng.integers(1, 65)))
+        size = int(rng.integers(0, n + 1))
+        cached = sorted(int(i) for i in rng.choice(n, size=size, replace=False))
+        caches = sample_placement(params, cached, rng)
+        profile = RequestProfile(rng.integers(0, n, size=k))
+        tx = build_delivery(params, profile, caches, cached)
+        if trial % 2:
+            caches = corrupted(caches, rng)
+        verdicts += assert_decodes_like_reference(params, profile, caches, tx)
+    assert 0 < verdicts.count(False) < verdicts.count(True)
 
 
 def test_matches_reference_at_bitlevel_shape():
@@ -232,8 +316,9 @@ def shared_holder_caches(params, cached, group, rng):
 
 def test_matches_bucket_reference_past_the_word_boundaries():
     # coded groups of 60-140 users straddle the 63- and 126-member word
-    # boundaries of the engine's holder sets
-    groups = []
+    # boundaries of the engine's holder sets; decode agrees with the
+    # reference there, also once some caches lose subpackets
+    groups, verdicts = [], []
     for trial in range(24):
         rng = substream(505, trial)
         n = int(rng.integers(2, 6))
@@ -255,10 +340,11 @@ def test_matches_bucket_reference_past_the_word_boundaries():
         tx = build_delivery(params, profile, caches, cached)
         assert_same_plan(tx, bucket_reference_delivery(params, profile, caches, cached))
         assert tx.coded
-        if trial < 4:
-            assert all(decode(params, u, profile, caches, tx) for u in range(params.n_users))
+        assert all(decode(params, u, profile, caches, tx) for u in range(params.n_users))
+        verdicts += assert_decodes_like_reference(params, profile, corrupted(caches, rng), tx)
         groups.append(width)
     assert min(groups) < 63 and 63 < 126 < max(groups)
+    assert False in verdicts
 
 
 def reference_duplicate_share_counts(params, profile, caches, cached):
@@ -325,5 +411,4 @@ def test_plan_property_against_bucket_reference(instance):
     tx = build_delivery(params, profile, caches, cached)
     assert_same_plan(tx, bucket_reference_delivery(params, profile, caches, cached))
     assert all(c == 1 for c in reference_duplicate_share_counts(params, profile, caches, cached))
-    if params.n_users * params.subpackets <= 400:
-        assert all(decode(params, u, profile, caches, tx) for u in range(params.n_users))
+    assert all(decode(params, u, profile, caches, tx) for u in range(params.n_users))

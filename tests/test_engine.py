@@ -191,6 +191,17 @@ def test_placement_floors_the_decimal_budget():
     assert [len(state.subpackets(i)) for i in range(5)] == [10, 10, 1, 1, 1]
 
 
+def test_budget_check_uses_the_decimal_cache_size():
+    # the budget is the exact ceiling of M*F for every M of two decimals below
+    # 6; in floating point 0.07 * 100 is 7.000000000000001, whose ceiling
+    # would allow an eighth subpacket
+    for cents in range(1, 600):
+        for f in (10, 100, 200, 1000):
+            params, budget = SystemParams(6, 1, cents / 100, f), -(-cents * f // 100)
+            assert CacheState({0: np.arange(budget)}).within_budget(params)
+            assert not CacheState({0: np.arange(budget + 1)}).within_budget(params)
+
+
 def test_placement_draws_keys_user_by_user_and_file_by_file():
     # one rng.random(F) per (user, partly cached file), in that order, is the
     # draw sequence every placement has used
@@ -235,6 +246,8 @@ def test_plan_objects_are_built_only_on_demand(monkeypatch):
     assert tx.rate > 0 and tx.subpackets_sent > 0 and len(tx.message_length) > 0
     with pytest.raises(RuntimeError, match="plan object built"):
         tx.coded
+    assert all(decode(params, u, profile, caches, tx) for u in range(params.n_users))
+    assert run_decode_fuzz(200, 1).failures == 0
     result = run_experiment(ExperimentConfig(
         params=params,
         dist=make_zipf(20, 1.0),

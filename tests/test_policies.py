@@ -103,13 +103,19 @@ def test_lfu_realized_rate_accounting():
 
 
 def test_lfu_expected_rate_accounting():
-    params = SystemParams(3, 4, 1.0)
+    # LFU caches exactly M files: one of three at M=1, all three at M=3
     probs = np.array([0.5, 0.3, 0.2])
-    sets = np.array([[True, False, False], [True, True, True]])
-    per_request = _analytic_rates(lfu_config(params, probs, "per-request"), "lfu", sets)
-    assert per_request == pytest.approx([2.0, 0.0], abs=1e-12)
-    dedup = _analytic_rates(lfu_config(params, probs, "dedup"), "lfu", sets)
-    assert dedup == pytest.approx([(1 - 0.7**4) + (1 - 0.8**4), 0.0], abs=1e-12)
+    for m, sets, per_request, dedup in (
+        (1.0, [[True, False, False], [False, True, False]], [2.0, 2.8],
+         [(1 - 0.7**4) + (1 - 0.8**4), (1 - 0.5**4) + (1 - 0.8**4)]),
+        (3.0, [[True, True, True]], [0.0], [0.0]),
+    ):
+        params = SystemParams(3, 4, m)
+        sets = np.array(sets)
+        got = _analytic_rates(lfu_config(params, probs, "per-request"), "lfu", sets)
+        assert got == pytest.approx(per_request, abs=1e-12)
+        got = _analytic_rates(lfu_config(params, probs, "dedup"), "lfu", sets)
+        assert got == pytest.approx(dedup, abs=1e-12)
 
 
 def test_lfu_expected_matches_simulated_mean():
