@@ -333,6 +333,7 @@ def bad_set_min_excess(params: SystemParams, a: float, b: float) -> float:
     return best
 
 
-def verify_bad_set_gap(params: SystemParams, a: float, b: float, tol: float = 1e-12) -> bool:
-    """Exhaustively confirm every bad set pays at least the claimed gap."""
-    return bad_set_min_excess(params, a, b) >= bad_set_gap(params, b) - tol
+def verify_bad_set_gap(params: SystemParams, a: float, b: float) -> bool:
+    """Exhaustively confirm every bad set pays at least the claimed gap, up to
+    1e-12 of rounding."""
+    return bad_set_min_excess(params, a, b) >= bad_set_gap(params, b) - 1e-12

@@ -92,7 +92,6 @@ def _add_system_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n", type=int, required=True, help="number of files")
     sub.add_argument("--k", type=int, required=True, help="number of users")
     sub.add_argument("--m", type=float, required=True, help="cache size in files")
-    sub.add_argument("--f", type=int, default=1000, help="subpackets per file")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -104,6 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = subs.add_parser("simulate", help="run a Monte Carlo experiment")
     _add_system_flags(sim)
+    sim.add_argument("--f", type=int, default=1000, help="subpackets per file")
     sim.add_argument("--dist", required=True, help="zipf:s | counts:path | lbpair:a,b")
     sim.add_argument("--policies", required=True, help="comma-separated policy names")
     sim.add_argument("--horizon", type=int, required=True)
@@ -162,7 +162,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    params = SystemParams(args.n, args.k, args.m, args.f)
+    params = SystemParams(args.n, args.k, args.m)
     dist = _parse_dist(args.dist, args.n)
     upper = oracle_rate_upper(dist, params)
     lower = rate_lower_bound(dist, params)
@@ -184,7 +184,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_lowerbound(args: argparse.Namespace) -> int:
-    params = SystemParams(args.n, args.k, args.m, args.f)
+    params = SystemParams(args.n, args.k, args.m)
     report = regret_lower_bound(params, args.a, args.b)
     for key, value in [
         ("bound", report.value),

@@ -3,11 +3,15 @@
 A trial runs one request history for a fixed horizon and plays every
 configured policy against the same requests (paired comparison), so
 regret differences between policies are not inflated by independent
-request noise.  Rates are charged either analytically (the expected
-per-slot rate of the chosen cache set) or bit-level (actual subpacket
-placement and coded delivery).  Per-slot regret is the rate minus a
-reference oracle rate; the reference is either the closed-form upper
-estimate or the simulated oracle of the same trial.
+request noise.  Each mode charges every policy one way: analytically
+(``engine.slot_rates``, the expected per-slot rate of the chosen cache
+set) or bit-level (actual subpacket placement and coded delivery).  LFU
+alone may instead be charged one file per distinct missed file (dedup
+accounting, the bit-level default); per-request accounting, the analytic
+default, charges it one file per request outside its set, as the shared
+rate does.  Per-slot regret is the rate minus a reference oracle rate;
+the reference is either the closed-form upper estimate or the simulated
+oracle of the same trial.
 """
 from __future__ import annotations
 
@@ -116,27 +120,17 @@ def _draw_requests(config: ExperimentConfig, trial: int) -> np.ndarray:
     return flat.requests.reshape(config.horizon, config.params.n_users)
 
 
-def _analytic_rates(config: ExperimentConfig, policy: str, decisions: np.ndarray) -> np.ndarray:
-    """Expected per-slot rate of each decided set, vectorized over slots.
-
-    LFU caches exactly M whole files, so ``slot_rates`` charges it one file
-    per request outside the set.  With dedup accounting each distinct outside
-    file that is requested costs one file instead.
-    """
-    params, probs = config.params, config.dist.probs
-    if policy == "lfu" and not config.lfu_per_request():
-        weight = 1.0 - (1.0 - probs) ** params.n_users
-        return weight.sum() - decisions @ weight
-    return slot_rates(decisions, probs, params)
-
-
-def _lfu_realized_rates(
-    decisions: np.ndarray, requests: np.ndarray, per_request: bool
+def _lfu_dedup_rates(
+    config: ExperimentConfig, decisions: np.ndarray, requests: np.ndarray
 ) -> np.ndarray:
-    """Files an uncoded server sends per slot: misses, or distinct missed files."""
-    if per_request:
-        missed = ~np.take_along_axis(decisions, requests, axis=1)
-        return missed.sum(axis=1).astype(np.float64)
+    """LFU charged one file per distinct missed file, not one per request.
+
+    Analytic mode charges the expected number of distinct files requested
+    outside the set, bit-level mode the number the slot's requests miss.
+    """
+    if config.rate_mode == "analytic":
+        weight = 1.0 - (1.0 - config.dist.probs) ** config.params.n_users
+        return weight.sum() - decisions @ weight
     requested = np.zeros(decisions.shape, dtype=bool)
     requested[np.arange(len(requests))[:, None], requests] = True
     return (requested & ~decisions).sum(axis=1).astype(np.float64)
@@ -154,8 +148,6 @@ def _bitlevel_rates(
 
     Placement is sampled in the first slot and again on every cache switch.
     """
-    if policy == "lfu":
-        return _lfu_realized_rates(decisions, requests, config.lfu_per_request())
     params = config.params
     place_rng = substream(config.seed, trial, POLICY_STREAM_KEYS[policy])
     rates = np.zeros(config.horizon)
@@ -174,8 +166,10 @@ def _policy_record(
     """One policy's per-slot rates, cached-set sizes and switch flags."""
     decisions = decision_matrix(policy, requests, config.dist.probs, config.params)
     switches = switch_flags(decisions)
-    if config.rate_mode == "analytic":
-        rates = _analytic_rates(config, policy, decisions)
+    if policy == "lfu" and not config.lfu_per_request():
+        rates = _lfu_dedup_rates(config, decisions, requests)
+    elif config.rate_mode == "analytic":
+        rates = slot_rates(decisions, config.dist.probs, config.params)
     else:
         rates = _bitlevel_rates(config, policy, trial, requests, decisions, switches)
     return rates, decisions.sum(axis=1), switches

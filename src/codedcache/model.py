@@ -55,6 +55,8 @@ class PopularityDistribution:
         probs = np.array(self.probs, dtype=float)
         if probs.ndim != 1 or probs.size < 1:
             raise ValueError("probs must be a nonempty vector")
+        if not np.isfinite(probs).all():
+            raise ValueError("probabilities must be finite")
         if (probs < 0).any():
             raise ValueError("probabilities must be nonnegative")
         if abs(float(probs.sum()) - 1.0) > PMF_TOL:
@@ -137,6 +139,8 @@ def popularity_from_counts(
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate file ids")
     counts = np.array([float(c) for _, c in rows])
+    if not np.isfinite(counts).all():
+        raise ValueError("counts must be finite")
     if (counts < 0).any():
         raise ValueError("counts must be nonnegative")
     total = float(counts.sum())

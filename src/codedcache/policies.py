@@ -77,10 +77,9 @@ def decision_matrix(
         before += running
         running = before[-1] + counts[-1]
         if policy == "tracking":
+            # slot 0 divides by 1 here and is overwritten below
             seen = np.arange(start, start + rows)[:, None] * params.n_users
-            with np.errstate(invalid="ignore"):
-                est = np.where(seen > 0, before / np.maximum(seen, 1), 0.0)
-            decisions[start : start + rows] = params.popular(est)
+            decisions[start : start + rows] = params.popular(before / np.maximum(seen, 1))
         else:
             key = before * n + tie_break
             kth = np.partition(key, n - m, axis=1)[:, n - m, None]

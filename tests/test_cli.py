@@ -132,6 +132,16 @@ def test_simulate_unknown_dist(capsys):
     assert code == 2 and "unknown distribution spec" in err
 
 
+def test_simulate_non_finite_dist_usage_error(capsys):
+    code, _, err = run(
+        capsys,
+        "simulate", "--n", "4", "--k", "2", "--m", "1", "--dist", "zipf:nan",
+        "--policies", "tracking", "--horizon", "2", "--trials", "1",
+        "--reference", "paired",
+    )
+    assert code == 2 and "finite" in err
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text(
@@ -190,6 +200,26 @@ def test_bounds_degenerate_exit_code(capsys):
     )
     assert code == 4
     assert "equals the threshold" in err
+
+
+def test_bounds_non_finite_counts_usage_error(tmp_path, capsys):
+    counts = write_counts(tmp_path, [(0, "nan")])
+    code, out, err = run(
+        capsys, "bounds", "--n", "1", "--k", "1", "--m", "1", "--dist", f"counts:{counts}",
+    )
+    assert code == 2 and out == "" and "finite" in err
+
+
+@pytest.mark.parametrize("command", [
+    ("bounds", "--dist", "zipf:1"),
+    ("lowerbound", "--a", "6", "--b", "12"),
+])
+def test_bounds_commands_take_no_subpacket_flag(capsys, command):
+    # no bound reads the subpacket count, so only simulate takes --f
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--n", "4", "--k", "5", "--m", "1", "--f", "100"])
+    assert exc.value.code == 2
+    assert "--f" in capsys.readouterr().err
 
 
 def test_bounds_output_stable(capsys):
@@ -279,6 +309,15 @@ def test_ingest_zero_total(tmp_path, capsys):
     out = tmp_path / "pop.csv"
     code, _, err = run(capsys, "ingest", "--counts", str(counts), "--out", str(out))
     assert code == 2 and "total count is zero" in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_ingest_non_finite_count(tmp_path, capsys, bad):
+    counts = write_counts(tmp_path, [(0, 0), (1, bad)])
+    out = tmp_path / "pop.csv"
+    code, _, err = run(capsys, "ingest", "--counts", str(counts), "--out", str(out))
+    assert code == 2 and "finite" in err
+    assert not out.exists()
 
 
 def test_ingest_missing_file(tmp_path, capsys):

@@ -4,12 +4,13 @@ import io
 import numpy as np
 import pytest
 
+from codedcache import harness
 from codedcache.bounds import oracle_rate_upper
+from codedcache.engine import slot_rates
 from codedcache.harness import (
     ExperimentConfig,
     ExperimentResult,
     PolicyAggregate,
-    _analytic_rates,
     _draw_requests,
     config_summary,
     emit_csv,
@@ -143,7 +144,7 @@ def test_decision_matrix_matches_policy_classes():
         for name in POLICY_NAMES:
             decisions = decision_matrix(name, requests, dist.probs, params)
             flags = switch_flags(decisions)
-            rates = _analytic_rates(cfg, name, decisions)
+            rates = slot_rates(decisions, dist.probs, params)
             pol = SteppedPolicy(name, params, dist.probs)
             for s in range(cfg.horizon):
                 cached, switched = pol.decide()
@@ -155,6 +156,25 @@ def test_decision_matrix_matches_policy_classes():
                     expect = reference_slot_rate(cached, dist.probs, params)
                 assert rates[s] == pytest.approx(expect, abs=1e-12)
                 pol.observe(requests[s])
+
+
+@pytest.mark.parametrize("accounting, calls_per_slot", [
+    ("per-request", 1), ("auto", 0), ("dedup", 0),
+])
+def test_bitlevel_lfu_engine_calls(monkeypatch, accounting, calls_per_slot):
+    # per-request LFU is charged by the engine like every other policy; dedup
+    # accounting, the bit-level default, builds no delivery
+    calls = []
+    build = harness.build_delivery
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_delivery", counting)
+    cfg = config(policies=("lfu",), rate_mode="bitlevel", lfu_accounting=accounting)
+    run_experiment(cfg)
+    assert len(calls) == calls_per_slot * cfg.horizon * cfg.trials
 
 
 def test_lfu_dedup_accounting_in_analytic_mode():

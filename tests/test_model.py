@@ -42,6 +42,14 @@ def test_pmf_validation():
         PopularityDistribution(np.empty(0))
 
 
+def test_pmf_rejects_non_finite():
+    # a NaN sum is not "more than PMF_TOL away from one", so the sum check
+    # alone lets it through
+    for bad in ([np.nan, 1.0], [0.5, np.nan, 0.5], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="finite"):
+            PopularityDistribution(np.array(bad))
+
+
 def test_pmf_is_immutable():
     d = PopularityDistribution(np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
@@ -134,6 +142,13 @@ def test_counts_errors():
         popularity_from_counts([(1, 0), (2, 0)])
     with pytest.raises(ValueError, match="nonnegative"):
         popularity_from_counts([(1, 5), (2, -1)])
+    # rejected before dividing: nan / nan and inf / inf would warn and
+    # yield NaN probabilities
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            popularity_from_counts([(1, 0), (2, bad)])
+        with pytest.raises(ValueError, match="finite"):
+            popularity_from_counts([(1, bad)])
 
 
 def test_counts_csv_roundtrip(tmp_path):

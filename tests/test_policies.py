@@ -2,8 +2,15 @@
 import numpy as np
 import pytest
 
-from codedcache.harness import ExperimentConfig, _analytic_rates, _lfu_realized_rates
-from codedcache.model import PopularityDistribution, SystemParams, make_zipf, substream
+from codedcache.engine import build_delivery, sample_placement, slot_rates
+from codedcache.harness import ExperimentConfig, _lfu_dedup_rates
+from codedcache.model import (
+    PopularityDistribution,
+    RequestProfile,
+    SystemParams,
+    make_zipf,
+    substream,
+)
 from codedcache.policies import POLICY_NAMES, decision_matrix, switch_flags
 
 
@@ -16,11 +23,16 @@ def decide(policy, requests, params, probs=None):
     return sets, switch_flags(decisions).tolist()
 
 
-def lfu_config(params, probs, accounting):
+def lfu_config(params, probs, rate_mode="analytic"):
     return ExperimentConfig(
         params=params, dist=PopularityDistribution(probs), policies=("lfu",),
-        horizon=1, trials=1, seed=0, lfu_accounting=accounting,
+        horizon=1, trials=1, seed=0, rate_mode=rate_mode, lfu_accounting="dedup",
     )
+
+
+def misses(decisions, requests):
+    """Requests outside each slot's cached set."""
+    return (~np.take_along_axis(decisions, requests, axis=1)).sum(axis=1)
 
 
 def test_estimator_counts_and_frequencies():
@@ -95,11 +107,17 @@ def test_factory_round_trip():
 
 
 def test_lfu_realized_rate_accounting():
+    # dedup charges each distinct missed file once; per-request charges each
+    # miss, and the engine sends every request outside LFU's whole set whole
+    params = SystemParams(3, 4, 1.0, 8)
+    cfg = lfu_config(params, np.full(3, 1 / 3), "bitlevel")
     cached = np.array([[True, False, False]])
     requests = np.array([[0, 1, 1, 2]])
-    assert _lfu_realized_rates(cached, requests, False).tolist() == [2.0]
-    assert _lfu_realized_rates(cached, requests, True).tolist() == [3.0]
-    assert _lfu_realized_rates(np.ones((1, 3), dtype=bool), requests, False).tolist() == [0.0]
+    assert _lfu_dedup_rates(cfg, cached, requests).tolist() == [2.0]
+    assert _lfu_dedup_rates(cfg, np.ones((1, 3), dtype=bool), requests).tolist() == [0.0]
+    assert misses(cached, requests).tolist() == [3]
+    caches = sample_placement(params, [0], substream(0, 0))
+    assert build_delivery(params, RequestProfile(requests[0]), caches, [0]).rate == 3.0
 
 
 def test_lfu_expected_rate_accounting():
@@ -112,9 +130,9 @@ def test_lfu_expected_rate_accounting():
     ):
         params = SystemParams(3, 4, m)
         sets = np.array(sets)
-        got = _analytic_rates(lfu_config(params, probs, "per-request"), "lfu", sets)
-        assert got == pytest.approx(per_request, abs=1e-12)
-        got = _analytic_rates(lfu_config(params, probs, "dedup"), "lfu", sets)
+        assert slot_rates(sets, probs, params) == pytest.approx(per_request, abs=1e-12)
+        # analytic mode reads no requests
+        got = _lfu_dedup_rates(lfu_config(params, probs), sets, None)
         assert got == pytest.approx(dedup, abs=1e-12)
 
 
@@ -126,10 +144,11 @@ def test_lfu_expected_matches_simulated_mean():
     draws = rng.random((20000, 3))
     cdf = np.cumsum(dist.probs)
     reqs = np.searchsorted(cdf, draws, side="right").clip(max=4)
-    for accounting, per_request in (("per-request", True), ("dedup", False)):
-        simulated = _lfu_realized_rates(cached, reqs, per_request).mean()
-        expected = _analytic_rates(lfu_config(params, dist.probs, accounting), "lfu", cached[:1])
-        assert simulated == pytest.approx(expected[0], abs=0.02)
+    expected = slot_rates(cached[:1], dist.probs, params)[0]
+    assert misses(cached, reqs).mean() == pytest.approx(expected, abs=0.02)
+    simulated = _lfu_dedup_rates(lfu_config(params, dist.probs, "bitlevel"), cached, reqs)
+    expected = _lfu_dedup_rates(lfu_config(params, dist.probs), cached[:1], None)[0]
+    assert simulated.mean() == pytest.approx(expected, abs=0.02)
 
 
 def test_tracking_matches_oracle_inside_the_gap_tube():

@@ -16,10 +16,16 @@ from codedcache.harness import (
     POLICY_STREAM_KEYS,
     ExperimentConfig,
     _draw_requests,
-    _lfu_realized_rates,
+    _lfu_dedup_rates,
     run_trial,
 )
-from codedcache.model import RequestProfile, SystemParams, make_zipf, substream
+from codedcache.model import (
+    PopularityDistribution,
+    RequestProfile,
+    SystemParams,
+    make_zipf,
+    substream,
+)
 from codedcache.policies import POLICY_NAMES, decision_matrix
 
 
@@ -137,20 +143,25 @@ def test_lfu_refuses_a_history_its_key_would_overflow():
 
 
 def test_lfu_realized_rates_match_reference():
+    # bit-level dedup accounting; per-request LFU goes through the engine and
+    # is checked slot for slot by test_bitlevel_trial_matches_stepped_run
     rng = np.random.default_rng(17)
     for _ in range(30):
         n, k, t_len = int(rng.integers(1, 8)), int(rng.integers(1, 7)), 12
+        cfg = ExperimentConfig(
+            params=SystemParams(n, k, 1.0), dist=PopularityDistribution(np.full(n, 1 / n)),
+            policies=("lfu",), horizon=t_len, trials=1, seed=0, rate_mode="bitlevel",
+        )
         decisions = rng.random((t_len, n)) < 0.5
         requests = rng.integers(0, n, size=(t_len, k))
-        for per_request in (True, False):
-            got = _lfu_realized_rates(decisions, requests, per_request)
-            want = [
-                reference_lfu_realized(
-                    frozenset(np.flatnonzero(row).tolist()), req, per_request=per_request
-                )
-                for row, req in zip(decisions, requests)
-            ]
-            assert got.tolist() == want
+        got = _lfu_dedup_rates(cfg, decisions, requests)
+        want = [
+            reference_lfu_realized(
+                frozenset(np.flatnonzero(row).tolist()), req, per_request=False
+            )
+            for row, req in zip(decisions, requests)
+        ]
+        assert got.tolist() == want
 
 
 @pytest.mark.parametrize("lfu_accounting", ["auto", "per-request"])
