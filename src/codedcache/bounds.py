@@ -17,6 +17,7 @@ import numpy as np
 
 from .engine import slot_rates
 from .model import PopularityDistribution, SystemParams, make_two_level_pair
+from .policies import BLOCK_ELEMS
 
 
 class DegenerateGapError(ValueError):
@@ -171,17 +172,41 @@ class SwitchingConstants:
         self.high_count.flags.writeable = False
 
 
+def _binomial_tails(trials: int, probs: np.ndarray, cut: int) -> tuple[np.ndarray, np.ndarray]:
+    """P(X <= cut) and P(X > cut) for X ~ Binomial(trials, p), per entry p of probs.
+
+    Each tail is the sum of its own terms, each term exp(log C(trials, j) +
+    j log p + (trials - j) log1p(-p)), so neither is formed as 1 minus the
+    other and a tiny tail keeps its relative precision.  The work is
+    len(probs) * (trials + 1) terms, summed over blocks of entries of about
+    ``BLOCK_ELEMS`` terms each.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    j = np.arange(trials + 1)
+    log_fact = np.array([math.lgamma(i + 1) for i in range(trials + 1)])
+    log_comb = log_fact[-1] - log_fact - log_fact[::-1]
+    low, high = np.empty(len(probs)), np.empty(len(probs))
+    step = max(1, BLOCK_ELEMS // (trials + 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, len(probs), step):
+            p = probs[start : start + step, None]
+            # j log p and (trials - j) log(1 - p) with 0 * log 0 taken as 0
+            hits = np.where(j > 0, j * np.log(p), 0.0)
+            misses = np.where(j < trials, (trials - j) * np.log1p(-p), 0.0)
+            terms = np.exp(log_comb + hits + misses)
+            low[start : start + step] = terms[:, : cut + 1].sum(axis=1)
+            high[start : start + step] = terms[:, cut + 1 :].sum(axis=1)
+    return low, high
+
+
 def switching_constants(
     dist: PopularityDistribution, params: SystemParams
 ) -> SwitchingConstants:
-    from scipy.stats import binom  # local import keeps scipy out of CLI start-up
-
     gaps = np.abs(dist.probs - params.threshold)
     cut = math.floor(1.0 / params.cache_size)
     scale = np.exp(2.0 * gaps**2)
-    low = scale * binom.cdf(cut, params.n_users, dist.probs)
-    high = scale * binom.sf(cut, params.n_users, dist.probs)
-    return SwitchingConstants(low, high)
+    low, high = _binomial_tails(params.n_users, dist.probs, cut)
+    return SwitchingConstants(scale * low, scale * high)
 
 
 def switch_count_bound(dist: PopularityDistribution, params: SystemParams) -> float:

@@ -93,8 +93,10 @@ class Transmission:
     is user ``group[j]``).  Share row r is user ``share_user[r]``'s piece of
     file ``share_file[r]``: subpacket indices ``subpackets[share_start[r]:
     share_stop[r]]``.  The rate, the counts and :func:`decode` read only these
-    arrays.  ``coded`` builds the same plan as a tuple of :class:`CodedMessage`
-    on first access and caches it, for callers that want message objects.
+    arrays.  ``terms`` lists the plan's XOR terms for :func:`decode`, and
+    ``coded`` builds the same plan as a tuple of :class:`CodedMessage` for
+    callers that want message objects.  Each is computed on first access and
+    cached, so decoding every user of a slot sets the terms up once.
     """
 
     direct: tuple[DirectSend, ...]
@@ -109,6 +111,22 @@ class Transmission:
     share_start: np.ndarray
     share_stop: np.ndarray
     subpackets: np.ndarray
+
+    @cached_property
+    def terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every XOR term of the coded plan as (file, subpacket, position)
+        arrays: the p-th subpacket of a share row is a term at position p of
+        its message, positions counted across the messages in send order."""
+        sizes = self.share_stop - self.share_start
+        row = np.repeat(np.arange(len(sizes)), sizes)
+        offset = np.arange(row.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        message = np.repeat(np.arange(len(self.message_length)), np.diff(self.message_offsets))
+        first = np.cumsum(self.message_length) - self.message_length
+        return (
+            self.share_file[row],
+            self.subpackets[self.share_start[row] + offset],
+            first[message[row]] + offset,
+        )
 
     @cached_property
     def coded(self) -> tuple[CodedMessage, ...]:
@@ -346,10 +364,10 @@ def decode(
     True iff every subpacket of the user's requested file is recovered.  XOR
     terms are modeled symbolically: a position is solved once all but one of
     its terms are known.  Subpacket i of file n is entry n*F + i of a mask of
-    what the user knows, and the p-th subpacket of a share row is a term at
-    position p of its message.  Each round learns every unknown term alone at
-    its position; the rule only adds terms, so rounds reach the known set
-    that peeling one position at a time does.
+    what the user knows; the terms and their message positions are the
+    plan's ``Transmission.terms``, set up once per plan.  Each round learns
+    every unknown term alone at its position; the rule only adds terms, so
+    rounds reach the known set that peeling one position at a time does.
     """
     f, tx = params.subpackets, transmission
     known = np.zeros(params.n_files * f, dtype=bool)
@@ -357,12 +375,8 @@ def decode(
         known[file * f + idx] = True
     for send in tx.direct:
         known[send.file * f : send.file * f + send.length] = True
-    sizes = tx.share_stop - tx.share_start
-    row = np.repeat(np.arange(len(sizes)), sizes)
-    offset = np.arange(row.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    term = tx.share_file[row] * f + tx.subpackets[tx.share_start[row] + offset]
-    message = np.repeat(np.arange(len(tx.message_length)), np.diff(tx.message_offsets))
-    position = (np.cumsum(tx.message_length) - tx.message_length)[message[row]] + offset
+    term_file, term_subpacket, position = tx.terms
+    term = term_file * f + term_subpacket
     while True:
         unknown = np.flatnonzero(~known[term])
         at = position[unknown]
@@ -382,6 +396,11 @@ def slot_rates(decisions: np.ndarray, probs: np.ndarray, params: SystemParams) -
     spread vanishes, and the first branch gives K * (mass outside S), which is
     what the engine charges there: placement stores S whole, so every request
     outside S is sent whole and every request inside it costs nothing.
+
+    Each row is charged on its own, so a caller may pass a history a block of
+    rows at a time; the mass inside S is one ``decisions @ probs`` product,
+    whose bits match the whole history's when the blocks start at multiples
+    of ``policies.BLOCK_ROW_MULTIPLE`` rows.
     """
     n, k, m = params.n_files, params.n_users, params.cache_size
     sizes = decisions.sum(axis=-1).astype(np.float64)

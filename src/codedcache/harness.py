@@ -12,6 +12,8 @@ default, charges it one file per request outside its set, as the shared
 rate does.  Per-slot regret is the rate minus a reference oracle rate;
 the reference is either the closed-form upper estimate or the simulated
 oracle of the same trial.
+Each policy is charged block by block as ``policies.decision_blocks``
+yields its decisions, so no (horizon, n_files) array of any dtype is held.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from .model import (
     sample_requests,
     substream,
 )
-from .policies import POLICY_NAMES, check_policy, decision_matrix, switch_flags
+from .policies import POLICY_NAMES, check_policy, decision_blocks, switch_flags
 
 # placement substream index per policy; request stream uses index 0
 POLICY_STREAM_KEYS = {name: i + 1 for i, name in enumerate(POLICY_NAMES)}
@@ -136,43 +138,43 @@ def _lfu_dedup_rates(
     return (requested & ~decisions).sum(axis=1).astype(np.float64)
 
 
-def _bitlevel_rates(
-    config: ExperimentConfig,
-    policy: str,
-    trial: int,
-    requests: np.ndarray,
-    decisions: np.ndarray,
-    switches: np.ndarray,
-) -> np.ndarray:
-    """Realized per-slot rates with real placement and coded delivery.
-
-    Placement is sampled in the first slot and again on every cache switch.
-    """
-    params = config.params
-    place_rng = substream(config.seed, trial, POLICY_STREAM_KEYS[policy])
-    rates = np.zeros(config.horizon)
-    for s in range(config.horizon):
-        if s == 0 or switches[s]:
-            cached = np.flatnonzero(decisions[s]).tolist()
-            caches = sample_placement(params, cached, place_rng)
-        tx = build_delivery(params, RequestProfile(requests[s]), caches, cached)
-        rates[s] = tx.rate
-    return rates
-
-
 def _policy_record(
     config: ExperimentConfig, policy: str, trial: int, requests: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One policy's per-slot rates, cached-set sizes and switch flags."""
-    decisions = decision_matrix(policy, requests, config.dist.probs, config.params)
-    switches = switch_flags(decisions)
-    if policy == "lfu" and not config.lfu_per_request():
-        rates = _lfu_dedup_rates(config, decisions, requests)
-    elif config.rate_mode == "analytic":
-        rates = slot_rates(decisions, config.dist.probs, config.params)
-    else:
-        rates = _bitlevel_rates(config, policy, trial, requests, decisions, switches)
-    return rates, decisions.sum(axis=1), switches
+    """One policy's per-slot rates, cached-set sizes and switch flags.
+
+    Each block of :func:`decision_blocks` is charged as it comes, so the
+    record holds one block of the (horizon, n_files) decisions at a time.
+    LFU under dedup accounting pays per distinct missed file; every other
+    policy pays ``slot_rates`` in analytic mode, and in bit-level mode real
+    delivery over a placement sampled in the first slot and on every switch,
+    from the policy's own substream.
+    """
+    params, probs = config.params, config.dist.probs
+    charge = "dedup" if policy == "lfu" and not config.lfu_per_request() else config.rate_mode
+    if charge == "bitlevel":
+        place_rng = substream(config.seed, trial, POLICY_STREAM_KEYS[policy])
+    rates = np.empty(config.horizon)
+    sizes = np.empty(config.horizon, dtype=np.int64)
+    switches = np.empty(config.horizon, dtype=bool)
+    previous = None
+    for start, block in decision_blocks(policy, requests, probs, params):
+        stop = start + len(block)
+        sizes[start:stop] = block.sum(axis=1)
+        switches[start:stop] = switch_flags(block, previous)
+        previous = block[-1]
+        if charge == "dedup":
+            rates[start:stop] = _lfu_dedup_rates(config, block, requests[start:stop])
+        elif charge == "analytic":
+            rates[start:stop] = slot_rates(block, probs, params)
+        else:
+            for s in range(start, stop):
+                if s == 0 or switches[s]:
+                    cached = np.flatnonzero(block[s - start]).tolist()
+                    caches = sample_placement(params, cached, place_rng)
+                tx = build_delivery(params, RequestProfile(requests[s]), caches, cached)
+                rates[s] = tx.rate
+    return rates, sizes, switches
 
 
 def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
@@ -190,11 +192,11 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
     for name in config.policies:
         if name not in records:
             records[name] = _policy_record(config, name, trial, requests)
-        rates, decisions_sizes, switches = records[name]
+        rates, sizes, switches = records[name]
         traces.append(
             PolicyTrace(
                 policy=name,
-                set_sizes=np.asarray(decisions_sizes, dtype=np.int64),
+                set_sizes=sizes,
                 rates=rates,
                 cum_regret=np.cumsum(rates - ref),
                 switches=switches,

@@ -93,11 +93,18 @@ class RequestProfile:
 
 
 def make_zipf(n_files: int, exponent: float) -> PopularityDistribution:
-    """Zipf popularity: p_i proportional to rank**-exponent, most popular first."""
+    """Zipf popularity: p_i proportional to rank**-exponent.
+
+    A nonnegative exponent puts the most popular file first.  A negative one
+    reverses the order, and its weights are taken relative to the last rank,
+    (rank / N)**-exponent, so they stay at most 1 and cannot overflow; the
+    smallest may underflow to zero, a file that is never requested.
+    """
     if n_files < 1:
         raise ValueError("n_files must be >= 1")
     ranks = np.arange(1, n_files + 1, dtype=float)
-    weights = ranks ** -float(exponent)
+    exponent = float(exponent)
+    weights = ranks ** -exponent if exponent >= 0 else (ranks / n_files) ** -exponent
     return PopularityDistribution(weights / weights.sum())
 
 
@@ -189,4 +196,5 @@ def sample_requests(
         raise ValueError("n_users must be >= 1")
     edges = np.cumsum(dist.probs)
     idx = np.searchsorted(edges, rng.random(n_users), side="right")
-    return RequestProfile(np.minimum(idx, np.flatnonzero(dist.probs)[-1]))
+    np.minimum(idx, np.flatnonzero(dist.probs)[-1], out=idx)
+    return RequestProfile(idx)

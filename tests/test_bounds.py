@@ -6,6 +6,7 @@ import pytest
 
 from codedcache.bounds import (
     DegenerateGapError,
+    _binomial_tails,
     bad_set_gap,
     bad_set_min_excess,
     is_bad_set,
@@ -209,6 +210,29 @@ def test_switching_constants_zero_popularity():
     gap = 1 / 3
     assert const.low_count[1] == pytest.approx(math.exp(2 * gap**2), rel=1e-12)
     assert const.high_count[1] == 0.0
+
+
+def test_binomial_tails_match_scipy():
+    binom = pytest.importorskip("scipy.stats").binom
+    probs = np.array([0.0, 1.0, 1e-12, 1 - 1e-12, 1e-6, 0.01, 0.3, 0.5, 0.77, 0.999])
+    for trials in (1, 2, 7, 100, 1000, 5000):
+        for cut in (0, 1, 2, 5, 50, 100):
+            low, high = _binomial_tails(trials, probs, cut)
+            for got, want in ((low, binom.cdf(cut, trials, probs)),
+                              (high, binom.sf(cut, trials, probs))):
+                big = want > 1e-200
+                assert got[big] == pytest.approx(want[big], rel=1e-11, abs=0)
+                assert np.all(got[~big] <= 1e-190)
+
+
+def test_binomial_tails_exact_cases():
+    # certain outcomes are exact, and a tail past every outcome is empty
+    low, high = _binomial_tails(4, np.array([0.0, 1.0, 0.5]), 1)
+    assert low.tolist()[:2] == [1.0, 0.0] and high.tolist()[:2] == [0.0, 1.0]
+    assert low[2] == pytest.approx(5 / 16, rel=1e-14)
+    assert high[2] == pytest.approx(11 / 16, rel=1e-14)
+    low, high = _binomial_tails(3, np.array([0.2]), 3)
+    assert low[0] == pytest.approx(1.0, rel=1e-14) and high[0] == 0.0
 
 
 def test_switch_count_bound_single_certain_file():

@@ -101,15 +101,26 @@ def test_simulate_group_above_mask_limit_exit_code(capsys):
     assert len(lines) == 2 + 1
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy costs about a second of start-up and only the bounds report needs it
+def probe_scipy_loaded(statement):
+    """Whether scipy is imported after ``statement`` runs in a fresh interpreter."""
     src = str(Path(codedcache.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    probe = "import sys, codedcache.cli; print('scipy' in sys.modules)"
+    probe = f"import sys, codedcache.cli; {statement}; print('scipy' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip().splitlines()[-1] == "True"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # importing scipy.stats costs over a second of start-up
+    assert not probe_scipy_loaded("pass")
+
+
+def test_bounds_report_leaves_scipy_unloaded():
+    # the switching bound's binomial tails are summed without scipy.stats
+    argv = ["bounds", "--n", "20", "--k", "10", "--m", "2", "--dist", "zipf:1"]
+    assert not probe_scipy_loaded(f"codedcache.cli.main({argv!r})")
 
 
 def test_simulate_lbpair_dist(tmp_path, capsys):
@@ -140,6 +151,18 @@ def test_simulate_non_finite_dist_usage_error(capsys):
         "--reference", "paired",
     )
     assert code == 2 and "finite" in err
+
+
+def test_simulate_large_negative_zipf_exponent(capsys):
+    # a finite exponent gives a valid pmf, with no overflow warning on the way
+    code, out, err = run(
+        capsys,
+        "simulate", "--n", "4", "--k", "2", "--m", "1", "--dist", "zipf:-1000",
+        "--policies", "tracking", "--horizon", "2", "--trials", "1",
+        "--reference", "paired",
+    )
+    assert code == 0 and err == ""
+    assert out.count("\n") == 4  # comment, header and two rows
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

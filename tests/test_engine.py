@@ -232,6 +232,25 @@ def test_placement_deterministic():
             assert np.array_equal(sa.files[i], sb.files[i])
 
 
+def test_decode_sets_up_the_plan_terms_once():
+    # every user of a slot decodes against the same cached term arrays, and
+    # they list one term per subpacket of every share row
+    params = SystemParams(20, 10, 4.0, 200)
+    cached = list(range(8))
+    caches = sample_placement(params, cached, substream(9, 0))
+    profile = RequestProfile(np.arange(10) % 9)
+    tx = build_delivery(params, profile, caches, cached)
+    assert "terms" not in vars(tx)
+    assert all(decode(params, u, profile, caches, tx) for u in range(params.n_users))
+    terms = vars(tx)["terms"]
+    assert tx.terms is terms
+    term_file, term_subpacket, position = terms
+    segments = [seg for msg in tx.coded for seg in msg.segments]
+    assert term_file.tolist() == [seg.file for seg in segments for _ in seg.indices]
+    assert term_subpacket.tolist() == [i for seg in segments for i in seg.indices.tolist()]
+    assert position.max() < tx.message_length.sum()
+
+
 def test_plan_objects_are_built_only_on_demand(monkeypatch):
     def refuse(*args, **kwargs):
         raise RuntimeError("plan object built")

@@ -1,10 +1,11 @@
 """Tests for the experiment harness."""
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from codedcache import harness
+from codedcache import harness, policies
 from codedcache.bounds import oracle_rate_upper
 from codedcache.engine import slot_rates
 from codedcache.harness import (
@@ -12,13 +13,15 @@ from codedcache.harness import (
     ExperimentResult,
     PolicyAggregate,
     _draw_requests,
+    _lfu_dedup_rates,
+    _policy_record,
     config_summary,
     emit_csv,
     run_experiment,
     run_trial,
 )
 from codedcache.model import PopularityDistribution, SystemParams, make_zipf
-from codedcache.policies import POLICY_NAMES, decision_matrix, switch_flags
+from codedcache.policies import POLICY_NAMES, block_rows, decision_matrix, switch_flags
 from test_policy_reference import SteppedPolicy, reference_lfu_rate, reference_slot_rate
 
 WORKED = SystemParams(4, 4, 1.0)
@@ -187,6 +190,90 @@ def test_lfu_dedup_accounting_in_analytic_mode():
         expect = reference_lfu_rate(cached, cfg.dist.probs, 4, per_request=False)
         assert tr.rates[s] == pytest.approx(expect, abs=1e-12)
         pol.observe(requests[s])
+
+
+# --- the record streams over decision blocks --------------------------------
+
+@pytest.mark.parametrize("horizon", [192, 200])
+def test_streamed_record_matches_whole_matrix(horizon):
+    # 64-slot blocks at N=1000: 192 slots are three whole blocks, 200 leave
+    # an 8-slot tail; rates are compared with the whole-horizon products
+    params = SystemParams(1000, 20, 20.0)
+    dist = make_zipf(1000, 0.8)
+    assert block_rows(params.n_files) == 64
+    for accounting in ("per-request", "dedup"):
+        cfg = ExperimentConfig(
+            params=params, dist=dist, policies=POLICY_NAMES, horizon=horizon, trials=1,
+            seed=4, lfu_accounting=accounting,
+        )
+        requests = _draw_requests(cfg, 0)
+        for name in POLICY_NAMES:
+            rates, sizes, switches = _policy_record(cfg, name, 0, requests)
+            whole = decision_matrix(name, requests, dist.probs, params)
+            assert sizes.tolist() == whole.sum(axis=1).tolist()
+            assert switches.tolist() == switch_flags(whole).tolist()
+            if name == "lfu" and accounting == "dedup":
+                want = _lfu_dedup_rates(cfg, whole, requests)
+            else:
+                want = slot_rates(whole, dist.probs, params)
+            if horizon % 64 == 0:
+                assert rates.tolist() == want.tolist(), name
+            else:
+                assert np.all(np.abs(rates - want) <= 4 * np.spacing(np.abs(want))), name
+
+
+def test_streamed_bitlevel_record_across_blocks(monkeypatch):
+    # 3-slot blocks against one block: sizes and switches match the whole
+    # matrix, and placement and delivery carry across the block edges
+    cfg = config(params=SystemParams(6, 4, 2.0, 24), dist=make_zipf(6, 1.0), seed=6,
+                 rate_mode="bitlevel", lfu_accounting="per-request", horizon=10)
+    requests = _draw_requests(cfg, 0)
+    one_block = {name: _policy_record(cfg, name, 0, requests) for name in POLICY_NAMES}
+    monkeypatch.setattr(policies, "BLOCK_ROW_MULTIPLE", 1)
+    monkeypatch.setattr(policies, "BLOCK_ELEMS", 3 * 6)
+    edge_switches = 0
+    for name in POLICY_NAMES:
+        rates, sizes, switches = _policy_record(cfg, name, 0, requests)
+        whole = decision_matrix(name, requests, cfg.dist.probs, cfg.params)
+        assert sizes.tolist() == whole.sum(axis=1).tolist()
+        assert switches.tolist() == switch_flags(whole).tolist()
+        assert rates.tolist() == one_block[name][0].tolist(), name
+        edge_switches += int(switches[3::3].sum())
+    assert edge_switches > 0  # the first slot of a later block switched
+
+
+def test_bitlevel_csv_unchanged_by_block_size(monkeypatch):
+    cfg = ExperimentConfig(
+        params=SystemParams(20, 10, 4.0, 50), dist=make_zipf(20, 1.0),
+        policies=POLICY_NAMES, horizon=30, trials=2, seed=1, rate_mode="bitlevel",
+    )
+
+    def csv():
+        buf = io.StringIO()
+        emit_csv(run_experiment(cfg), buf)
+        return buf.getvalue()
+
+    default = csv()
+    monkeypatch.setattr(policies, "BLOCK_ROW_MULTIPLE", 1)
+    monkeypatch.setattr(policies, "BLOCK_ELEMS", 7 * 20)
+    assert policies.block_rows(20) == 7
+    assert csv() == default
+
+
+def test_wide_trial_memory_stays_below_the_decision_matrix():
+    # the (T, N) float64 copy of a whole decision matrix alone is 80 MB here;
+    # streamed, a trial's peak is the request draw
+    cfg = ExperimentConfig(
+        params=SystemParams(1000, 100, 20.0), dist=make_zipf(1000, 0.8),
+        policies=POLICY_NAMES, horizon=10_000, trials=1, seed=1,
+    )
+    tracemalloc.start()
+    try:
+        run_trial(cfg, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 # --- determinism ------------------------------------------------------------

@@ -82,6 +82,16 @@ def test_zipf_random_instances_are_valid():
         assert (d.probs > 0).all()
 
 
+def test_zipf_large_negative_exponent_is_a_valid_pmf():
+    # a negative exponent favours the last rank; at -1000 its weight is 1
+    # and every other weight is at most (3/4)**1000, so no power overflows
+    d = make_zipf(4, -1000.0)
+    assert abs(d.probs.sum() - 1.0) <= 1e-12
+    assert d.probs[-1] == 1.0
+    assert np.all(np.diff(d.probs) >= 0)
+    assert make_zipf(5, -1.0).probs == pytest.approx(np.arange(1, 6) / 15, rel=1e-12)
+
+
 def test_two_level_pair_worked_example():
     head, tail = make_two_level_pair(4, 6.0, 12.0)
     assert head.probs.tolist() == [1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0]

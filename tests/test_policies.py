@@ -11,7 +11,8 @@ from codedcache.model import (
     make_zipf,
     substream,
 )
-from codedcache.policies import POLICY_NAMES, decision_matrix, switch_flags
+from codedcache import policies
+from codedcache.policies import POLICY_NAMES, decision_blocks, decision_matrix, switch_flags
 
 
 def decide(policy, requests, params, probs=None):
@@ -104,6 +105,33 @@ def test_factory_round_trip():
         assert decisions.shape == (3, 4) and decisions.dtype == bool
     with pytest.raises(ValueError, match="unknown policy"):
         decision_matrix("mru", requests, make_zipf(4, 1.0).probs, params)
+
+
+def test_decision_blocks_tile_the_history(monkeypatch):
+    # 2-slot blocks over 5 slots: starts 0, 2, 4, and the last block is short
+    monkeypatch.setattr(policies, "BLOCK_ROW_MULTIPLE", 1)
+    monkeypatch.setattr(policies, "BLOCK_ELEMS", 8)
+    params = SystemParams(4, 2, 1.0)
+    probs = make_zipf(4, 1.0).probs
+    requests = np.array([[0, 1], [2, 2], [3, 0], [3, 3], [1, 0]])
+    for name in POLICY_NAMES:
+        blocks = list(decision_blocks(name, requests, probs, params))
+        assert [start for start, _ in blocks] == [0, 2, 4]
+        assert [len(block) for _, block in blocks] == [2, 2, 1]
+        whole = decision_matrix(name, requests, probs, params)
+        if name in ("oracle", "uniform"):
+            assert not any(block.flags.writeable for _, block in blocks)
+        flags = [switch_flags(blocks[0][1])]
+        flags += [switch_flags(b, a[-1]) for (_, a), (_, b) in zip(blocks, blocks[1:])]
+        assert np.concatenate(flags).tolist() == switch_flags(whole).tolist()
+    with pytest.raises(ValueError, match="unknown policy"):
+        next(decision_blocks("mru", requests, probs, params))
+
+
+def test_block_rows_are_multiples_of_the_row_rule():
+    assert policies.block_rows(20) == 3264  # 65536 // 20 = 3276, rounded down
+    assert policies.block_rows(1000) == 64  # 65 rounded down
+    assert policies.block_rows(10**6) == 64  # never below one multiple
 
 
 def test_lfu_realized_rate_accounting():

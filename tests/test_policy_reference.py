@@ -102,6 +102,7 @@ def test_block_decisions_match_stepped_reference(monkeypatch):
     # block sizes of 1 to 5 rows against random horizons, so blocks end
     # mid-horizon and the last one is short; few users over few files give
     # LFU count ties, and M == N is drawn too
+    monkeypatch.setattr(policies, "BLOCK_ROW_MULTIPLE", 1)
     rng = np.random.default_rng(23)
     short_tail = 0
     for _ in range(40):
@@ -122,12 +123,12 @@ def test_block_decisions_match_stepped_reference(monkeypatch):
 
 
 def test_block_decisions_match_stepped_reference_wide_shape():
-    # the default block holds 65 slots of N=1000 files: 200 slots make
-    # three full blocks and a 5-slot remainder
+    # the default block holds 64 slots of N=1000 files: 200 slots make
+    # three full blocks and an 8-slot remainder
     params = SystemParams(1000, 100, 20.0)
     probs = make_zipf(1000, 0.8).probs
     requests = np.random.default_rng(5).choice(1000, size=(200, 100), p=probs)
-    assert 200 % (policies.BLOCK_ELEMS // 1000) != 0
+    assert policies.block_rows(1000) == 64
     for name in ("tracking", "lfu"):
         got = decision_matrix(name, requests, probs, params)
         assert got.tolist() == stepped_decisions(name, params, probs, requests).tolist()
