@@ -386,7 +386,12 @@ def decode(
         known[term[learned]] = True
 
 
-def slot_rates(decisions: np.ndarray, probs: np.ndarray, params: SystemParams) -> np.ndarray:
+def slot_rates(
+    decisions: np.ndarray,
+    probs: np.ndarray,
+    params: SystemParams,
+    sizes: np.ndarray | None = None,
+) -> np.ndarray:
     """Analytic one-slot coded-delivery rate of each cached set, over the last axis.
 
     ``decisions`` is a boolean array of shape (..., N), one row per set S.  A
@@ -400,10 +405,14 @@ def slot_rates(decisions: np.ndarray, probs: np.ndarray, params: SystemParams) -
     Each row is charged on its own, so a caller may pass a history a block of
     rows at a time; the mass inside S is one ``decisions @ probs`` product,
     whose bits match the whole history's when the blocks start at multiples
-    of ``policies.BLOCK_ROW_MULTIPLE`` rows.
+    of ``policies.BLOCK_ROW_MULTIPLE`` rows.  ``sizes``, the set sizes |S|,
+    may be passed by a caller that has counted them; by default the rows are
+    counted here.
     """
     n, k, m = params.n_files, params.n_users, params.cache_size
-    sizes = decisions.sum(axis=-1).astype(np.float64)
+    if sizes is None:
+        sizes = np.count_nonzero(decisions, axis=-1)
+    sizes = np.asarray(sizes, dtype=np.float64)
     inside = decisions @ probs
     with np.errstate(divide="ignore", invalid="ignore"):
         coded = sizes / m - 1.0 + k * (1.0 - inside)

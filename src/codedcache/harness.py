@@ -14,6 +14,9 @@ the reference is either the closed-form upper estimate or the simulated
 oracle of the same trial.
 Each policy is charged block by block as ``policies.decision_blocks``
 yields its decisions, so no (horizon, n_files) array of any dtype is held.
+Each block's set sizes are counted once.  A constant policy (oracle,
+uniform) repeats one row, so in analytic mode it is charged once per
+distinct block length, its size is counted once and it never switches.
 """
 from __future__ import annotations
 
@@ -31,7 +34,13 @@ from .model import (
     sample_requests,
     substream,
 )
-from .policies import POLICY_NAMES, check_policy, decision_blocks, switch_flags
+from .policies import (
+    CONSTANT_POLICIES,
+    POLICY_NAMES,
+    check_policy,
+    decision_blocks,
+    switch_flags,
+)
 
 # placement substream index per policy; request stream uses index 0
 POLICY_STREAM_KEYS = {name: i + 1 for i, name in enumerate(POLICY_NAMES)}
@@ -148,7 +157,10 @@ def _policy_record(
     LFU under dedup accounting pays per distinct missed file; every other
     policy pays ``slot_rates`` in analytic mode, and in bit-level mode real
     delivery over a placement sampled in the first slot and on every switch,
-    from the policy's own substream.
+    from the policy's own substream.  A constant policy's blocks are one
+    row broadcast, so their sizes come from that row, they never switch, and
+    blocks of one length share one ``slot_rates`` charge: at most two per
+    record, with the bits of a charge per block.
     """
     params, probs = config.params, config.dist.probs
     charge = "dedup" if policy == "lfu" and not config.lfu_per_request() else config.rate_mode
@@ -157,16 +169,26 @@ def _policy_record(
     rates = np.empty(config.horizon)
     sizes = np.empty(config.horizon, dtype=np.int64)
     switches = np.empty(config.horizon, dtype=bool)
+    constant = policy in CONSTANT_POLICIES
+    charged = {}  # a constant policy's analytic rates, by block length
     previous = None
     for start, block in decision_blocks(policy, requests, probs, params):
         stop = start + len(block)
-        sizes[start:stop] = block.sum(axis=1)
-        switches[start:stop] = switch_flags(block, previous)
-        previous = block[-1]
+        if constant:
+            sizes[start:stop] = np.count_nonzero(block[0])
+            switches[start:stop] = False
+        else:
+            sizes[start:stop] = np.count_nonzero(block, axis=1)
+            switches[start:stop] = switch_flags(block, previous)
+            previous = block[-1]
         if charge == "dedup":
             rates[start:stop] = _lfu_dedup_rates(config, block, requests[start:stop])
+        elif charge == "analytic" and constant:
+            if len(block) not in charged:
+                charged[len(block)] = slot_rates(block, probs, params, sizes[start:stop])
+            rates[start:stop] = charged[len(block)]
         elif charge == "analytic":
-            rates[start:stop] = slot_rates(block, probs, params)
+            rates[start:stop] = slot_rates(block, probs, params, sizes[start:stop])
         else:
             for s in range(start, stop):
                 if s == 0 or switches[s]:

@@ -1,4 +1,9 @@
-"""System model: network parameters, popularity distributions, request sampling."""
+"""System model: network parameters, popularity distributions, request sampling.
+
+Requests are drawn by inverse cdf through a guide table over the cdf, in
+chunks that continue one generator stream, so a draw of any length gives
+the indices of a plain ``searchsorted`` over one ``rng.random`` call.
+"""
 from __future__ import annotations
 
 import csv
@@ -9,6 +14,13 @@ import numpy as np
 
 # tolerance for "sums to one" style checks on probability vectors
 PMF_TOL = 1e-12
+
+# uniforms drawn and resolved at a time by sample_requests
+REQUEST_CHUNK = 2**16
+# guide-table buckets per file (rounded up to a power of two), and the most
+# cdf edges a bucket may hold before its uniforms fall back to searchsorted
+GUIDE_PER_FILE = 4
+GUIDE_SPAN = 4
 
 
 @dataclass(frozen=True)
@@ -189,12 +201,54 @@ def sample_requests(
 ) -> RequestProfile:
     """One i.i.d. request per user, drawn by inverse cdf on a single uniform each.
 
-    A zero-probability file is never drawn.  The cumsum can end just below 1,
-    and a uniform past it goes to the last file with positive mass.
+    A uniform u gets the number of cdf edges at or below it, found through
+    :func:`_guide_table`.  The uniforms are drawn and resolved
+    ``REQUEST_CHUNK`` at a time; consecutive ``rng.random`` calls continue
+    one stream, so the indices are those of a single call, with small
+    temporaries.  A zero-probability file is never drawn.  The cumsum can
+    end just below 1, and a uniform past it goes to the last file with
+    positive mass.
     """
     if n_users < 1:
         raise ValueError("n_users must be >= 1")
     edges = np.cumsum(dist.probs)
-    idx = np.searchsorted(edges, rng.random(n_users), side="right")
+    buckets, first, span, wide = _guide_table(edges)
+    # inf pads the edge reads that run past the last file
+    padded = np.concatenate([edges, np.full(span, np.inf)])
+    any_wide = bool(wide.any())
+    idx = np.empty(n_users, dtype=np.int64)
+    for start in range(0, n_users, REQUEST_CHUNK):
+        u = rng.random(min(REQUEST_CHUNK, n_users - start))
+        bucket = (u * buckets).astype(np.intp)
+        got = idx[start : start + u.size]
+        np.take(first, bucket, out=got)
+        # the edges are sorted, so those at or below u come first
+        for _ in range(span):
+            got += padded[got] <= u
+        if any_wide:
+            many = np.flatnonzero(wide[bucket])
+            got[many] = np.searchsorted(edges, u[many], side="right")
     np.minimum(idx, np.flatnonzero(dist.probs)[-1], out=idx)
     return RequestProfile(idx)
+
+
+def _guide_table(edges: np.ndarray) -> tuple[int, np.ndarray, int, np.ndarray]:
+    """Buckets over [0, 1) that narrow the inverse-cdf search of each uniform.
+
+    There are ``buckets`` = g buckets, a power of two of at least
+    ``GUIDE_PER_FILE`` per file, so a uniform's bucket b = floor(u * g) is
+    exact and every uniform in it lies in [b/g, (b+1)/g).  ``first[b]``
+    counts the edges at or below b/g, and the edges from there up to
+    ``first[b + 1]`` are the ones inside the bucket; every later edge
+    exceeds any uniform of the bucket.  So the search for u is ``first[b]``
+    plus the number of those inside edges at or below u.  Buckets holding at
+    most ``GUIDE_SPAN`` edges are searched by ``span`` comparisons (the most
+    any of them holds); ``wide`` marks the others, searched by
+    ``searchsorted``.
+    """
+    buckets = 1 << (GUIDE_PER_FILE * edges.size - 1).bit_length()
+    first = np.searchsorted(edges, np.arange(buckets + 1) / buckets, side="right")
+    held = np.diff(first)
+    wide = held > GUIDE_SPAN
+    span = int(held[~wide].max(initial=0))
+    return buckets, first, span, wide

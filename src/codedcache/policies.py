@@ -8,7 +8,9 @@ served, so :func:`decision_blocks` decides a whole request history in one
 walk: it yields the (slots, n_files) cached-set indicators a block of slots
 at a time, row t being the set cached during slot t, decided before its
 requests arrive.  :func:`decision_matrix` joins the blocks for callers
-that want the (horizon, n_files) matrix whole.
+that want the (horizon, n_files) matrix whole.  Tracking compares each
+count with one integer per slot, :func:`count_floors`, the least count
+whose empirical popularity clears the threshold.
 """
 from __future__ import annotations
 
@@ -19,6 +21,8 @@ import numpy as np
 from .model import SystemParams
 
 POLICY_NAMES = ("tracking", "oracle", "uniform", "lfu")
+# policies whose cached set never changes: their blocks repeat one row
+CONSTANT_POLICIES = ("oracle", "uniform")
 
 # slot-by-file counts held at once while deciding tracking and LFU
 BLOCK_ELEMS = 2**16
@@ -49,6 +53,29 @@ def block_rows(n_files: int) -> int:
     return max(rows, BLOCK_ELEMS // n_files // rows * rows)
 
 
+def count_floors(slots: np.ndarray, params: SystemParams) -> np.ndarray:
+    """Per slot t, the least request count c that tracking caches at t.
+
+    A file with c requests in the t slots seen is cached iff
+    ``params.popular(c / (t * K))``.  The rounded quotient never falls as c
+    grows, so the test holds exactly for the counts at or above the floor.
+    With no data yet, at t = 0, the floor is 0 and every file is cached.
+    The estimate ceil(t * K * threshold) is stepped to the least c that
+    passes the float test itself, so the decisions are those of the
+    division, ties included.
+    """
+    seen = np.asarray(slots, dtype=np.int64) * params.n_users
+    fresh = seen == 0
+    seen = np.where(fresh, 1, seen)
+    floor = np.ceil(seen * params.threshold).astype(np.int64)
+    while (short := ~params.popular(floor / seen)).any():
+        floor += short
+    while (slack := (floor > 0) & params.popular((floor - 1) / seen)).any():
+        floor -= slack
+    floor[fresh] = 0
+    return floor
+
+
 def decision_blocks(
     policy: str, requests: np.ndarray, probs: np.ndarray, params: SystemParams
 ) -> Iterator[tuple[int, np.ndarray]]:
@@ -60,6 +87,8 @@ def decision_blocks(
     - ``tracking`` caches the files whose empirical popularity, the request
       count so far over slots seen times K, clears the threshold (ties
       cache); with no data yet, in the first slot, it caches every file.
+      Each count is compared with its slot's :func:`count_floors`, which
+      decides exactly as the division would.
     - ``oracle`` thresholds the true popularity ``probs`` and never switches.
     - ``uniform`` caches every file.
     - ``lfu`` caches the M most-requested files so far, breaking ties
@@ -77,7 +106,7 @@ def decision_blocks(
     if policy == "lfu" and requests.size * n >= 2**63:
         raise ValueError("LFU history too long: requests * n_files must stay below 2**63")
     step = block_rows(n)
-    if policy in ("oracle", "uniform"):
+    if policy in CONSTANT_POLICIES:
         row = params.popular(probs) if policy == "oracle" else np.ones(n, dtype=bool)
         for start in range(0, t_len, step):
             yield start, np.broadcast_to(row, (min(step, t_len - start), n))
@@ -100,11 +129,7 @@ def decision_blocks(
         np.cumsum(before, axis=0, out=before)
         before, running = before[:rows], before[rows]
         if policy == "tracking":
-            # slot 0 divides by 1 here and is overwritten just below
-            seen = np.arange(start, start + rows)[:, None] * params.n_users
-            decisions = params.popular(before / np.maximum(seen, 1))
-            if start == 0:
-                decisions[0] = True
+            decisions = before >= count_floors(np.arange(start, start + rows), params)[:, None]
         else:
             key = before * n + tie_break
             kth = np.partition(key, n - m, axis=1)[:, n - m, None]

@@ -21,7 +21,13 @@ from codedcache.harness import (
     run_trial,
 )
 from codedcache.model import PopularityDistribution, SystemParams, make_zipf
-from codedcache.policies import POLICY_NAMES, block_rows, decision_matrix, switch_flags
+from codedcache.policies import (
+    POLICY_NAMES,
+    block_rows,
+    decision_blocks,
+    decision_matrix,
+    switch_flags,
+)
 from test_policy_reference import SteppedPolicy, reference_lfu_rate, reference_slot_rate
 
 WORKED = SystemParams(4, 4, 1.0)
@@ -258,6 +264,42 @@ def test_bitlevel_csv_unchanged_by_block_size(monkeypatch):
     monkeypatch.setattr(policies, "BLOCK_ELEMS", 7 * 20)
     assert policies.block_rows(20) == 7
     assert csv() == default
+
+
+@pytest.mark.parametrize("horizon", [1, 63, 64, 65, 200])
+@pytest.mark.parametrize("reference", ["closed-form", "paired"])
+def test_constant_policy_record_matches_a_charge_per_block(monkeypatch, horizon, reference):
+    # oracle and uniform blocks repeat one row: one slot_rates call per
+    # distinct block length gives the bits of charging every block
+    params = SystemParams(1000, 3, 20.0)
+    dist = make_zipf(1000, 0.8)
+    assert block_rows(params.n_files) == 64
+    cfg = ExperimentConfig(params=params, dist=dist, policies=("oracle", "uniform"),
+                           horizon=horizon, trials=1, seed=2, reference=reference)
+    requests = _draw_requests(cfg, 0)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return slot_rates(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "slot_rates", counted)
+    want = {}
+    for name in cfg.policies:
+        blocks = [b for _, b in decision_blocks(name, requests, dist.probs, params)]
+        want[name] = np.concatenate([slot_rates(b, dist.probs, params) for b in blocks])
+        calls.clear()
+        rates, sizes, switches = _policy_record(cfg, name, 0, requests)
+        assert len(calls) <= 2 and len(set(calls)) == len(calls)
+        assert rates.tolist() == want[name].tolist(), name
+        assert sizes.tolist() == [int(blocks[0][0].sum())] * horizon
+        assert not switches.any()
+    result = run_trial(cfg, 0)
+    ref = want["oracle"] if reference == "paired" else result.reference_rates
+    for name in cfg.policies:
+        trace = result.trace(name)
+        assert trace.rates.tolist() == want[name].tolist(), name
+        assert trace.cum_regret.tolist() == np.cumsum(want[name] - ref).tolist()
 
 
 def test_wide_trial_memory_stays_below_the_decision_matrix():

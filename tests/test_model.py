@@ -1,7 +1,10 @@
 """Tests for the system model: parameters, distributions, request sampling."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from codedcache import model
 from codedcache.model import (
     PopularityDistribution,
     RequestProfile,
@@ -200,6 +203,24 @@ def test_sample_requests_point_mass():
     assert (sample_requests(d, 100, substream(0, 0)).requests == 0).all()
 
 
+def reference_requests(dist, uniforms):
+    """Plain inverse cdf: one searchsorted, clamped to the last positive file."""
+    idx = np.searchsorted(np.cumsum(dist.probs), uniforms, side="right")
+    return np.minimum(idx, np.flatnonzero(dist.probs)[-1])
+
+
+class _FixedUniforms:
+    """Stub generator that hands out a fixed sequence of uniforms in order."""
+
+    def __init__(self, values):
+        self.values, self.used = np.asarray(values, dtype=float), 0
+
+    def random(self, size):
+        out = self.values[self.used : self.used + size]
+        self.used += size
+        return out
+
+
 class _TopUniform:
     """Stub generator whose every uniform is the largest double below 1."""
 
@@ -213,6 +234,66 @@ def test_sample_requests_never_draws_zero_probability_file():
     d = PopularityDistribution(np.array([0.1] * 10 + [0.0]))
     assert np.cumsum(d.probs)[-1] <= np.nextafter(1.0, 0.0)
     assert (sample_requests(d, 5, _TopUniform()).requests == 9).all()
+    for dist in (d, PopularityDistribution(np.array([0.0, 1.0, 0.0])), make_zipf(7, 1.0)):
+        got = sample_requests(dist, 9, _TopUniform()).requests
+        assert got.tolist() == reference_requests(dist, _TopUniform().random(9)).tolist()
+
+
+@st.composite
+def pmfs(draw):
+    """Pmfs from integer weights: zero-probability files, point masses, and
+    weights far enough apart to crowd many cdf edges into one bucket."""
+    weights = draw(st.lists(
+        st.one_of(st.just(0), st.integers(1, 10), st.integers(1, 10**12)),
+        min_size=1, max_size=60,
+    ))
+    if not any(weights):
+        weights[draw(st.integers(0, len(weights) - 1))] = 1
+    weights = np.array(weights, dtype=float)
+    return PopularityDistribution(weights / weights.sum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(dist=pmfs(), n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_sample_requests_matches_plain_inverse_cdf(dist, n, seed):
+    got = sample_requests(dist, n, substream(seed, 0)).requests
+    assert got.tolist() == reference_requests(dist, substream(seed, 0).random(n)).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(dist=pmfs())
+def test_sample_requests_exact_on_edges_and_bucket_bounds(dist):
+    # uniforms on and next to every cdf edge and every bucket boundary,
+    # where a guide-table bucket or comparison one off would show
+    edges = np.cumsum(dist.probs)
+    buckets = model._guide_table(edges)[0]
+    bounds = np.arange(buckets) / buckets
+    points = np.concatenate([edges, bounds])
+    points = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
+    points = np.unique(points[(points >= 0) & (points < 1)])
+    got = sample_requests(dist, points.size, _FixedUniforms(points)).requests
+    assert got.tolist() == reference_requests(dist, points).tolist()
+
+
+def test_sample_requests_heavy_tail_takes_the_wide_bucket_path():
+    # zipf:3 over 10^4 files crowds thousands of tail edges into the last
+    # buckets, and some uniforms land there
+    dist = make_zipf(10_000, 3)
+    buckets, _, _, wide = model._guide_table(np.cumsum(dist.probs))
+    uniforms = substream(8, 0).random(200_000)
+    assert wide[(uniforms * buckets).astype(int)].any()
+    got = sample_requests(dist, uniforms.size, substream(8, 0)).requests
+    assert got.tolist() == reference_requests(dist, uniforms).tolist()
+
+
+@pytest.mark.parametrize("offset", [None, -1, 0, 1])
+def test_sample_requests_across_chunk_edges(offset):
+    # one draw, and draws ending one short of, on and one past a chunk edge,
+    # continue the one-call stream
+    n = 1 if offset is None else model.REQUEST_CHUNK + offset
+    dist = make_zipf(1000, 0.8)
+    got = sample_requests(dist, n, substream(5, 0)).requests
+    assert got.tolist() == reference_requests(dist, substream(5, 0).random(n)).tolist()
 
 
 def test_sample_requests_empirical_convergence():

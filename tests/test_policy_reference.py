@@ -26,7 +26,7 @@ from codedcache.model import (
     make_zipf,
     substream,
 )
-from codedcache.policies import POLICY_NAMES, decision_matrix
+from codedcache.policies import POLICY_NAMES, count_floors, decision_matrix
 
 
 class SteppedPolicy:
@@ -120,6 +120,48 @@ def test_block_decisions_match_stepped_reference(monkeypatch):
                 assert got.shape == (t_len, n)
                 assert got.tolist() == want[name].tolist(), (name, elems)
     assert short_tail > 0
+
+
+@pytest.mark.parametrize("budget", [0.7, 1.3, 2.3, 2.5])
+def test_block_decisions_match_stepped_reference_fractional_budget(monkeypatch, budget):
+    # tracking decides by integer count floors; with a fractional M and few
+    # users, counts sit on and next to the threshold.  LFU needs an integer M.
+    monkeypatch.setattr(policies, "BLOCK_ROW_MULTIPLE", 1)
+    rng = np.random.default_rng(int(budget * 10))
+    names = ("tracking", "oracle", "uniform")
+    for k in (1, 2, 3):
+        for _ in range(14):
+            n = int(rng.integers(3, 8))
+            params = SystemParams(n, k, budget)
+            probs = rng.dirichlet(np.ones(n))
+            t_len = int(rng.integers(1, 40))
+            requests = rng.choice(n, size=(t_len, k), p=probs)
+            for elems in (n, 3 * n + 1, 64 * n):
+                monkeypatch.setattr(policies, "BLOCK_ELEMS", elems)
+                for name in names:
+                    got = decision_matrix(name, requests, probs, params)
+                    want = stepped_decisions(name, params, probs, requests)
+                    assert got.tolist() == want.tolist(), (name, k, elems)
+
+
+def test_count_floors_decide_as_the_division():
+    # the floor passes the float test and one request fewer fails it, so a
+    # count compared with the floor is cached exactly when c / (t * K) clears
+    # the threshold
+    slots = np.arange(1, 3000)
+    for k in range(1, 30):
+        for tenths in range(1, 60):
+            params = SystemParams(6, k, tenths / 10)
+            floor = count_floors(slots, params)
+            seen = slots * k
+            assert params.popular(floor / seen).all(), (k, tenths)
+            assert not params.popular((floor - 1) / seen)[floor > 0].any(), (k, tenths)
+    assert count_floors(np.array([0, 1]), SystemParams(6, 1, 1.0)).tolist() == [0, 1]
+    # K=1, M=2.3, t=23: 10 requests are exactly 1/(K*M), which the rule
+    # caches, but fl(10/23) < fl(1/2.3), so the float test and the floor do not
+    params = SystemParams(6, 1, 2.3)
+    assert not params.popular(10 / 23)
+    assert count_floors(np.array([23]), params).tolist() == [11]
 
 
 def test_block_decisions_match_stepped_reference_wide_shape():
