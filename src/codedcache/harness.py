@@ -253,32 +253,41 @@ class ExperimentResult:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Independent trials, aggregated in trial order.
 
-    mean_switches accumulates: its value at slot t is the mean number of
-    cache rewrites up to and including t.
+    The mean rate and mean switch count are streamed: each trial's per-slot
+    rates and cumulative switches are added to one running sum per policy,
+    in trial order, and divided by the trial count at the end, the same
+    sequential sum, bit for bit, as a mean over the stacked trials.  The
+    cumulative regrets are stacked, since their standard error takes a
+    second pass over the trials.  mean_switches accumulates: its value at
+    slot t is the mean number of cache rewrites up to and including t.
     """
-    per_policy_rates = {name: [] for name in config.policies}
-    per_policy_regret = {name: [] for name in config.policies}
-    per_policy_switch = {name: [] for name in config.policies}
+    sums = {}  # per policy: running sums of rates and of cumulative switches
+    regrets = {name: [] for name in config.policies}
     for trial in range(config.trials):
-        result = run_trial(config, trial)
-        for tr in result.traces:
-            per_policy_rates[tr.policy].append(tr.rates)
-            per_policy_regret[tr.policy].append(tr.cum_regret)
-            per_policy_switch[tr.policy].append(np.cumsum(tr.switches))
+        for tr in run_trial(config, trial).traces:
+            switched = np.cumsum(tr.switches)
+            if tr.policy in sums:
+                rate_sum, switch_sum = sums[tr.policy]
+                rate_sum += tr.rates
+                switch_sum += switched
+            else:
+                sums[tr.policy] = (tr.rates.copy(), switched.astype(float))
+            regrets[tr.policy].append(tr.cum_regret)
     aggregates = []
     for name in config.policies:
-        regret = np.stack(per_policy_regret[name])
+        regret = np.stack(regrets.pop(name))
         if config.trials > 1:
             stderr = regret.std(axis=0, ddof=1) / np.sqrt(config.trials)
         else:
             stderr = np.zeros(config.horizon)
+        rate_sum, switch_sum = sums[name]
         aggregates.append(
             PolicyAggregate(
                 policy=name,
-                mean_rate=np.stack(per_policy_rates[name]).mean(axis=0),
+                mean_rate=rate_sum / config.trials,
                 mean_cum_regret=regret.mean(axis=0),
                 stderr_cum_regret=stderr,
-                mean_switches=np.stack(per_policy_switch[name]).mean(axis=0).astype(float),
+                mean_switches=switch_sum / config.trials,
             )
         )
     return ExperimentResult(config, tuple(aggregates))

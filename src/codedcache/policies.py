@@ -11,6 +11,14 @@ requests arrive.  :func:`decision_matrix` joins the blocks for callers
 that want the (horizon, n_files) matrix whole.  Tracking compares each
 count with one integer per slot, :func:`count_floors`, the least count
 whose empirical popularity clears the threshold.
+
+Counts and count floors never fall, so within a block most files keep one
+decision in every row: tracking caches a file whose count already reaches
+the block's last floor, and no file that stays below its first floor; LFU
+caches no file whose count at the block's end still ranks below the M-th
+key at its start.  Past the first block, the walk counts and compares only
+the rest, the block's frontier (:func:`_frontier`), typically a few
+percent of the files when popularity is skewed.
 """
 from __future__ import annotations
 
@@ -63,6 +71,12 @@ def count_floors(slots: np.ndarray, params: SystemParams) -> np.ndarray:
     The estimate ceil(t * K * threshold) is stepped to the least c that
     passes the float test itself, so the decisions are those of the
     division, ties included.
+
+    The floors never fall as t grows.  c and t * K are exact in float64, so
+    for t < t' the exact quotients satisfy c / (t' * K) <= c / (t * K), and
+    correct rounding keeps that order; a count that passes at t' therefore
+    passes at t, and the least passing count at t is at most the one at t'.
+    The floor 0 at t = 0 is the least of all.
     """
     seen = np.asarray(slots, dtype=np.int64) * params.n_users
     fresh = seen == 0
@@ -74,6 +88,67 @@ def count_floors(slots: np.ndarray, params: SystemParams) -> np.ndarray:
         floor -= slack
     floor[fresh] = 0
     return floor
+
+
+def _frontier(
+    policy: str, running: np.ndarray, end: np.ndarray, floors: np.ndarray, m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(fixed, frontier)`` masks over the files for one block of slots.
+
+    ``running`` and ``end`` are the per-file counts before the block's first
+    slot and after its last, ``floors`` the block's :func:`count_floors`
+    (tracking) and ``m`` the budget (LFU).  Every file outside ``frontier``
+    takes the decision ``fixed`` in every row of the block; the frontier
+    holds the files whose decision can differ between rows.
+
+    A file's count in any row lies between ``running`` and ``end``, and the
+    floors rise through the block.  Tracking caches a file with ``running >=
+    floors[-1]`` in every row and one with ``end < floors[0]`` in none.  LFU
+    ranks by ``count * N + (N - 1 - id)``; the M files at or above the
+    (N - M)-th order statistic ``kth0`` of the first row's keys keep keys of
+    at least ``kth0`` in every row, so no row's M-th key is below ``kth0``
+    and a file whose key at the end is still below it is never cached.  The
+    LFU frontier therefore holds the first row's top M and always has at
+    least M files.
+    """
+    if policy == "tracking":
+        fixed = running >= floors[-1]
+        return fixed, ~fixed & (end >= floors[0])
+    n = len(running)
+    tie_break = np.arange(n - 1, -1, -1)
+    kth0 = np.partition(running * n + tie_break, n - m)[n - m]
+    return np.zeros(n, dtype=bool), end * n + tie_break >= kth0
+
+
+def _counts_before(slot_columns: np.ndarray, carried: np.ndarray, width: int) -> np.ndarray:
+    """(rows + 1, width) counts: row r the count before the block's slot r.
+
+    ``slot_columns`` is the (rows, K) block of requests as column ids below
+    ``width`` and ``carried`` the counts before the block, in the first
+    columns.  Each slot's counts land one row down, under the carried counts
+    in row 0, so the cumsum's row r is the count before slot r and its last
+    row is the count after the block.
+    """
+    rows = len(slot_columns)
+    flat = (np.arange(1, rows + 1)[:, None] * width + slot_columns).ravel()
+    counts = np.bincount(flat, minlength=(rows + 1) * width).reshape(rows + 1, width)
+    counts[0, : len(carried)] = carried
+    return np.cumsum(counts, axis=0, out=counts)
+
+
+def _decide(
+    policy: str, before: np.ndarray, floors: np.ndarray, m: int, n: int, tie_break: np.ndarray
+) -> np.ndarray:
+    """Tracking or LFU decisions on the columns of ``before``, the counts
+    before each slot; LFU caches the top ``m`` of those columns."""
+    if policy == "tracking":
+        return before >= floors[:, None]
+    # LFU ranks by the key before * N + (N - 1 - id): more requests first,
+    # then the lower id.  Keys are unique in a row, so the m keys at or
+    # above the (width - m)-th order statistic are exactly the top m.
+    key = before * n + tie_break
+    cut = key.shape[1] - m
+    return key >= np.partition(key, cut, axis=1)[:, cut, None]
 
 
 def decision_blocks(
@@ -95,11 +170,18 @@ def decision_blocks(
       toward lower ids.
 
     Oracle and uniform blocks are read-only broadcast views of one row.
-    Tracking and LFU count each block's requests with one ``bincount`` and
-    carry the running counts to the next block, so the walk holds O(block)
-    memory.  When the first block is asked for, an invalid policy is
-    refused, and so is an LFU history whose requests times n_files reaches
-    2**63, where its int64 ranking key would overflow.
+    Tracking and LFU carry the running counts from block to block, so the
+    walk holds O(block) memory.  A block past the first takes the counts at
+    its end from one ``bincount`` and finds its :func:`_frontier`; only the
+    frontier's columns are counted per slot, cumsummed and compared or
+    ranked, and every other column repeats its fixed decision.  Counts and
+    floors never fall, which is what makes the fixed decisions exact (see
+    :func:`_frontier` and :func:`count_floors`).  The first block, which
+    starts with no counts, and any block whose frontier holds more than
+    half the files are decided densely, every file in every row.  When the
+    first block is asked for, an invalid policy is refused, and so is an
+    LFU history whose requests times n_files reaches 2**63, where its int64
+    ranking key would overflow.
     """
     check_policy(policy, params)
     t_len, n = len(requests), params.n_files
@@ -112,28 +194,30 @@ def decision_blocks(
             yield start, np.broadcast_to(row, (min(step, t_len - start), n))
         return
     m = int(params.cache_size)
-    # LFU ranks by the key before * N + (N - 1 - id): more requests first,
-    # then the lower id.  Keys are unique in a row, so the M keys at or
-    # above the (N - M)-th order statistic are exactly the top M.
     tie_break = np.arange(n - 1, -1, -1)
     running = np.zeros(n, dtype=np.int64)
+    floors = None
     for start in range(0, t_len, step):
         block = requests[start : start + step]
         rows = len(block)
-        # Each slot's counts land one row down, under the carried counts in
-        # row 0, so the cumsum's row r is the count before slot start + r,
-        # and its last row is the carry to the next block.
-        flat = (np.arange(1, rows + 1)[:, None] * n + block).ravel()
-        before = np.bincount(flat, minlength=(rows + 1) * n).reshape(rows + 1, n)
-        before[0] = running
-        np.cumsum(before, axis=0, out=before)
-        before, running = before[:rows], before[rows]
         if policy == "tracking":
-            decisions = before >= count_floors(np.arange(start, start + rows), params)[:, None]
-        else:
-            key = before * n + tie_break
-            kth = np.partition(key, n - m, axis=1)[:, n - m, None]
-            decisions = key >= kth
+            floors = count_floors(np.arange(start, start + rows), params)
+        if start:
+            end = running + np.bincount(block.ravel(), minlength=n)
+            fixed, frontier = _frontier(policy, running, end, floors, m)
+            cols = np.flatnonzero(frontier)
+        if not start or 2 * len(cols) > n:
+            before = _counts_before(block, running, n)
+            running = before[rows]
+            yield start, _decide(policy, before[:rows], floors, m, n, tie_break)
+            continue
+        # files off the frontier are counted in one spare last column
+        column = np.full(n, len(cols))
+        column[cols] = np.arange(len(cols))
+        before = _counts_before(column[block], running[cols], len(cols) + 1)
+        decisions = np.repeat(fixed[None], rows, axis=0)
+        decisions[:, cols] = _decide(policy, before[:rows, :-1], floors, m, n, tie_break[cols])
+        running = end
         yield start, decisions
 
 

@@ -376,6 +376,43 @@ def test_single_trial_aggregate_equals_trial():
         assert np.allclose(agg.mean_switches, np.cumsum(tr.switches), atol=1e-12)
 
 
+@pytest.mark.parametrize("trials", [1, 2, 200])
+def test_streamed_means_equal_the_stacked_means(trials):
+    # the running sums, divided once, give the bits of a mean over the
+    # stacked trials
+    cfg = ExperimentConfig(
+        params=SystemParams(20, 10, 2.0), dist=make_zipf(20, 1.0), policies=POLICY_NAMES,
+        horizon=300, trials=trials, seed=5,
+    )
+    result = run_experiment(cfg)
+    traces = [run_trial(cfg, trial) for trial in range(trials)]
+    for agg in result.aggregates:
+        mine = [trial.trace(agg.policy) for trial in traces]
+        rates = np.stack([tr.rates for tr in mine]).mean(axis=0)
+        regret = np.stack([tr.cum_regret for tr in mine]).mean(axis=0)
+        switches = np.stack([np.cumsum(tr.switches) for tr in mine]).mean(axis=0)
+        assert agg.mean_rate.tobytes() == rates.tobytes(), agg.policy
+        assert agg.mean_cum_regret.tobytes() == regret.tobytes(), agg.policy
+        assert agg.mean_switches.tobytes() == switches.tobytes(), agg.policy
+
+
+def test_readme_experiment_memory_streams_the_means():
+    # the README command: 200 trials of 2000 slots and three policies.
+    # Holding every trial's rates, regrets and cumulative switches until the
+    # end peaks near 36 MB; only the regrets are kept now
+    cfg = ExperimentConfig(
+        params=SystemParams(20, 10, 2.0), dist=make_zipf(20, 1.0),
+        policies=("tracking", "uniform", "lfu"), horizon=2000, trials=200, seed=1,
+    )
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6
+
+
 def test_stderr_matches_manual_computation():
     cfg = config(trials=4, policies=("tracking",))
     result = run_experiment(cfg)

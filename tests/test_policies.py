@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from codedcache.engine import build_delivery, sample_placement, slot_rates
-from codedcache.harness import ExperimentConfig, _lfu_dedup_rates
+from codedcache.harness import ExperimentConfig, _draw_requests, _lfu_dedup_rates
 from codedcache.model import (
     PopularityDistribution,
     RequestProfile,
@@ -12,7 +12,13 @@ from codedcache.model import (
     substream,
 )
 from codedcache import policies
-from codedcache.policies import POLICY_NAMES, decision_blocks, decision_matrix, switch_flags
+from codedcache.policies import (
+    POLICY_NAMES,
+    count_floors,
+    decision_blocks,
+    decision_matrix,
+    switch_flags,
+)
 
 
 def decide(policy, requests, params, probs=None):
@@ -126,6 +132,49 @@ def test_decision_blocks_tile_the_history(monkeypatch):
         assert np.concatenate(flags).tolist() == switch_flags(whole).tolist()
     with pytest.raises(ValueError, match="unknown policy"):
         next(decision_blocks("mru", requests, probs, params))
+
+
+def test_wide_history_is_decided_on_narrow_frontiers(monkeypatch):
+    # the wide shape (N=1000, K=100, M=20, zipf:0.8): past the first 64-slot
+    # block, fewer than N/10 files can change their LFU decision inside a
+    # block.  Tracking's floors start low, so its early frontiers are wide
+    # (571 files at slot 64, the one dense block past the first); from slot
+    # 1024 on they hold fewer than N/10.  The blocks still equal a dense
+    # decision over every file.
+    params = SystemParams(1000, 100, 20.0)
+    dist = make_zipf(1000, 0.8)
+    cfg = ExperimentConfig(params=params, dist=dist, policies=("tracking", "lfu"),
+                           horizon=2000, trials=1, seed=1)
+    requests = _draw_requests(cfg, 0)
+    seen = []
+    rule = policies._frontier
+
+    def spy(policy, running, end, floors, m):
+        fixed, frontier = rule(policy, running, end, floors, m)
+        seen.append(np.count_nonzero(frontier))
+        return fixed, frontier
+
+    monkeypatch.setattr(policies, "_frontier", spy)
+    before = np.zeros((2000, 1000), dtype=np.int64)
+    np.add.at(before, (np.arange(1, 2000)[:, None], requests[:-1]), 1)
+    np.cumsum(before, axis=0, out=before)
+    key = before * 1000 + np.arange(999, -1, -1)
+    want = {
+        "tracking": before >= count_floors(np.arange(2000), params)[:, None],
+        "lfu": key >= np.sort(key, axis=1)[:, 1000 - 20, None],
+    }
+    late = np.arange(64, 2000, 64) >= 1024
+    for name in ("tracking", "lfu"):
+        seen.clear()
+        blocks = [block for _, block in decision_blocks(name, requests, dist.probs, params)]
+        assert len(seen) == len(blocks) - 1 == 31
+        assert np.concatenate(blocks).tolist() == want[name].tolist(), name
+        widths = np.array(seen)
+        if name == "lfu":
+            assert widths.max() < 100
+        else:
+            assert (2 * widths > 1000).tolist() == [True] + [False] * 30
+            assert widths[late].max() < 100
 
 
 def test_block_rows_are_multiples_of_the_row_rule():

@@ -9,6 +9,8 @@ reference from here.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codedcache import policies
 from codedcache.engine import build_delivery, sample_placement
@@ -174,6 +176,73 @@ def test_block_decisions_match_stepped_reference_wide_shape():
     for name in ("tracking", "lfu"):
         got = decision_matrix(name, requests, probs, params)
         assert got.tolist() == stepped_decisions(name, params, probs, requests).tolist()
+
+
+def test_frontier_blocks_match_stepped_reference(monkeypatch):
+    # 16-slot blocks over histories of hundreds of slots, so most blocks past
+    # the first are decided on their frontier; uniform popularity and M == N
+    # keep the frontier wide, which sends blocks to the dense path
+    monkeypatch.setattr(policies, "BLOCK_ROW_MULTIPLE", 1)
+    narrow = []
+    rule = policies._frontier
+
+    def spy(policy, running, end, floors, m):
+        fixed, frontier = rule(policy, running, end, floors, m)
+        narrow.append(2 * np.count_nonzero(frontier) <= len(frontier))
+        return fixed, frontier
+
+    monkeypatch.setattr(policies, "_frontier", spy)
+    rng = np.random.default_rng(31)
+    cases = [  # n, k, m, popularity, horizon
+        (60, 8, 5.0, make_zipf(60, 1.0).probs, 405),
+        (100, 20, 10.0, make_zipf(100, 1.2).probs, 290),
+        (40, 1, 3.0, make_zipf(40, 0.8).probs, 333),
+        (50, 4, 2.5, make_zipf(50, 1.0).probs, 517),
+        (30, 6, 2.3, make_zipf(30, 0.6).probs, 260),
+        (80, 10, 7.0, rng.dirichlet(np.full(80, 0.3)), 410),
+        (40, 5, 4.0, np.full(40, 1 / 40), 300),
+        (12, 3, 12.0, make_zipf(12, 1.0).probs, 250),
+    ]
+    for n, k, m, probs, t_len in cases:
+        monkeypatch.setattr(policies, "BLOCK_ELEMS", 16 * n)
+        params = SystemParams(n, k, m)
+        requests = rng.choice(n, size=(t_len, k), p=probs)
+        for name in ("tracking", "lfu") if m == int(m) else ("tracking",):
+            got = decision_matrix(name, requests, probs, params)
+            want = stepped_decisions(name, params, probs, requests)
+            assert got.tolist() == want.tolist(), (name, n, k, m)
+    assert 2 * sum(narrow) > len(narrow) and not all(narrow)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_files_off_the_frontier_keep_one_decision(data):
+    # the frontier rule itself: in every block, a file outside the frontier
+    # takes its fixed decision in every row of the stepped reference
+    n = data.draw(st.integers(1, 40), label="n")
+    k = data.draw(st.integers(1, 6), label="k")
+    name = data.draw(st.sampled_from(["tracking", "lfu"]), label="policy")
+    if name == "lfu":
+        m = float(data.draw(st.integers(1, n), label="m"))
+    else:
+        m = data.draw(st.floats(0.1, n), label="m")
+    probs = make_zipf(n, data.draw(st.floats(0.0, 2.0), label="exponent")).probs
+    t_len = data.draw(st.integers(1, 200), label="horizon")
+    rows = data.draw(st.integers(1, 40), label="rows")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    params = SystemParams(n, k, m)
+    requests = np.random.default_rng(seed).choice(n, size=(t_len, k), p=probs)
+    want = stepped_decisions(name, params, probs, requests)
+    counts = np.zeros((t_len + 1, n), dtype=np.int64)
+    for s, req in enumerate(requests):
+        counts[s + 1] = counts[s] + np.bincount(req, minlength=n)
+    for start in range(0, t_len, rows):
+        stop = min(start + rows, t_len)
+        floors = count_floors(np.arange(start, stop), params)
+        fixed, frontier = policies._frontier(name, counts[start], counts[stop], floors, int(m))
+        assert (want[start:stop, ~frontier] == fixed[~frontier]).all(), (start, stop)
+        if name == "lfu":
+            assert np.count_nonzero(frontier) >= int(m)
 
 
 def test_lfu_refuses_a_history_its_key_would_overflow():
