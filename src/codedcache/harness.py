@@ -14,14 +14,15 @@ the reference is either the closed-form upper estimate or the simulated
 oracle of the same trial.
 Each policy is charged block by block as ``policies.decision_blocks``
 yields its decisions, so no (horizon, n_files) array of any dtype is held.
-Each block's set sizes are counted once.  A constant policy (oracle,
-uniform) repeats one row, so in analytic mode it is charged once per
-distinct block length, its size is counted once and it never switches.
+Each block's set sizes and switches are counted on the columns that can
+vary inside it.  A constant policy (oracle, uniform) repeats one row, so
+in analytic mode it is charged once per distinct block length.
 """
 from __future__ import annotations
 
 import dataclasses
 import io
+import itertools
 
 import numpy as np
 
@@ -48,6 +49,9 @@ POLICY_STREAM_KEYS = {name: i + 1 for i, name in enumerate(POLICY_NAMES)}
 RATE_MODES = ("analytic", "bitlevel")
 REFERENCES = ("closed-form", "paired")
 LFU_ACCOUNTINGS = ("auto", "per-request", "dedup")
+
+# slots of CSV rows formatted by one template, bounding the text held at once
+CSV_CHUNK = 1024
 
 
 @dataclasses.dataclass(frozen=True)
@@ -157,10 +161,15 @@ def _policy_record(
     LFU under dedup accounting pays per distinct missed file; every other
     policy pays ``slot_rates`` in analytic mode, and in bit-level mode real
     delivery over a placement sampled in the first slot and on every switch,
-    from the policy's own substream.  A constant policy's blocks are one
-    row broadcast, so their sizes come from that row, they never switch, and
-    blocks of one length share one ``slot_rates`` charge: at most two per
-    record, with the bits of a charge per block.
+    from the policy's own substream.  Sizes and switches are counted on the
+    block's varying columns: a row's size is the first row's size with the
+    varying part recounted, and a row past the first switches iff its
+    varying part differs from the row above.  The block's first row is
+    compared whole with the previous block's last, since a column that is
+    fixed inside a block can still differ from the block before.  A
+    constant policy's blocks are one row broadcast with no varying column,
+    and blocks of one length share one ``slot_rates`` charge: at most two
+    per record, with the bits of a charge per block.
     """
     params, probs = config.params, config.dist.probs
     charge = "dedup" if policy == "lfu" and not config.lfu_per_request() else config.rate_mode
@@ -172,15 +181,14 @@ def _policy_record(
     constant = policy in CONSTANT_POLICIES
     charged = {}  # a constant policy's analytic rates, by block length
     previous = None
-    for start, block in decision_blocks(policy, requests, probs, params):
+    for start, block, varying in decision_blocks(policy, requests, probs, params):
         stop = start + len(block)
-        if constant:
-            sizes[start:stop] = np.count_nonzero(block[0])
-            switches[start:stop] = False
-        else:
-            sizes[start:stop] = np.count_nonzero(block, axis=1)
-            switches[start:stop] = switch_flags(block, previous)
-            previous = block[-1]
+        first, part = block[0], block[:, varying]
+        sizes[start:stop] = part.sum(axis=1)
+        sizes[start:stop] += np.count_nonzero(first) - np.count_nonzero(first[varying])
+        switches[start:stop] = switch_flags(part)
+        switches[start] = previous is not None and (first != previous).any()
+        previous = block[-1]
         if charge == "dedup":
             rates[start:stop] = _lfu_dedup_rates(config, block, requests[start:stop])
         elif charge == "analytic" and constant:
@@ -308,7 +316,10 @@ def emit_csv(result: ExperimentResult, destination) -> None:
     """Write per-slot aggregates, slot-major, 6 significant digits.
 
     ``destination`` is a path or a writable text stream.  One comment
-    line records the full configuration before the header.
+    line records the full configuration before the header.  The rows are
+    written ``CSV_CHUNK`` slots at a time, each chunk one printf-style
+    template filled from a tuple of its values; ``%.6g`` gives the text
+    of ``format(x, ".6g")``, both being the same float conversion.
     """
     if hasattr(destination, "write"):
         _write_csv(result, destination)
@@ -318,22 +329,26 @@ def emit_csv(result: ExperimentResult, destination) -> None:
 
 
 def _write_csv(result: ExperimentResult, fh: io.TextIOBase) -> None:
-    # Python floats from .tolist() format to the same '.6g' text as the
-    # numpy scalars, at a fraction of the per-value cost
-    columns = [
-        (agg.policy, agg.mean_rate.tolist(), agg.mean_cum_regret.tolist(),
-         agg.stderr_cum_regret.tolist(), agg.mean_switches.tolist())
+    fh.write(
+        f"# config: {config_summary(result.config)}\n"
+        "t,policy,mean_rate,mean_cum_regret,stderr_cum_regret,mean_switches\n"
+    )
+    # one slot's rows; a '%' in a policy name is escaped for the template
+    row = "".join(
+        f"%d,{agg.policy.replace('%', '%%')},%.6g,%.6g,%.6g,%.6g\n"
         for agg in result.aggregates
-    ]
-    lines = [
-        f"# config: {config_summary(result.config)}",
-        "t,policy,mean_rate,mean_cum_regret,stderr_cum_regret,mean_switches",
-    ]
-    for s in range(result.config.horizon if columns else 0):
-        for policy, rate, regret, stderr, switches in columns:
-            lines.append(
-                f"{s + 1},{policy},{rate[s]:.6g},{regret[s]:.6g},"
-                f"{stderr[s]:.6g},{switches[s]:.6g}"
+    )
+    horizon = result.config.horizon
+    for lo in range(0, horizon, CSV_CHUNK):
+        hi = min(lo + CSV_CHUNK, horizon)
+        slots = range(lo + 1, hi + 1)
+        # Python floats from .tolist() format faster than numpy scalars
+        columns = []
+        for agg in result.aggregates:
+            columns.append(slots)
+            columns.extend(
+                values[lo:hi].tolist()
+                for values in (agg.mean_rate, agg.mean_cum_regret,
+                               agg.stderr_cum_regret, agg.mean_switches)
             )
-    lines.append("")
-    fh.write("\n".join(lines))
+        fh.write((row * (hi - lo)) % tuple(itertools.chain.from_iterable(zip(*columns))))

@@ -18,7 +18,8 @@ the block's last floor, and no file that stays below its first floor; LFU
 caches no file whose count at the block's end still ranks below the M-th
 key at its start.  Past the first block, the walk counts and compares only
 the rest, the block's frontier (:func:`_frontier`), typically a few
-percent of the files when popularity is skewed.
+percent of the files when popularity is skewed, and yields those columns
+with the block, so a caller can count set sizes and switches on them alone.
 """
 from __future__ import annotations
 
@@ -153,11 +154,14 @@ def _decide(
 
 def decision_blocks(
     policy: str, requests: np.ndarray, probs: np.ndarray, params: SystemParams
-) -> Iterator[tuple[int, np.ndarray]]:
-    """``(start, block)`` pairs covering a (horizon, n_users) history in order.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray | slice]]:
+    """``(start, block, varying)`` triples covering a (horizon, n_users) history
+    in order.
 
     ``block`` holds the cached-set indicators of slots ``start`` to ``start +
     len(block)``, :func:`block_rows` slots except possibly the last.
+    ``varying`` indexes the columns whose value can differ between the
+    block's rows; every other column repeats ``block[0]``.
 
     - ``tracking`` caches the files whose empirical popularity, the request
       count so far over slots seen times K, clears the threshold (ties
@@ -169,17 +173,19 @@ def decision_blocks(
     - ``lfu`` caches the M most-requested files so far, breaking ties
       toward lower ids.
 
-    Oracle and uniform blocks are read-only broadcast views of one row.
-    Tracking and LFU carry the running counts from block to block, so the
-    walk holds O(block) memory.  A block past the first takes the counts at
-    its end from one ``bincount`` and finds its :func:`_frontier`; only the
-    frontier's columns are counted per slot, cumsummed and compared or
-    ranked, and every other column repeats its fixed decision.  Counts and
+    Oracle and uniform blocks are read-only broadcast views of one row, and
+    their ``varying`` is empty.  Tracking and LFU carry the running counts
+    from block to block, so the walk holds O(block) memory.  A block past
+    the first takes the counts at its end from one ``bincount`` and finds
+    its :func:`_frontier`; only the frontier's columns are counted per slot,
+    cumsummed and compared or ranked, every other column repeats its fixed
+    decision, and ``varying`` is the frontier's column ids.  Counts and
     floors never fall, which is what makes the fixed decisions exact (see
     :func:`_frontier` and :func:`count_floors`).  The first block, which
     starts with no counts, and any block whose frontier holds more than
-    half the files are decided densely, every file in every row.  When the
-    first block is asked for, an invalid policy is refused, and so is an
+    half the files are decided densely, every file in every row, and their
+    ``varying`` is ``slice(None)``, so indexing with it makes a view.  When
+    the first block is asked for, an invalid policy is refused, and so is an
     LFU history whose requests times n_files reaches 2**63, where its int64
     ranking key would overflow.
     """
@@ -190,18 +196,20 @@ def decision_blocks(
     step = block_rows(n)
     if policy in CONSTANT_POLICIES:
         row = params.popular(probs) if policy == "oracle" else np.ones(n, dtype=bool)
+        none = np.empty(0, dtype=np.intp)
         for start in range(0, t_len, step):
-            yield start, np.broadcast_to(row, (min(step, t_len - start), n))
+            yield start, np.broadcast_to(row, (min(step, t_len - start), n)), none
         return
     m = int(params.cache_size)
     tie_break = np.arange(n - 1, -1, -1)
     running = np.zeros(n, dtype=np.int64)
+    all_floors = count_floors(np.arange(t_len), params) if policy == "tracking" else None
     floors = None
     for start in range(0, t_len, step):
         block = requests[start : start + step]
         rows = len(block)
         if policy == "tracking":
-            floors = count_floors(np.arange(start, start + rows), params)
+            floors = all_floors[start : start + rows]
         if start:
             end = running + np.bincount(block.ravel(), minlength=n)
             fixed, frontier = _frontier(policy, running, end, floors, m)
@@ -209,7 +217,7 @@ def decision_blocks(
         if not start or 2 * len(cols) > n:
             before = _counts_before(block, running, n)
             running = before[rows]
-            yield start, _decide(policy, before[:rows], floors, m, n, tie_break)
+            yield start, _decide(policy, before[:rows], floors, m, n, tie_break), slice(None)
             continue
         # files off the frontier are counted in one spare last column
         column = np.full(n, len(cols))
@@ -218,7 +226,7 @@ def decision_blocks(
         decisions = np.repeat(fixed[None], rows, axis=0)
         decisions[:, cols] = _decide(policy, before[:rows, :-1], floors, m, n, tie_break[cols])
         running = end
-        yield start, decisions
+        yield start, decisions, cols
 
 
 def decision_matrix(
@@ -226,7 +234,7 @@ def decision_matrix(
 ) -> np.ndarray:
     """(horizon, n_files) cached-set indicators: :func:`decision_blocks`,
     concatenated."""
-    blocks = [block for _, block in decision_blocks(policy, requests, probs, params)]
+    blocks = [block for _, block, _ in decision_blocks(policy, requests, probs, params)]
     return np.concatenate([np.zeros((0, params.n_files), dtype=bool), *blocks])
 
 
@@ -237,7 +245,7 @@ def switch_flags(decisions: np.ndarray, previous: np.ndarray | None = None) -> n
     block that continues a history; without it the first row is no switch.
     """
     flags = np.zeros(len(decisions), dtype=bool)
-    flags[1:] = np.any(decisions[1:] != decisions[:-1], axis=1)
+    flags[1:] = (decisions[1:] != decisions[:-1]).any(axis=1)
     if previous is not None and len(decisions):
-        flags[0] = np.any(decisions[0] != previous)
+        flags[0] = (decisions[0] != previous).any()
     return flags

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codedcache import harness, policies
 from codedcache.bounds import oracle_rate_upper
@@ -228,6 +230,23 @@ def test_streamed_record_matches_whole_matrix(horizon):
                 assert np.all(np.abs(rates - want) <= 4 * np.spacing(np.abs(want))), name
 
 
+def test_switch_in_fixed_columns_at_a_block_edge(monkeypatch):
+    # one-slot blocks: at slot 1 tracking keeps file 0 and drops files 1 and
+    # 2, and all three decisions are fixed in that block, so the switch shows
+    # only when the block's first row is compared whole with the slot before
+    monkeypatch.setattr(policies, "BLOCK_ROW_MULTIPLE", 1)
+    monkeypatch.setattr(policies, "BLOCK_ELEMS", 3)
+    params = SystemParams(3, 1, 1.0)
+    dist = PopularityDistribution(np.full(3, 1 / 3))
+    requests = np.array([[0], [0]])
+    blocks = list(decision_blocks("tracking", requests, dist.probs, params))
+    assert [len(varying) for _, _, varying in blocks[1:]] == [0]
+    cfg = ExperimentConfig(params=params, dist=dist, policies=("tracking",), horizon=2,
+                           trials=1, seed=0)
+    _, sizes, switches = _policy_record(cfg, "tracking", 0, requests)
+    assert sizes.tolist() == [3, 1] and switches.tolist() == [False, True]
+
+
 def test_streamed_bitlevel_record_across_blocks(monkeypatch):
     # 3-slot blocks against one block: sizes and switches match the whole
     # matrix, and placement and delivery carry across the block edges
@@ -286,7 +305,7 @@ def test_constant_policy_record_matches_a_charge_per_block(monkeypatch, horizon,
     monkeypatch.setattr(harness, "slot_rates", counted)
     want = {}
     for name in cfg.policies:
-        blocks = [b for _, b in decision_blocks(name, requests, dist.probs, params)]
+        blocks = [b for _, b, _ in decision_blocks(name, requests, dist.probs, params)]
         want[name] = np.concatenate([slot_rates(b, dist.probs, params) for b in blocks])
         calls.clear()
         rates, sizes, switches = _policy_record(cfg, name, 0, requests)
@@ -424,6 +443,75 @@ def test_stderr_matches_manual_computation():
 
 
 # --- CSV --------------------------------------------------------------------
+
+def reference_csv(result):
+    """The CSV text written one f-string per row and ``.6g`` per value."""
+    columns = [
+        (agg.policy, agg.mean_rate.tolist(), agg.mean_cum_regret.tolist(),
+         agg.stderr_cum_regret.tolist(), agg.mean_switches.tolist())
+        for agg in result.aggregates
+    ]
+    lines = [
+        f"# config: {config_summary(result.config)}",
+        "t,policy,mean_rate,mean_cum_regret,stderr_cum_regret,mean_switches",
+    ]
+    for s in range(result.config.horizon if columns else 0):
+        for policy, rate, regret, stderr, switches in columns:
+            lines.append(
+                f"{s + 1},{policy},{rate[s]:.6g},{regret[s]:.6g},"
+                f"{stderr[s]:.6g},{switches[s]:.6g}"
+            )
+    lines.append("")
+    return "\n".join(lines)
+
+
+SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, np.inf, -np.inf, np.nan,
+                  123456.5, 1234567.0, 1e-5, 9.999995e-5, 0.1 + 0.2]
+
+
+@pytest.mark.parametrize("horizon", [1, 1023, 1024, 1025, 2049])
+@pytest.mark.parametrize("names", [("lfu",), POLICY_NAMES])
+def test_emit_csv_matches_the_per_value_writer(horizon, names):
+    # chunk edges at 1024 slots, and values whose text is easy to get wrong
+    assert harness.CSV_CHUNK == 1024
+    rng = np.random.default_rng(horizon)
+    cfg = config(horizon=horizon, trials=3, policies=names)
+
+    def column():
+        values = rng.standard_normal(horizon) * 10.0 ** rng.integers(-12, 18, horizon)
+        at = rng.integers(0, horizon, len(SPECIAL_VALUES))
+        values[at] = SPECIAL_VALUES
+        values[-1] = SPECIAL_VALUES[rng.integers(len(SPECIAL_VALUES))]
+        return values
+
+    aggregates = tuple(
+        PolicyAggregate(name, column(), column(), column(), column()) for name in names
+    )
+    result = ExperimentResult(cfg, aggregates)
+    buf = io.StringIO()
+    emit_csv(result, buf)
+    assert buf.getvalue() == reference_csv(result)
+    empty = ExperimentResult(cfg, ())
+    buf = io.StringIO()
+    emit_csv(empty, buf)
+    assert buf.getvalue() == reference_csv(empty)
+
+
+def test_emit_csv_escapes_percent_in_a_policy_name():
+    cfg = config(horizon=2, trials=1, policies=("uniform",))
+    ones = np.ones(2)
+    result = ExperimentResult(cfg, (PolicyAggregate("a%db", ones, ones, ones, ones),))
+    buf = io.StringIO()
+    emit_csv(result, buf)
+    assert buf.getvalue() == reference_csv(result)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.floats(width=64))
+def test_percent_format_is_format_spec(x):
+    # the chunked writer's template relies on this identity for every float64
+    assert "%.6g" % x == format(x, ".6g")
+
 
 def test_emit_csv_layout_and_roundtrip():
     cfg = config(horizon=3, trials=2, policies=("tracking", "uniform"))

@@ -122,13 +122,14 @@ def test_decision_blocks_tile_the_history(monkeypatch):
     requests = np.array([[0, 1], [2, 2], [3, 0], [3, 3], [1, 0]])
     for name in POLICY_NAMES:
         blocks = list(decision_blocks(name, requests, probs, params))
-        assert [start for start, _ in blocks] == [0, 2, 4]
-        assert [len(block) for _, block in blocks] == [2, 2, 1]
+        assert [start for start, _, _ in blocks] == [0, 2, 4]
+        assert [len(block) for _, block, _ in blocks] == [2, 2, 1]
         whole = decision_matrix(name, requests, probs, params)
         if name in ("oracle", "uniform"):
-            assert not any(block.flags.writeable for _, block in blocks)
+            assert not any(block.flags.writeable for _, block, _ in blocks)
+            assert all(len(varying) == 0 for _, _, varying in blocks)
         flags = [switch_flags(blocks[0][1])]
-        flags += [switch_flags(b, a[-1]) for (_, a), (_, b) in zip(blocks, blocks[1:])]
+        flags += [switch_flags(b, a[-1]) for (_, a, _), (_, b, _) in zip(blocks, blocks[1:])]
         assert np.concatenate(flags).tolist() == switch_flags(whole).tolist()
     with pytest.raises(ValueError, match="unknown policy"):
         next(decision_blocks("mru", requests, probs, params))
@@ -166,7 +167,7 @@ def test_wide_history_is_decided_on_narrow_frontiers(monkeypatch):
     late = np.arange(64, 2000, 64) >= 1024
     for name in ("tracking", "lfu"):
         seen.clear()
-        blocks = [block for _, block in decision_blocks(name, requests, dist.probs, params)]
+        blocks = [block for _, block, _ in decision_blocks(name, requests, dist.probs, params)]
         assert len(seen) == len(blocks) - 1 == 31
         assert np.concatenate(blocks).tolist() == want[name].tolist(), name
         widths = np.array(seen)

@@ -19,6 +19,7 @@ from codedcache.harness import (
     ExperimentConfig,
     _draw_requests,
     _lfu_dedup_rates,
+    _policy_record,
     run_trial,
 )
 from codedcache.model import (
@@ -28,7 +29,13 @@ from codedcache.model import (
     make_zipf,
     substream,
 )
-from codedcache.policies import POLICY_NAMES, count_floors, decision_matrix
+from codedcache.policies import (
+    POLICY_NAMES,
+    count_floors,
+    decision_blocks,
+    decision_matrix,
+    switch_flags,
+)
 
 
 class SteppedPolicy:
@@ -181,7 +188,10 @@ def test_block_decisions_match_stepped_reference_wide_shape():
 def test_frontier_blocks_match_stepped_reference(monkeypatch):
     # 16-slot blocks over histories of hundreds of slots, so most blocks past
     # the first are decided on their frontier; uniform popularity and M == N
-    # keep the frontier wide, which sends blocks to the dense path
+    # keep the frontier wide, which sends blocks to the dense path.  Every
+    # column outside a block's varying set repeats its first row, and the
+    # record's sizes and switches, counted on those columns, are the ones of
+    # the whole matrix
     monkeypatch.setattr(policies, "BLOCK_ROW_MULTIPLE", 1)
     narrow = []
     rule = policies._frontier
@@ -211,6 +221,16 @@ def test_frontier_blocks_match_stepped_reference(monkeypatch):
             got = decision_matrix(name, requests, probs, params)
             want = stepped_decisions(name, params, probs, requests)
             assert got.tolist() == want.tolist(), (name, n, k, m)
+            for _, block, varying in decision_blocks(name, requests, probs, params):
+                still = np.ones(n, dtype=bool)
+                still[varying] = False
+                assert (block[:, still] == block[0, still]).all(), (name, n, k, m)
+            cfg = ExperimentConfig(params=params, dist=PopularityDistribution(probs),
+                                   policies=(name,), horizon=t_len, trials=1, seed=0,
+                                   reference="paired")
+            _, sizes, switches = _policy_record(cfg, name, 0, requests)
+            assert sizes.tolist() == np.count_nonzero(got, axis=1).tolist(), (name, n, k, m)
+            assert switches.tolist() == switch_flags(got).tolist(), (name, n, k, m)
     assert 2 * sum(narrow) > len(narrow) and not all(narrow)
 
 
