@@ -8,10 +8,22 @@ normalized popularity table).
 
 Exit codes: 0 success, 2 usage or validation error, 4 bound inapplicable
 on this instance.
+
+Heap settings: on glibc, :func:`main` sets ``mallopt``'s mmap threshold to
+``MMAP_THRESHOLD`` (4 MiB) and its trim threshold to ``TRIM_THRESHOLD``
+(8 MiB), once per process and before it dispatches.  A simulation's trials
+free and reallocate the same numpy temporaries of a few hundred KB; with
+glibc's start-up thresholds each is handed back to the kernel and faulted
+in again by the next trial.  These values are the state glibc's dynamic
+threshold reaches by itself in a warm process: arrays of 4 MiB and more,
+from which numpy asks for huge pages, stay mmapped, and the trim threshold
+is twice the mmap threshold, glibc's own rule.  Nothing is set at import,
+on another C library, or when ``mallopt`` cannot be reached.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .bounds import (
@@ -38,6 +50,42 @@ from .model import (
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INAPPLICABLE = 4
+
+# glibc mallopt parameters (malloc.h) and the values main gives them
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD = 4 << 20
+TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
+
+# set by the first main() of the process, which then leaves the heap alone
+_heap_tuned = False
+
+
+def _tune_heap() -> None:
+    """Apply the heap settings of the module docstring once per process.
+
+    A silent no-op when the C library is not glibc or ``mallopt`` cannot be
+    found.
+    """
+    global _heap_tuned
+    if _heap_tuned:
+        return
+    _heap_tuned = True
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):
+        return
+    import ctypes  # here, so importing the CLI imports no more than before
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
 def _parse_dist(spec: str, n_files: int) -> PopularityDistribution:
@@ -247,6 +295,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     args = _build_parser().parse_args(spliced)
+    _tune_heap()
     try:
         return _DISPATCH[args.command](args)
     except DegenerateGapError as err:

@@ -127,7 +127,10 @@ class TrialResult:
 
 
 def _draw_requests(config: ExperimentConfig, trial: int) -> np.ndarray:
-    """The trial's (horizon, n_users) request matrix, shared by all policies."""
+    """The trial's (horizon, n_users) request matrix, shared by all policies.
+
+    It is a read-only view of the drawn profile's requests, not a copy.
+    """
     rng = substream(config.seed, trial, 0)
     flat = sample_requests(
         config.dist, config.horizon * config.params.n_users, rng

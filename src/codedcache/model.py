@@ -87,12 +87,27 @@ class PopularityDistribution:
 
 @dataclass(frozen=True)
 class RequestProfile:
-    """One slot of demands: requests[k] is the file index user k asks for."""
+    """One slot of demands: requests[k] is the file index user k asks for.
+
+    ``requests`` is kept as a read-only int64 array.  An int64 array that is
+    already read-only and owns its data is taken as is, not copied, as
+    :func:`sample_requests` hands over its draw; whoever passes one must not
+    turn its writes back on.  Any other input (a list, another dtype, a
+    writeable array or a view) is copied, so writing to it afterwards
+    leaves the profile unchanged.
+    """
 
     requests: np.ndarray
 
     def __post_init__(self) -> None:
-        req = np.array(self.requests, dtype=np.int64)
+        req = self.requests
+        if not (
+            isinstance(req, np.ndarray)
+            and req.dtype == np.int64
+            and req.flags.owndata
+            and not req.flags.writeable
+        ):
+            req = np.array(req, dtype=np.int64)
         if req.ndim != 1 or req.size < 1:
             raise ValueError("requests must be a nonempty vector")
         if (req < 0).any():
@@ -207,7 +222,8 @@ def sample_requests(
     one stream, so the indices are those of a single call, with small
     temporaries.  A zero-probability file is never drawn.  The cumsum can
     end just below 1, and a uniform past it goes to the last file with
-    positive mass.
+    positive mass.  The filled array is made read-only and becomes the
+    profile's ``requests`` without a copy.
     """
     if n_users < 1:
         raise ValueError("n_users must be >= 1")
@@ -229,6 +245,7 @@ def sample_requests(
             many = np.flatnonzero(wide[bucket])
             got[many] = np.searchsorted(edges, u[many], side="right")
     np.minimum(idx, np.flatnonzero(dist.probs)[-1], out=idx)
+    idx.setflags(write=False)
     return RequestProfile(idx)
 
 

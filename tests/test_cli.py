@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import codedcache
+from codedcache import cli
 from codedcache.cli import main
 
 
@@ -101,15 +102,24 @@ def test_simulate_group_above_mask_limit_exit_code(capsys):
     assert len(lines) == 2 + 1
 
 
+def source_env():
+    """Environment for a child interpreter that imports this package's source."""
+    return {**os.environ, "PYTHONPATH": str(Path(codedcache.__file__).resolve().parents[1])}
+
+
+def probe_last_line(probe):
+    """Last line printed by ``python -c probe`` in a fresh interpreter."""
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=source_env(), capture_output=True, text=True,
+        check=True,
+    )
+    return out.stdout.strip().splitlines()[-1]
+
+
 def probe_scipy_loaded(statement):
     """Whether scipy is imported after ``statement`` runs in a fresh interpreter."""
-    src = str(Path(codedcache.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
     probe = f"import sys, codedcache.cli; {statement}; print('scipy' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    return out.stdout.strip().splitlines()[-1] == "True"
+    return probe_last_line(probe) == "True"
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -349,3 +359,104 @@ def test_ingest_missing_file(tmp_path, capsys):
         "--out", str(tmp_path / "o.csv"),
     )
     assert code == 2 and err.startswith("error:")
+
+
+# --- heap settings --------------------------------------------------------------
+
+class FakeLibc:
+    """Stands in for ``ctypes.CDLL(None)``: records every mallopt call."""
+
+    def __init__(self):
+        self.calls = []
+
+        def mallopt(param, value):  # a function, so argtypes can be set on it
+            self.calls.append((param, value))
+            return 1
+
+        self.mallopt = mallopt
+
+
+class NoMallopt:
+    """A C library without ``mallopt``."""
+
+
+@pytest.fixture
+def fresh_heap(monkeypatch):
+    """A process whose heap main has not tuned, with a fake C library."""
+    import ctypes
+
+    libc = FakeLibc()
+    monkeypatch.setattr(cli, "_heap_tuned", False)
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+    return libc
+
+
+def test_main_tunes_the_heap_once_before_dispatch(fresh_heap, monkeypatch, capsys):
+    seen = []
+
+    def dispatch(args):
+        seen.append(cli._heap_tuned)
+        return cli.EXIT_OK
+
+    monkeypatch.setitem(cli._DISPATCH, "verify-decode", dispatch)
+    for _ in range(2):
+        assert run(capsys, "verify-decode", "--trials", "1")[0] == 0
+    assert seen == [True, True]
+    assert fresh_heap.calls == [
+        (-3, cli.MMAP_THRESHOLD), (-1, cli.TRIM_THRESHOLD),
+    ]
+    assert (cli.MMAP_THRESHOLD, cli.TRIM_THRESHOLD) == (4 << 20, 8 << 20)
+
+
+def _raise_value_error(name):
+    raise ValueError("unrecognized configuration name")
+
+
+@pytest.mark.parametrize("confstr", [_raise_value_error, lambda name: None])
+def test_heap_left_alone_without_glibc(fresh_heap, monkeypatch, capsys, confstr):
+    monkeypatch.setattr(os, "confstr", confstr)
+    assert run(capsys, "verify-decode", "--trials", "1")[0] == 0
+    assert cli._heap_tuned
+    assert fresh_heap.calls == []
+
+
+def test_heap_left_alone_without_mallopt(fresh_heap, monkeypatch, capsys):
+    import ctypes
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: NoMallopt())
+    assert run(capsys, "verify-decode", "--trials", "1")[0] == 0
+    assert cli._heap_tuned
+
+
+def test_cli_import_leaves_the_heap_alone():
+    assert probe_last_line("import codedcache.cli as c; print(c._heap_tuned)") == "False"
+
+
+def _glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="the heap settings apply on glibc only")
+def test_readme_command_keeps_its_heap_between_trials(tmp_path):
+    # with glibc's start-up thresholds every trial returns its numpy
+    # temporaries to the kernel and faults them in again: 200 trials then
+    # take about 72,000 more minor faults than 20; with the heap settings
+    # about 3,400 more
+    import resource
+
+    def faults(trials):
+        argv = [
+            sys.executable, "-m", "codedcache.cli", "simulate",
+            "--n", "20", "--k", "10", "--m", "2", "--dist", "zipf:1",
+            "--policies", "tracking,uniform,lfu", "--horizon", "2000",
+            "--trials", str(trials), "--seed", "1", "--out", str(tmp_path / "r.csv"),
+        ]
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        subprocess.run(argv, env=source_env(), check=True)
+        return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+    assert faults(200) - faults(20) < 10_000

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codedcache import harness, policies
+from codedcache import harness, model, policies
 from codedcache.bounds import oracle_rate_upper
 from codedcache.engine import slot_rates
 from codedcache.harness import (
@@ -335,6 +335,34 @@ def test_wide_trial_memory_stays_below_the_decision_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 40e6
+
+
+def test_request_matrix_is_a_view_of_the_drawn_profile(monkeypatch):
+    drawn = []
+
+    def sample(*args):
+        drawn.append(model.sample_requests(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(harness, "sample_requests", sample)
+    requests = _draw_requests(config(), 0)
+    assert np.shares_memory(requests, drawn[0].requests)
+
+
+def test_wide_request_draw_holds_one_copy():
+    # the wide draw is 10^6 int64 requests, 8 MB; a second copy of them
+    # would take the peak past 16 MB
+    cfg = ExperimentConfig(
+        params=SystemParams(1000, 100, 20.0), dist=make_zipf(1000, 0.8),
+        policies=POLICY_NAMES, horizon=10_000, trials=1, seed=1,
+    )
+    tracemalloc.start()
+    try:
+        _draw_requests(cfg, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 # --- determinism ------------------------------------------------------------

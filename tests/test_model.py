@@ -189,6 +189,52 @@ def test_profile_validation():
         RequestProfile(np.empty(0, dtype=np.int64))
 
 
+def _owned_read_only(values):
+    arr = np.array(values, dtype=np.int64)
+    arr.setflags(write=False)
+    return arr
+
+
+def test_profile_takes_a_read_only_owned_int64_array_as_is():
+    arr = _owned_read_only([0, 2, 1])
+    assert RequestProfile(arr).requests is arr
+
+
+def _read_only_view(values):
+    owner = np.array([9, *values], dtype=np.int64)
+    view = owner[1:]
+    view.setflags(write=False)
+    return owner, view
+
+
+@pytest.mark.parametrize("kind", ["list", "int32", "writeable int64", "read-only view"])
+def test_profile_copies_what_it_cannot_own(kind):
+    # writing to the caller's array afterwards must leave the profile as it was
+    values = [3, 1, 2, 0]
+    if kind == "list":
+        writer = given_in = list(values)
+    elif kind == "int32":
+        writer = given_in = np.array(values, dtype=np.int32)
+    elif kind == "writeable int64":
+        writer = given_in = np.array(values, dtype=np.int64)
+    else:
+        writer, given_in = _read_only_view(values)
+    prof = RequestProfile(given_in)
+    writer[-1] = 7
+    assert prof.requests.tolist() == values
+    assert prof.requests.dtype == np.int64
+    assert not prof.requests.flags.writeable
+    if isinstance(given_in, np.ndarray):
+        assert not np.shares_memory(prof.requests, given_in)
+
+
+def test_sampled_profile_is_read_only():
+    prof = sample_requests(make_zipf(6, 1.0), 50, substream(3, 0))
+    assert not prof.requests.flags.writeable
+    with pytest.raises(ValueError):
+        prof.requests[0] = 1
+
+
 def test_sample_requests_deterministic():
     d = make_zipf(6, 1.0)
     a = sample_requests(d, 50, substream(3, 0)).requests
