@@ -2,12 +2,19 @@
 
 Files are split into `subpackets` equal pieces and caches are tracked as index
 sets, so delivery plans carry exact lengths without simulating payload bytes.
-:func:`build_delivery` computes a slot's plan as flat numpy arrays: holder
-sets as int64 words, one share row per (member, holder bucket), messages as
-runs of sorted subgroup keys, and the payload dedup as one rule over the
-single-share messages, and :func:`decode` peels those arrays; only reading
-``Transmission.coded`` builds a :class:`CodedMessage`/:class:`Segment` view.
-:func:`slot_rates` is the analytic (upper) estimate of that delivery's rate.
+:func:`sample_placement` draws a :class:`Placement`: every user's cache
+state, and the same placement over the cached set as holder words, one bit
+per user id, ⌈K/63⌉ int64 words per (file, subpacket).  One holder-bucket
+planner computes the coded plans of a batch of slots as flat numpy arrays:
+each slot's group masks the words of its requested files, each (slot,
+file)'s subpackets are bucketed by their masked words, one share row per
+(member, holder bucket) carries its subgroup key, and one stable sort over
+(slot, subgroup key) yields every slot's messages and the payload dedup.
+:func:`plan_slots` runs it on a batch of slots, and :func:`build_delivery`
+is its one-slot call; :func:`decode` peels one slot's arrays, and only
+reading ``Transmission.coded`` builds a :class:`CodedMessage`/:class:`Segment`
+view.  :func:`slot_rates` is the analytic (upper) estimate of that
+delivery's rate.
 """
 from __future__ import annotations
 
@@ -88,15 +95,17 @@ class Transmission:
     """One slot's broadcast: the direct sends and the coded plan as flat arrays.
 
     Coded message i XORs the share rows ``message_offsets[i]:message_offsets[i
-    + 1]``, zero-padded to ``message_length[i]``, for the coded-group positions
-    set in column i of ``message_key`` (63 positions per int64 word; position j
-    is user ``group[j]``).  Share row r is user ``share_user[r]``'s piece of
-    file ``share_file[r]``: subpacket indices ``subpackets[share_start[r]:
-    share_stop[r]]``.  The rate, the counts and :func:`decode` read only these
-    arrays.  ``terms`` lists the plan's XOR terms for :func:`decode`, and
-    ``coded`` builds the same plan as a tuple of :class:`CodedMessage` for
-    callers that want message objects.  Each is computed on first access and
-    cached, so decoding every user of a slot sets the terms up once.
+    + 1]``, zero-padded to ``message_length[i]``, for the users whose bits are
+    set in column i of ``message_key``: user u is bit u % 63 of word u // 63,
+    so a key has ⌈K/63⌉ int64 words.  ``group`` lists the coded group, the
+    users whose request is in the cached set.  Share row r is user
+    ``share_user[r]``'s piece of file ``share_file[r]``: subpacket indices
+    ``subpackets[share_start[r]:share_stop[r]]``.  The rate, the counts and
+    :func:`decode` read only these arrays.  ``terms`` lists the plan's XOR
+    terms for :func:`decode`, and ``coded`` builds the same plan as a tuple
+    of :class:`CodedMessage` for callers that want message objects.  Each is
+    computed on first access and cached, so decoding every user of a slot
+    sets the terms up once.
     """
 
     direct: tuple[DirectSend, ...]
@@ -131,15 +140,15 @@ class Transmission:
     @cached_property
     def coded(self) -> tuple[CodedMessage, ...]:
         """The coded messages in send order, each member list read from the
-        set bits of its subgroup key."""
+        set bits of its subgroup key, which are user ids."""
         count = len(self.message_length)
         if not count:
             return ()
         key = np.ascontiguousarray(self.message_key.T, dtype="<i8")
         bits = np.unpackbits(key.view(np.uint8), axis=1, bitorder="little")
         bits = bits.reshape(count, -1, 64)[:, :, :_WORD_MEMBERS].reshape(count, -1)
-        rows, positions = np.nonzero(bits)
-        users = self.group[positions].tolist()
+        rows, users = np.nonzero(bits)
+        users = users.tolist()
         member_cuts = [0, *np.cumsum(np.bincount(rows, minlength=count)).tolist()]
         sub = self.subpackets
         segments = [
@@ -169,9 +178,26 @@ def _check_files(params: SystemParams, files: Iterable[int]) -> list[int]:
     return out
 
 
+class Placement(list):
+    """One placement: every user's :class:`CacheState`, in user order, and
+    the same caches over the cached set as holder words.
+
+    ``cached`` lists the cached set's files in ascending order.  Bit u % 63
+    of ``holders[u // 63, c, i]`` is set iff user u holds subpacket i of file
+    ``cached[c]``: ⌈K/63⌉ int64 words per (file, subpacket), and no sign bit
+    is ever set.  :func:`plan_slots` reads the words, and
+    :func:`build_delivery` the cache states.
+    """
+
+    def __init__(self, caches: Iterable[CacheState], cached: list[int], holders: np.ndarray):
+        super().__init__(caches)
+        self.cached = cached
+        self.holders = holders
+
+
 def sample_placement(
     params: SystemParams, cached: Iterable[int], rng: np.random.Generator
-) -> list[CacheState]:
+) -> Placement:
     """Independent random placement of every user's cache over the cached set.
 
     When the set is at least the budget, each user keeps min(F, floor(M*F/|S|))
@@ -180,13 +206,16 @@ def sample_placement(
     Both floors are taken from the decimal M, not its binary float.  The
     random keys of every (user, file) draw come user by user and file by file
     from ``rng.random`` calls over blocks of users of about ``BLOCK_ELEMS``
-    keys each, which draw the same stream as one call.
+    keys each, which draw the same stream as one call.  A draw keeps the
+    subpackets of its ``take`` smallest keys (:func:`_smallest`), and the
+    same mask sets the holder words of a partly stored cached set.
     """
     S = _check_files(params, cached)
-    n, f = params.n_files, params.subpackets
+    n, k, f = params.n_files, params.n_users, params.subpackets
     m = _decimal_cache_size(params)
+    holders = np.zeros((-(-k // _WORD_MEMBERS), len(S), f), dtype=np.int64)
     if not S:
-        return [CacheState() for _ in range(params.n_users)]
+        return Placement([CacheState() for _ in range(k)], S, holders)
     if len(S) >= m:
         whole, part, take = [], S, min(f, math.floor(m * f / len(S)))
     else:
@@ -195,17 +224,51 @@ def sample_placement(
         take = math.floor((m - len(S)) * f / (n - len(S)))
     if take >= f:
         whole, part = whole + part, []
+    if whole:
+        # the cached set is among the files stored whole: every user holds it
+        holders[:] = np.array(
+            [(1 << min(_WORD_MEMBERS, k - lo)) - 1 for lo in range(0, k, _WORD_MEMBERS)],
+            dtype=np.int64,
+        )[:, None, None]
     full = np.arange(f, dtype=np.int64)
     if take > 0 and part:
         step, picks = max(1, BLOCK_ELEMS // (len(part) * f)), []
-        for start in range(0, params.n_users, step):
-            keys = rng.random((min(step, params.n_users - start), len(part), f))
-            picks.extend(np.sort(np.argpartition(keys, take, axis=-1)[..., :take], axis=-1))
+        for start in range(0, k, step):
+            keys = rng.random((min(step, k - start), len(part), f))
+            held = _smallest(keys, take)
+            # each row holds exactly `take` subpackets, so the flat positions
+            # of the held keys, less their row's start, are the sorted picks
+            rows = np.flatnonzero(held).reshape(-1, take) - np.arange(0, held.size, f)[:, None]
+            picks.extend(rows.reshape(len(keys), len(part), take))
+            if not whole:  # the partly stored files are the cached set
+                for user, mask in enumerate(held, start):
+                    bits = np.left_shift(mask, user % _WORD_MEMBERS, dtype=np.int64)
+                    holders[user // _WORD_MEMBERS] |= bits
     else:
-        part, picks = [], [()] * params.n_users
-    return [
-        CacheState({**dict.fromkeys(whole, full), **dict(zip(part, row))}) for row in picks
-    ]
+        part, picks = [], [()] * k
+    return Placement(
+        [CacheState({**dict.fromkeys(whole, full), **dict(zip(part, row))}) for row in picks],
+        S,
+        holders,
+    )
+
+
+def _smallest(keys: np.ndarray, take: int) -> np.ndarray:
+    """Mask of the ``take`` smallest keys of every row (last axis): the set
+    ``np.argpartition(keys, take)[..., :take]`` picks.
+
+    Unless a row's take-th smallest key is tied, that set is exactly its keys
+    at or below the take-th smallest; a row with such a tie, which holds
+    more, is given argpartition's own set.
+    """
+    held = keys <= np.partition(keys, take - 1, axis=-1)[..., take - 1, None]
+    rows = held.reshape(-1, keys.shape[-1])
+    tied = np.flatnonzero(np.count_nonzero(rows, axis=1) != take)
+    if tied.size:
+        picked = np.argpartition(keys.reshape(rows.shape)[tied], take, axis=-1)[:, :take]
+        rows[tied] = False
+        rows[tied[:, None], picked] = True
+    return held
 
 
 def build_delivery(
@@ -214,18 +277,18 @@ def build_delivery(
     caches: Sequence[CacheState],
     cached: Iterable[int],
 ) -> Transmission:
-    """Multicast plan for one slot, computed as flat arrays.
+    """Multicast plan for one slot: the one-slot call of the planner.
 
     Users whose request lies in the cached set form the coded group.  The
     subpackets of each requested file are bucketed by exactly which members
     hold them.  A member k and a bucket W of k's file with k not in W give k's
     share of the subgroup W | {k}: the subpackets k misses and exactly W holds.
     Each subgroup that receives at least one share sends one message, in
-    ascending bit order of the subgroup, XOR-ing its members' shares in group
-    order (zero-padded, so the message is as long as the largest share).  Any
-    other subgroup would carry nothing, so none is enumerated.  Every request
-    outside the cached set is sent whole, one transmission per request, with
-    duplicates not merged.
+    ascending order of the subgroup's users, compared from the highest user
+    id down, XOR-ing its members' shares in group order (zero-padded, so the
+    message is as long as the largest share).  Any other subgroup would carry
+    nothing, so none is enumerated.  Every request outside the cached set is
+    sent whole, one transmission per request, with duplicates not merged.
 
     A message whose payload, the set of its shares' (file, holder set) pairs,
     repeats an earlier message's is not sent.  Only single-share messages can
@@ -239,117 +302,269 @@ def build_delivery(
     Each member has at most one share per holder bucket of its file, and a
     file has at most min(F, 2**|group|) buckets, so a slot sends at most
     |group| * min(F, 2**|group|) coded messages.  The cost grows with the
-    group size times F, and a group of any size is built.  The returned
-    :class:`Transmission` holds the plan as arrays; its ``coded`` tuple of
-    message objects is built only when read.
+    group size times F, and a group of any size is built.  The caches'
+    holder words are set here from the cache states, and the plan comes from
+    the same planner as :func:`plan_slots`' batches.
     """
     req = profile.requests
-    n, f = params.n_files, params.subpackets
-    if len(req) != params.n_users:
+    n, k, f = params.n_files, params.n_users, params.subpackets
+    if len(req) != k:
         raise ValueError("profile size != n_users")
     if int(req.max()) >= n:
         raise ValueError("request index out of range")
     in_set = np.zeros(n, dtype=bool)
     in_set[_check_files(params, cached)] = True
-    coded = in_set[req]
-    group = np.flatnonzero(coded)
-    direct = tuple([DirectSend(k, int(req[k]), f) for k in np.flatnonzero(~coded).tolist()])
-    plan = _coded_plan(f, req, caches, group)
-    total = int(plan["message_length"].sum()) + f * len(direct)
-    return Transmission(direct, total, total / f, group, **plan)
-
-
-def _coded_plan(
-    f: int, req: np.ndarray, caches: Sequence[CacheState], group: np.ndarray
-) -> dict[str, np.ndarray]:
-    """The coded part of :func:`build_delivery` as Transmission's array fields."""
-    members = len(group)
-    n_words = -(-members // _WORD_MEMBERS)
-    if not members:
-        return _empty_plan(n_words)
-    files, member_file = np.unique(req[group], return_inverse=True)
-    word, offset = np.divmod(np.arange(members), _WORD_MEMBERS)
-
-    # Bucket the subpackets of every requested file by exactly which members
-    # hold them.  Member j is bit j % 63 of holder word j // 63.  The stable
-    # lexsort along each file's row, last word primary, orders the file's
-    # holder sets ascending and leaves each run of equal sets in ascending
-    # index order, so a bucket is a slice of the flattened order.
-    holders = np.zeros((n_words, len(files), f), dtype=np.int64)
-    file_list = files.tolist()
-    for j, k in enumerate(group.tolist()):
-        words = holders[j // _WORD_MEMBERS]
-        bit = 1 << j % _WORD_MEMBERS
-        for rank, file in enumerate(file_list):
-            idx = caches[k].subpackets(file)
+    group = np.flatnonzero(in_set[req])
+    files = np.unique(req[group])
+    holders = np.zeros((-(-k // _WORD_MEMBERS), len(files), f), dtype=np.int64)
+    for user in group.tolist():
+        words, bit = holders[user // _WORD_MEMBERS], 1 << user % _WORD_MEMBERS
+        for rank, file in enumerate(files.tolist()):
+            idx = caches[user].subpackets(file)
             if len(idx):
                 words[rank][idx] |= bit
-    order = np.lexsort(holders, axis=-1)
-    ranked = np.take_along_axis(holders, order[None], axis=-1)
-    new = np.ones((len(files), f), dtype=bool)
-    new[:, 1:] = (ranked[:, :, 1:] != ranked[:, :, :-1]).any(axis=0)
-    bucket_start = np.flatnonzero(new)
-    bucket_stop = np.append(bucket_start[1:], new.size)
-    bucket_rank = bucket_start // f
-    heads = ranked.reshape(n_words, -1)[:, bucket_start]
+    column = np.full(n, -1, dtype=np.int64)
+    column[files] = np.arange(len(files))
+    return _plan(params, holders, column[req][None], req[None]).transmission(0)
 
-    # One share row per (member, bucket of its file without it), generated
-    # in group order; its subgroup key is the bucket's holder words with the
-    # member's bit set.
-    n_buckets = np.bincount(bucket_rank, minlength=len(files))
-    per_member = n_buckets[member_file]
-    first_bucket = (np.cumsum(n_buckets) - n_buckets)[member_file]
+
+# a planner batch holds about this many masked holder-word entries and
+# share rows (a slot takes at most K * F * ceil(K / 63) of each), and its
+# placements about this many holder-word entries
+PLAN_ELEMS = 2**14
+
+
+def batch_slots(params: SystemParams) -> int:
+    """Slots per :func:`plan_slots` batch, so its plans stay within ``PLAN_ELEMS``."""
+    k, f = params.n_users, params.subpackets
+    return max(1, PLAN_ELEMS // (k * f * -(-k // _WORD_MEMBERS)))
+
+
+def holders_full(placements: Sequence[Placement]) -> bool:
+    """True once ``placements`` hold ``PLAN_ELEMS`` holder-word entries: a
+    batch that holds them takes no further placement."""
+    return sum(placement.holders.size for placement in placements) >= PLAN_ELEMS
+
+
+def plan_slots(
+    params: SystemParams,
+    placements: Sequence[Placement],
+    which: np.ndarray,
+    requests: np.ndarray,
+) -> SlotPlans:
+    """Delivery plans of a batch of slots: slot b serves the requests
+    ``requests[b]`` under ``placements[which[b]]``.
+
+    The placements' holder words are stacked once, and every slot's plan
+    comes from one planner pass (see :class:`SlotPlans`); a batch may span
+    several placements.  Slot b's plan is :func:`build_delivery`'s for the
+    same requests, caches and cached set, field by field.
+    """
+    column = np.full((len(placements), params.n_files), -1, dtype=np.int64)
+    base = 0
+    for row, placement in zip(column, placements):
+        row[placement.cached] = np.arange(base, base + len(placement.cached))
+        base += len(placement.cached)
+    if len(placements) == 1:
+        holders = placements[0].holders
+    else:
+        holders = np.concatenate([placement.holders for placement in placements], axis=1)
+    return _plan(params, holders, column[np.asarray(which)[:, None], requests], requests)
+
+
+def _sorted_runs(
+    words: np.ndarray, major: np.ndarray, n_major: int, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stable order of the columns of (``words``; ``major``), ``major``
+    primary, then the last word; and the sorted position where each run of
+    equal columns starts.
+
+    ``major`` lies below ``n_major`` and the words hold the bits of users
+    below ``k``.  While one word and the major fit in the 63 value bits of
+    an int64, they are sorted as one key; a key below 2**16 is sorted as
+    uint16, which numpy radix-sorts, several times faster than its stable
+    int64 sort on the few thousand keys of a batch.  Otherwise the columns
+    are lexsorted.
+    """
+    if len(words) == 1 and n_major <= 1 << (_WORD_MEMBERS - k):
+        keys = (words[0] | major << k)[None]
+        order = np.argsort(
+            keys[0].astype(np.uint16) if n_major << k <= 1 << 16 else keys[0], kind="stable"
+        )
+    else:
+        keys = np.vstack((words, major))
+        order = np.lexsort(keys)
+    ordered = keys[:, order]
+    change = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    return order, np.flatnonzero(np.concatenate(([order.size > 0], change)))
+
+
+@dataclass(frozen=True, eq=False)
+class SlotPlans:
+    """The coded plans of a batch of slots, from one planner pass.
+
+    ``subpackets_sent[b]`` is slot b's total: the lengths of its kept coded
+    messages plus F per direct send, and ``rates`` divides it by F.  The
+    plan arrays are built only when :meth:`transmission` first asks for
+    them: messages are sorted by (slot, subgroup), so each slot's members,
+    messages, share rows and subpackets are one slice of the batch arrays,
+    and a slot's :class:`Transmission` is cut out of them.
+    """
+
+    params: SystemParams
+    requests: np.ndarray
+    column: np.ndarray
+    subpackets_sent: np.ndarray
+    parts: dict[str, np.ndarray] = field(repr=False)
+
+    @property
+    def rates(self) -> np.ndarray:
+        return self.subpackets_sent / self.params.subpackets
+
+    @cached_property
+    def _arrays(self) -> dict[str, np.ndarray]:
+        """The batch's Transmission arrays, and the cuts between its slots."""
+        p, f, cuts = self.parts, self.params.subpackets, np.arange(len(self.requests) + 1)
+        keep, count = p["keep"], p["count"]
+        first_rows = p["perm"][p["starts"][keep]]
+        rows = p["perm"][np.repeat(keep, count)]
+        member, bucket = p["pos"][rows], p["bucket"][rows]
+        slot, user = p["slot"], p["user"]
+        return {
+            "member_cut": np.searchsorted(slot, cuts),
+            "message_cut": np.searchsorted(slot[p["pos"][first_rows]], cuts),
+            "subpacket_cut": np.searchsorted(p["pair_slot"], cuts) * f,
+            "group": user,
+            "message_key": p["subgroup"][:, first_rows],
+            "message_offsets": np.concatenate(([0], np.cumsum(count[keep]))),
+            "message_length": p["length"][keep],
+            "share_user": user[member],
+            "share_file": self.requests[slot[member], user[member]],
+            "share_start": p["bucket_start"][bucket],
+            "share_stop": p["bucket_stop"][bucket],
+            "subpackets": p["order"] % f,
+        }
+
+    def transmission(self, slot: int) -> Transmission:
+        """Slot ``slot``'s plan, with offsets into its own share rows and
+        subpackets."""
+        f, a = self.params.subpackets, self._arrays
+        req = self.requests[slot]
+        m0, m1 = a["message_cut"][slot : slot + 2].tolist()
+        offsets = a["message_offsets"][m0 : m1 + 1]
+        r0, r1 = offsets[0], offsets[-1]
+        s0, s1 = a["subpacket_cut"][slot : slot + 2]
+        total = int(self.subpackets_sent[slot])
+        outside = np.flatnonzero(self.column[slot] < 0).tolist()
+        return Transmission(
+            tuple([DirectSend(k, int(req[k]), f) for k in outside]),
+            total,
+            total / f,
+            a["group"][a["member_cut"][slot] : a["member_cut"][slot + 1]],
+            message_key=a["message_key"][:, m0:m1],
+            message_offsets=offsets - r0,
+            message_length=a["message_length"][m0:m1],
+            share_user=a["share_user"][r0:r1],
+            share_file=a["share_file"][r0:r1],
+            share_start=a["share_start"][r0:r1] - s0,
+            share_stop=a["share_stop"][r0:r1] - s0,
+            subpackets=a["subpackets"][s0:s1],
+        )
+
+
+def _plan(
+    params: SystemParams, holders: np.ndarray, column: np.ndarray, requests: np.ndarray
+) -> SlotPlans:
+    """The holder-bucket planner over a batch of slots.
+
+    ``holders`` holds (words, columns, F) holder words by user id, and
+    ``column[b, k]`` is the column of user k's request in slot b, or -1 for
+    a request outside that slot's cached set.  A slot's group is masked out
+    of the words of its requested files, the subpackets of each (slot, file)
+    pair are bucketed by their masked words, and every slot's share rows are
+    ordered by one stable sort over (slot, subgroup key).
+    """
+    k, f = params.n_users, params.subpackets
+    n_words, slots = len(holders), len(requests)
+    # Members, slot-major in ascending user id: each slot's group in order.
+    # User u is bit u % 63 of holder word u // 63.
+    slot, user = np.nonzero(column >= 0)
+    word, offset = np.divmod(user, _WORD_MEMBERS)
+    bit = np.left_shift(1, offset)
+    group = np.zeros((n_words, slots), dtype=np.int64)
+    np.bitwise_or.at(group, (word, slot), bit)
+
+    # One (slot, column) pair per requested file of a slot, in column order,
+    # which is file order within a placement.  A stable sort of the pairs'
+    # subpackets by (pair, masked holder words) orders each pair's holder
+    # sets ascending and keeps each run of equal sets in ascending index
+    # order, so a bucket is a run of the sorted order.
+    width = holders.shape[1]
+    present = np.zeros(slots * width, dtype=bool)
+    member_key = slot * width + column[slot, user]
+    present[member_key] = True
+    pair_key = np.flatnonzero(present)
+    member_pair = (np.cumsum(present) - 1)[member_key]
+    pair_slot, pair_column = np.divmod(pair_key, width)
+    pairs = len(pair_key)
+    masked = (holders[:, pair_column] & group[:, pair_slot, None]).reshape(n_words, -1)
+    order, bucket_start = _sorted_runs(masked, np.arange(pairs * f) // f, pairs, k)
+    bucket_stop = np.append(bucket_start[1:], order.size)
+    heads = masked[:, order[bucket_start]]
+
+    # One share row per (member, bucket of its pair without it): rows are
+    # generated in group order for every bucket of the member's pair, and
+    # those whose bucket holds the member are dropped.  A row's subgroup key
+    # is its bucket's holder words with the member's bit set.
+    n_buckets = np.bincount(order[bucket_start] // f, minlength=pairs)
+    per_member = n_buckets[member_pair]
+    first_bucket = (np.cumsum(n_buckets) - n_buckets)[member_pair]
     first_row = np.cumsum(per_member) - per_member
-    pos = np.repeat(np.arange(members), per_member)
+    pos = np.repeat(np.arange(len(user)), per_member)
     bucket = np.arange(pos.size) + np.repeat(first_bucket - first_row, per_member)
-    free = (heads[word[pos], bucket] >> offset[pos]) & 1 == 0
-    pos, bucket = pos[free], bucket[free]
-    if not pos.size:
-        return _empty_plan(n_words)
-    subgroup = heads[:, bucket]
-    subgroup[word[pos], np.arange(pos.size)] |= 1 << offset[pos]
+    subgroup = heads.take(bucket, axis=1)  # C-contiguous, so `flat` is a view
+    flat = subgroup.reshape(-1)
+    own = word[pos] * pos.size + np.arange(pos.size)
+    row_bit = bit[pos]
+    free = np.flatnonzero(flat[own] & row_bit == 0)
+    flat[own] |= row_bit
+    pos, bucket, subgroup = pos[free], bucket[free], subgroup[:, free]
 
-    # Sort the rows by subgroup, last word primary; the sort is stable, so
-    # each subgroup's rows stay in group order.  Each run of equal subgroup
-    # words is one message.
-    perm = np.lexsort(subgroup)
-    subgroup = subgroup[:, perm]
-    change = (subgroup[:, 1:] != subgroup[:, :-1]).any(axis=0)
-    starts = np.concatenate(([0], np.flatnonzero(change) + 1))
+    # Sort the rows by (slot, subgroup), last word primary; the sort is
+    # stable, so each subgroup's rows stay in group order.  Each run of
+    # equal keys is one message, as long as its longest share.
+    row_slot = slot[pos]
+    perm, starts = _sorted_runs(subgroup, row_slot, slots, k)
     sizes = (bucket_stop - bucket_start)[bucket[perm]]
     length = np.maximum.reduceat(sizes, starts)
     count = np.diff(np.append(starts, perm.size))
 
     # Payload dedup: multi-share messages are all kept, and single-share ones
-    # keep the first message of each bucket.
+    # keep the first message of each bucket; a bucket belongs to one slot.
     keep = count > 1
     single = np.flatnonzero(~keep)
-    _, first = np.unique(bucket[perm[starts[single]]], return_index=True)
-    keep[single[first]] = True
-    rows = perm[np.repeat(keep, count)]
-    share_bucket = bucket[rows]
-    return {
-        "message_key": subgroup[:, starts[keep]],
-        "message_offsets": np.concatenate(([0], np.cumsum(count[keep]))),
-        "message_length": length[keep],
-        "share_user": group[pos[rows]],
-        "share_file": files[bucket_rank[share_bucket]],
-        "share_start": bucket_start[share_bucket],
-        "share_stop": bucket_stop[share_bucket],
-        "subpackets": order.ravel(),
-    }
+    single_bucket = bucket[perm[starts[single]]]
+    rank = np.arange(len(single))
+    first = np.full(len(bucket_start), len(single))
+    np.minimum.at(first, single_bucket, rank)
+    keep[single[first[single_bucket] == rank]] = True
 
-
-def _empty_plan(n_words: int) -> dict[str, np.ndarray]:
-    return {
-        "message_key": np.zeros((n_words, 0), dtype=np.int64),
-        "message_offsets": np.zeros(1, dtype=np.int64),
-        **dict.fromkeys(
-            ("message_length", "share_user", "share_file", "share_start", "share_stop",
-             "subpackets"),
-            _EMPTY_INT,
-        ),
-    }
+    # each slot's total is far below 2**53, so the float weights are exact
+    kept_slot = row_slot[perm[starts[keep]]]
+    sent = np.bincount(kept_slot, weights=length[keep], minlength=slots).astype(np.int64)
+    sent += f * (k - np.bincount(slot, minlength=slots))
+    return SlotPlans(
+        params,
+        requests,
+        column,
+        sent,
+        {
+            "slot": slot, "user": user, "pair_slot": pair_slot, "order": order,
+            "bucket_start": bucket_start, "bucket_stop": bucket_stop, "pos": pos,
+            "bucket": bucket, "subgroup": subgroup, "perm": perm, "starts": starts,
+            "length": length, "count": count, "keep": keep,
+        },
+    )
 
 
 def decode(

@@ -16,7 +16,8 @@ Each policy is charged block by block as ``policies.decision_blocks``
 yields its decisions, so no (horizon, n_files) array of any dtype is held.
 Each block's set sizes and switches are counted on the columns that can
 vary inside it.  A constant policy (oracle, uniform) repeats one row, so
-in analytic mode it is charged once per distinct block length.
+in analytic mode it is charged once per distinct block length.  Bit-level
+delivery is planned for a bounded batch of slots at a time.
 """
 from __future__ import annotations
 
@@ -27,10 +28,9 @@ import itertools
 import numpy as np
 
 from .bounds import oracle_rate_upper
-from .engine import build_delivery, sample_placement, slot_rates
+from .engine import batch_slots, holders_full, plan_slots, sample_placement, slot_rates
 from .model import (
     PopularityDistribution,
-    RequestProfile,
     SystemParams,
     sample_requests,
     substream,
@@ -164,20 +164,29 @@ def _policy_record(
     LFU under dedup accounting pays per distinct missed file; every other
     policy pays ``slot_rates`` in analytic mode, and in bit-level mode real
     delivery over a placement sampled in the first slot and on every switch,
-    from the policy's own substream.  Sizes and switches are counted on the
-    block's varying columns: a row's size is the first row's size with the
-    varying part recounted, and a row past the first switches iff its
-    varying part differs from the row above.  The block's first row is
-    compared whole with the previous block's last, since a column that is
-    fixed inside a block can still differ from the block before.  A
-    constant policy's blocks are one row broadcast with no varying column,
-    and blocks of one length share one ``slot_rates`` charge: at most two
-    per record, with the bits of a charge per block.
+    from the policy's own substream.  Bit-level slots are planned up to
+    ``engine.batch_slots`` at a time by ``engine.plan_slots``; a batch
+    holds the placement in force at its first slot and those sampled at its
+    switches, and ends before a switch once those placements are
+    ``engine.holders_full``.  Placements are sampled in slot order, so the
+    draws are those of planning one slot at a time.
+
+    Sizes and switches are counted on the block's varying columns: a row's
+    size is the first row's size with the varying part recounted, and a row
+    past the first switches iff its varying part differs from the row
+    above.  A block with no varying column repeats its first row, so its
+    sizes are that row's and only its first row can switch.  The block's
+    first row is compared whole with the previous block's last, since a
+    column that is fixed inside a block can still differ from the block
+    before.  A constant policy's blocks are one row broadcast with no
+    varying column, and blocks of one length share one ``slot_rates``
+    charge: at most two per record, with the bits of a charge per block.
     """
     params, probs = config.params, config.dist.probs
     charge = "dedup" if policy == "lfu" and not config.lfu_per_request() else config.rate_mode
     if charge == "bitlevel":
         place_rng = substream(config.seed, trial, POLICY_STREAM_KEYS[policy])
+        per_batch, placed = batch_slots(params), []
     rates = np.empty(config.horizon)
     sizes = np.empty(config.horizon, dtype=np.int64)
     switches = np.empty(config.horizon, dtype=bool)
@@ -186,10 +195,15 @@ def _policy_record(
     previous = None
     for start, block, varying in decision_blocks(policy, requests, probs, params):
         stop = start + len(block)
-        first, part = block[0], block[:, varying]
-        sizes[start:stop] = part.sum(axis=1)
-        sizes[start:stop] += np.count_nonzero(first) - np.count_nonzero(first[varying])
-        switches[start:stop] = switch_flags(part)
+        first = block[0]
+        if isinstance(varying, slice) or varying.size:
+            part = block[:, varying]
+            sizes[start:stop] = part.sum(axis=1)
+            sizes[start:stop] += np.count_nonzero(first) - np.count_nonzero(first[varying])
+            switches[start:stop] = switch_flags(part)
+        else:  # every row repeats the first
+            sizes[start:stop] = np.count_nonzero(first)
+            switches[start + 1 : stop] = False
         switches[start] = previous is not None and (first != previous).any()
         previous = block[-1]
         if charge == "dedup":
@@ -201,12 +215,21 @@ def _policy_record(
         elif charge == "analytic":
             rates[start:stop] = slot_rates(block, probs, params, sizes[start:stop])
         else:
-            for s in range(start, stop):
-                if s == 0 or switches[s]:
-                    cached = np.flatnonzero(block[s - start]).tolist()
-                    caches = sample_placement(params, cached, place_rng)
-                tx = build_delivery(params, RequestProfile(requests[s]), caches, cached)
-                rates[s] = tx.rate
+            lo = start
+            while lo < stop:
+                # the placement in force before lo, unless lo draws its own
+                placed = placed[-1:] if lo and not switches[lo] else []
+                which = []
+                for s in range(lo, min(lo + per_batch, stop)):
+                    if s == 0 or switches[s]:
+                        if which and holders_full(placed):
+                            break
+                        cached = np.flatnonzero(block[s - start]).tolist()
+                        placed.append(sample_placement(params, cached, place_rng))
+                    which.append(len(placed) - 1)
+                hi = lo + len(which)
+                rates[lo:hi] = plan_slots(params, placed, np.array(which), requests[lo:hi]).rates
+                lo = hi
     return rates, sizes, switches
 
 

@@ -89,31 +89,31 @@ class PopularityDistribution:
 class RequestProfile:
     """One slot of demands: requests[k] is the file index user k asks for.
 
-    ``requests`` is kept as a read-only int64 array.  An int64 array that is
-    already read-only and owns its data is taken as is, not copied, as
-    :func:`sample_requests` hands over its draw; whoever passes one must not
-    turn its writes back on.  Any other input (a list, another dtype, a
-    writeable array or a view) is copied, so writing to it afterwards
-    leaves the profile unchanged.
+    ``requests`` is kept as a read-only int64 array that only the profile
+    holds: whatever the constructor is given is copied, so writing to the
+    caller's array afterwards, even after turning its writes back on,
+    leaves the profile unchanged.  :func:`sample_requests` hands over its
+    own draw without a copy, through the private :meth:`_owning`.
     """
 
     requests: np.ndarray
 
     def __post_init__(self) -> None:
-        req = self.requests
-        if not (
-            isinstance(req, np.ndarray)
-            and req.dtype == np.int64
-            and req.flags.owndata
-            and not req.flags.writeable
-        ):
-            req = np.array(req, dtype=np.int64)
+        req = np.array(self.requests, dtype=np.int64)
         if req.ndim != 1 or req.size < 1:
             raise ValueError("requests must be a nonempty vector")
         if (req < 0).any():
             raise ValueError("file indices must be nonnegative")
         req.setflags(write=False)
         object.__setattr__(self, "requests", req)
+
+    @classmethod
+    def _owning(cls, requests: np.ndarray) -> RequestProfile:
+        """A profile of ``requests`` as is: a valid, read-only int64 draw
+        that no other code holds."""
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "requests", requests)
+        return profile
 
     def __len__(self) -> int:
         return int(self.requests.size)
@@ -223,7 +223,7 @@ def sample_requests(
     temporaries.  A zero-probability file is never drawn.  The cumsum can
     end just below 1, and a uniform past it goes to the last file with
     positive mass.  The filled array is made read-only and becomes the
-    profile's ``requests`` without a copy.
+    profile's ``requests`` without a copy; no other reference to it is kept.
     """
     if n_users < 1:
         raise ValueError("n_users must be >= 1")
@@ -246,7 +246,7 @@ def sample_requests(
             got[many] = np.searchsorted(edges, u[many], side="right")
     np.minimum(idx, np.flatnonzero(dist.probs)[-1], out=idx)
     idx.setflags(write=False)
-    return RequestProfile(idx)
+    return RequestProfile._owning(idx)
 
 
 def _guide_table(edges: np.ndarray) -> tuple[int, np.ndarray, int, np.ndarray]:

@@ -222,6 +222,47 @@ def test_placement_draws_keys_user_by_user_and_file_by_file():
                 assert np.array_equal(st.files[i], want) and st.files[i].dtype == np.int64
 
 
+class TiedKeys:
+    """Stands in for a generator: user 0's keys of file 1 tie at the
+    threshold (take = 4 of 8), every other row is distinct."""
+
+    def __init__(self):
+        self.keys = np.random.default_rng(5).random((2, 4, 8))
+        self.keys[0, 1] = [0.3, 0.1, 0.3, 0.3, 0.9, 0.3, 0.2, 0.3]
+
+    def random(self, shape):
+        assert shape == self.keys.shape
+        return self.keys.copy()
+
+
+def test_placement_at_a_tied_threshold_keeps_argpartitions_choice():
+    params = SystemParams(4, 2, 2.0, 8)
+    rng = TiedKeys()
+    placement = sample_placement(params, range(4), rng)
+    for user, state in enumerate(placement):
+        for file in range(4):
+            want = np.sort(np.argpartition(rng.keys[user, file], 4)[:4])
+            assert np.array_equal(state.files[file], want)
+    assert len(placement[0].files[1]) == 4
+
+
+@pytest.mark.parametrize("k", [1, 5, 63, 64, 130])
+def test_placement_holder_words_match_the_cache_states(k):
+    # user u is bit u % 63 of word u // 63, over the cached set's files in
+    # order, for sets stored in part, stored whole, smaller than M, and empty
+    params = SystemParams(6, k, 2.0, 10)
+    for trial, cached in enumerate(([0, 2, 3, 5], [1, 4], [3], [])):
+        placement = sample_placement(params, cached, substream(12, k, trial))
+        assert placement.cached == cached
+        assert placement.holders.shape == (-(-k // 63), len(cached), 10)
+        for column, file in enumerate(cached):
+            for user, state in enumerate(placement):
+                word = placement.holders[user // 63, column]
+                held = np.flatnonzero(word >> (user % 63) & 1)
+                assert np.array_equal(held, state.subpackets(file))
+        assert (placement.holders >= 0).all()
+
+
 def test_placement_deterministic():
     params = SystemParams(5, 3, 1.5, 64)
     a = sample_placement(params, [0, 1, 2], substream(8, 0))

@@ -173,19 +173,19 @@ def test_decision_matrix_matches_policy_classes():
     ("per-request", 1), ("auto", 0), ("dedup", 0),
 ])
 def test_bitlevel_lfu_engine_calls(monkeypatch, accounting, calls_per_slot):
-    # per-request LFU is charged by the engine like every other policy; dedup
-    # accounting, the bit-level default, builds no delivery
-    calls = []
-    build = harness.build_delivery
+    # per-request LFU is charged by the engine like every other policy, each
+    # slot planned once; dedup accounting, the bit-level default, plans none
+    planned = []
+    plan = harness.plan_slots
 
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return build(*args, **kwargs)
+    def counting(params, placements, which, requests):
+        planned.extend(requests)
+        return plan(params, placements, which, requests)
 
-    monkeypatch.setattr(harness, "build_delivery", counting)
+    monkeypatch.setattr(harness, "plan_slots", counting)
     cfg = config(policies=("lfu",), rate_mode="bitlevel", lfu_accounting=accounting)
     run_experiment(cfg)
-    assert len(calls) == calls_per_slot * cfg.horizon * cfg.trials
+    assert len(planned) == calls_per_slot * cfg.horizon * cfg.trials
 
 
 def test_lfu_dedup_accounting_in_analytic_mode():

@@ -189,17 +189,6 @@ def test_profile_validation():
         RequestProfile(np.empty(0, dtype=np.int64))
 
 
-def _owned_read_only(values):
-    arr = np.array(values, dtype=np.int64)
-    arr.setflags(write=False)
-    return arr
-
-
-def test_profile_takes_a_read_only_owned_int64_array_as_is():
-    arr = _owned_read_only([0, 2, 1])
-    assert RequestProfile(arr).requests is arr
-
-
 def _read_only_view(values):
     owner = np.array([9, *values], dtype=np.int64)
     view = owner[1:]
@@ -207,9 +196,12 @@ def _read_only_view(values):
     return owner, view
 
 
-@pytest.mark.parametrize("kind", ["list", "int32", "writeable int64", "read-only view"])
+@pytest.mark.parametrize(
+    "kind", ["list", "int32", "writeable int64", "read-only view", "read-only int64"]
+)
 def test_profile_copies_what_it_cannot_own(kind):
-    # writing to the caller's array afterwards must leave the profile as it was
+    # writing to the caller's array afterwards must leave the profile as it
+    # was, also when the caller turns a read-only array's writes back on
     values = [3, 1, 2, 0]
     if kind == "list":
         writer = given_in = list(values)
@@ -217,9 +209,14 @@ def test_profile_copies_what_it_cannot_own(kind):
         writer = given_in = np.array(values, dtype=np.int32)
     elif kind == "writeable int64":
         writer = given_in = np.array(values, dtype=np.int64)
-    else:
+    elif kind == "read-only view":
         writer, given_in = _read_only_view(values)
+    else:
+        writer = given_in = np.array(values, dtype=np.int64)
+        given_in.setflags(write=False)
     prof = RequestProfile(given_in)
+    if isinstance(writer, np.ndarray):
+        writer.setflags(write=True)
     writer[-1] = 7
     assert prof.requests.tolist() == values
     assert prof.requests.dtype == np.int64
