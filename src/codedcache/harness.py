@@ -12,24 +12,32 @@ default, charges it one file per request outside its set, as the shared
 rate does.  Per-slot regret is the rate minus a reference oracle rate;
 the reference is either the closed-form upper estimate or the simulated
 oracle of the same trial.
-Each policy is charged block by block as ``policies.decision_blocks``
-yields its decisions, so no (horizon, n_files) array of any dtype is held.
-Each block's set sizes and switches are counted on the columns that can
-vary inside it.  A constant policy (oracle, uniform) repeats one row, so
+A trial is one walk over the decision blocks of ``policies.block_rows``
+slots.  Its requests are drawn a chunk of whole blocks at a time, and each
+block goes to every policy in turn, the paired oracle among them, before the
+next: each policy's ``policies.DecisionWalk`` decides the block and its
+record charges it at once.  So neither a (horizon, n_users) request matrix
+nor a (horizon, n_files) decision array of any dtype is held; a trial's
+memory grows with the horizon only through its per-slot records.  Each
+block's set sizes and switches are counted on the columns that can vary
+inside it.  A constant policy (oracle, uniform) repeats one row, so
 in analytic mode it is charged once per distinct block length.  Bit-level
 delivery is planned for a bounded batch of slots at a time.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import io
 import itertools
+from typing import Iterator
 
 import numpy as np
 
 from .bounds import oracle_rate_upper
 from .engine import batch_slots, holders_full, plan_slots, sample_placement, slot_rates
 from .model import (
+    REQUEST_CHUNK,
     PopularityDistribution,
     SystemParams,
     sample_requests,
@@ -38,8 +46,10 @@ from .model import (
 from .policies import (
     CONSTANT_POLICIES,
     POLICY_NAMES,
+    DecisionWalk,
+    block_rows,
     check_policy,
-    decision_blocks,
+    count_floors,
     switch_flags,
 )
 
@@ -96,6 +106,14 @@ class ExperimentConfig:
             return self.rate_mode == "analytic"
         return self.lfu_accounting == "per-request"
 
+    @functools.cached_property
+    def _tracking_floors(self) -> np.ndarray:
+        """Tracking's ``count_floors`` over the horizon, computed once and
+        shared by every trial: they depend only on the slot and params."""
+        floors = count_floors(np.arange(self.horizon), self.params)
+        floors.setflags(write=False)
+        return floors
+
 
 @dataclasses.dataclass(frozen=True)
 class PolicyTrace:
@@ -127,15 +145,36 @@ class TrialResult:
 
 
 def _draw_requests(config: ExperimentConfig, trial: int) -> np.ndarray:
-    """The trial's (horizon, n_users) request matrix, shared by all policies.
+    """The trial's whole (horizon, n_users) request matrix, in one draw.
 
     It is a read-only view of the drawn profile's requests, not a copy.
+    The trial itself draws the same substream a chunk at a time
+    (:func:`_request_blocks`); joined, the chunks are this matrix.
     """
     rng = substream(config.seed, trial, 0)
     flat = sample_requests(
         config.dist, config.horizon * config.params.n_users, rng
     )
     return flat.requests.reshape(config.horizon, config.params.n_users)
+
+
+def _request_blocks(config: ExperimentConfig, trial: int) -> Iterator[np.ndarray]:
+    """The trial's requests, one decision block of (rows, n_users) at a time.
+
+    The blocks are those of ``policies.block_rows``.  They are drawn from
+    the trial's request substream a chunk of whole blocks at a time, about
+    ``REQUEST_CHUNK`` requests and at least one block, so one chunk is held
+    at once.  Consecutive draws continue one stream, so the blocks joined
+    are :func:`_draw_requests`.
+    """
+    k, step = config.params.n_users, block_rows(config.params.n_files)
+    chunk = step * max(1, REQUEST_CHUNK // (step * k))
+    rng = substream(config.seed, trial, 0)
+    for lo in range(0, config.horizon, chunk):
+        rows = min(chunk, config.horizon - lo)
+        drawn = sample_requests(config.dist, rows * k, rng).requests.reshape(rows, k)
+        for start in range(0, rows, step):
+            yield drawn[start : start + step]
 
 
 def _lfu_dedup_rates(
@@ -154,22 +193,24 @@ def _lfu_dedup_rates(
     return (requested & ~decisions).sum(axis=1).astype(np.float64)
 
 
-def _policy_record(
-    config: ExperimentConfig, policy: str, trial: int, requests: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One policy's per-slot rates, cached-set sizes and switch flags.
+class _PolicyRecord:
+    """One policy's per-slot rates, cached-set sizes and switch flags, filled
+    block by block as :meth:`feed` hands it each decision block's requests.
 
-    Each block of :func:`decision_blocks` is charged as it comes, so the
-    record holds one block of the (horizon, n_files) decisions at a time.
-    LFU under dedup accounting pays per distinct missed file; every other
-    policy pays ``slot_rates`` in analytic mode, and in bit-level mode real
-    delivery over a placement sampled in the first slot and on every switch,
-    from the policy's own substream.  Bit-level slots are planned up to
-    ``engine.batch_slots`` at a time by ``engine.plan_slots``; a batch
-    holds the placement in force at its first slot and those sampled at its
-    switches, and ends before a switch once those placements are
-    ``engine.holders_full``.  Placements are sampled in slot order, so the
-    draws are those of planning one slot at a time.
+    The record owns the policy's :class:`DecisionWalk`, and each block is
+    charged as it is decided, so the record holds one block of the
+    (horizon, n_files) decisions at a time, and only while it is fed: between
+    blocks it keeps its per-slot arrays, the walk's counts, the last decided
+    row and, in bit-level mode, the placement in force.  LFU under dedup
+    accounting pays per distinct missed file; every other policy pays
+    ``slot_rates`` in analytic mode, and in bit-level mode real delivery over
+    a placement sampled in the first slot and on every switch, from the
+    policy's own substream.  Bit-level slots are planned up to
+    ``engine.batch_slots`` at a time by ``engine.plan_slots``, inside one
+    block; a batch holds the placement in force at its first slot and those
+    sampled at its switches, and ends before a switch once those placements
+    are ``engine.holders_full``.  Placements are sampled in slot order, so
+    the draws are those of planning one slot at a time.
 
     Sizes and switches are counted on the block's varying columns: a row's
     size is the first row's size with the varying part recounted, and a row
@@ -182,18 +223,31 @@ def _policy_record(
     varying column, and blocks of one length share one ``slot_rates``
     charge: at most two per record, with the bits of a charge per block.
     """
-    params, probs = config.params, config.dist.probs
-    charge = "dedup" if policy == "lfu" and not config.lfu_per_request() else config.rate_mode
-    if charge == "bitlevel":
-        place_rng = substream(config.seed, trial, POLICY_STREAM_KEYS[policy])
-        per_batch, placed = batch_slots(params), []
-    rates = np.empty(config.horizon)
-    sizes = np.empty(config.horizon, dtype=np.int64)
-    switches = np.empty(config.horizon, dtype=bool)
-    constant = policy in CONSTANT_POLICIES
-    charged = {}  # a constant policy's analytic rates, by block length
-    previous = None
-    for start, block, varying in decision_blocks(policy, requests, probs, params):
+
+    def __init__(self, config: ExperimentConfig, policy: str, trial: int):
+        params = config.params
+        floors = config._tracking_floors if policy == "tracking" else None
+        self.walk = DecisionWalk(policy, config.dist.probs, params, config.horizon, floors)
+        self.config = config
+        if policy == "lfu" and not config.lfu_per_request():
+            self.charge = "dedup"
+        else:
+            self.charge = config.rate_mode
+        if self.charge == "bitlevel":
+            self.place_rng = substream(config.seed, trial, POLICY_STREAM_KEYS[policy])
+            self.per_batch, self.placed = batch_slots(params), []
+        self.constant = policy in CONSTANT_POLICIES
+        self.charged = {}  # a constant policy's analytic rates, by block length
+        self.previous = None  # the last decided row
+        self.rates = np.empty(config.horizon)
+        self.sizes = np.empty(config.horizon, dtype=np.int64)
+        self.switches = np.empty(config.horizon, dtype=bool)
+
+    def feed(self, requests: np.ndarray) -> None:
+        """Decide and charge the next block of slots, given its requests."""
+        config, rates, sizes, switches = self.config, self.rates, self.sizes, self.switches
+        params, probs = config.params, config.dist.probs
+        start, block, varying = self.walk.step(requests)
         stop = start + len(block)
         first = block[0]
         if isinstance(varying, slice) or varying.size:
@@ -204,58 +258,82 @@ def _policy_record(
         else:  # every row repeats the first
             sizes[start:stop] = np.count_nonzero(first)
             switches[start + 1 : stop] = False
-        switches[start] = previous is not None and (first != previous).any()
-        previous = block[-1]
-        if charge == "dedup":
-            rates[start:stop] = _lfu_dedup_rates(config, block, requests[start:stop])
-        elif charge == "analytic" and constant:
-            if len(block) not in charged:
-                charged[len(block)] = slot_rates(block, probs, params, sizes[start:stop])
-            rates[start:stop] = charged[len(block)]
-        elif charge == "analytic":
+        switches[start] = self.previous is not None and (first != self.previous).any()
+        self.previous = block[-1].copy()
+        if self.charge == "dedup":
+            rates[start:stop] = _lfu_dedup_rates(config, block, requests)
+        elif self.charge == "analytic" and self.constant:
+            if len(block) not in self.charged:
+                self.charged[len(block)] = slot_rates(block, probs, params, sizes[start:stop])
+            rates[start:stop] = self.charged[len(block)]
+        elif self.charge == "analytic":
             rates[start:stop] = slot_rates(block, probs, params, sizes[start:stop])
         else:
-            lo = start
+            lo, placed = start, self.placed
             while lo < stop:
                 # the placement in force before lo, unless lo draws its own
                 placed = placed[-1:] if lo and not switches[lo] else []
                 which = []
-                for s in range(lo, min(lo + per_batch, stop)):
+                for s in range(lo, min(lo + self.per_batch, stop)):
                     if s == 0 or switches[s]:
                         if which and holders_full(placed):
                             break
                         cached = np.flatnonzero(block[s - start]).tolist()
-                        placed.append(sample_placement(params, cached, place_rng))
+                        placed.append(sample_placement(params, cached, self.place_rng))
                     which.append(len(placed) - 1)
                 hi = lo + len(which)
-                rates[lo:hi] = plan_slots(params, placed, np.array(which), requests[lo:hi]).rates
+                slots = requests[lo - start : hi - start]
+                rates[lo:hi] = plan_slots(params, placed, np.array(which), slots).rates
                 lo = hi
-    return rates, sizes, switches
+            # the placement in force carries into the next block, if any
+            self.placed = placed[-1:] if stop < config.horizon else []
+
+
+def _policy_record(
+    config: ExperimentConfig, policy: str, trial: int, requests: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One policy's per-slot rates, cached-set sizes and switch flags over a
+    whole (horizon, n_users) history held in memory: a :class:`_PolicyRecord`
+    fed the history block by block, as :func:`run_trial` feeds it the blocks
+    it draws."""
+    record = _PolicyRecord(config, policy, trial)
+    step = record.walk.rows
+    for start in range(0, config.horizon, step):
+        record.feed(requests[start : start + step])
+    return record.rates, record.sizes, record.switches
 
 
 def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
-    """Play every configured policy against one sampled request history."""
-    requests = _draw_requests(config, trial)
-    records = {}  # a paired reference is the oracle's record, reused for its trace
+    """Play every configured policy against one sampled request history.
+
+    The history is drawn a chunk of decision blocks at a time
+    (:func:`_request_blocks`), and each block goes to every policy's record
+    in turn, the paired oracle's among them, before the next is drawn, so
+    no (horizon, n_users) request matrix is held.
+    """
+    names = config.policies
+    if config.reference == "paired" and "oracle" not in names:
+        names += ("oracle",)
+    records = {name: _PolicyRecord(config, name, trial) for name in names}
+    for requests in _request_blocks(config, trial):
+        for record in records.values():
+            record.feed(requests)
     if config.reference == "closed-form":
         ref = np.full(
             config.horizon, oracle_rate_upper(config.dist, config.params)
         )
     else:
-        records["oracle"] = _policy_record(config, "oracle", trial, requests)
-        ref = records["oracle"][0]
+        ref = records["oracle"].rates
     traces = []
     for name in config.policies:
-        if name not in records:
-            records[name] = _policy_record(config, name, trial, requests)
-        rates, sizes, switches = records[name]
+        record = records[name]
         traces.append(
             PolicyTrace(
                 policy=name,
-                set_sizes=sizes,
-                rates=rates,
-                cum_regret=np.cumsum(rates - ref),
-                switches=switches,
+                set_sizes=record.sizes,
+                rates=record.rates,
+                cum_regret=np.cumsum(record.rates - ref),
+                switches=record.switches,
             )
         )
     return TrialResult(trial, config.seed, ref, tuple(traces))
@@ -291,12 +369,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     rates and cumulative switches are added to one running sum per policy,
     in trial order, and divided by the trial count at the end, the same
     sequential sum, bit for bit, as a mean over the stacked trials.  The
-    cumulative regrets are stacked, since their standard error takes a
-    second pass over the trials.  mean_switches accumulates: its value at
+    cumulative regrets are written into one preallocated (trials, horizon)
+    array per policy, since their standard error takes a second pass over
+    the trials (:func:`_stderr`).  mean_switches accumulates: its value at
     slot t is the mean number of cache rewrites up to and including t.
     """
     sums = {}  # per policy: running sums of rates and of cumulative switches
-    regrets = {name: [] for name in config.policies}
+    regrets = {name: np.empty((config.trials, config.horizon)) for name in config.policies}
     for trial in range(config.trials):
         for tr in run_trial(config, trial).traces:
             switched = np.cumsum(tr.switches)
@@ -306,25 +385,42 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 switch_sum += switched
             else:
                 sums[tr.policy] = (tr.rates.copy(), switched.astype(float))
-            regrets[tr.policy].append(tr.cum_regret)
+            regrets[tr.policy][trial] = tr.cum_regret
     aggregates = []
     for name in config.policies:
-        regret = np.stack(regrets.pop(name))
-        if config.trials > 1:
-            stderr = regret.std(axis=0, ddof=1) / np.sqrt(config.trials)
-        else:
-            stderr = np.zeros(config.horizon)
+        regret = regrets.pop(name)
+        mean = regret.mean(axis=0)
         rate_sum, switch_sum = sums[name]
         aggregates.append(
             PolicyAggregate(
                 policy=name,
                 mean_rate=rate_sum / config.trials,
-                mean_cum_regret=regret.mean(axis=0),
-                stderr_cum_regret=stderr,
+                mean_cum_regret=mean,
+                stderr_cum_regret=_stderr(regret, mean),
                 mean_switches=switch_sum / config.trials,
             )
         )
     return ExperimentResult(config, tuple(aggregates))
+
+
+def _stderr(rows: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Standard error of the across-row ``mean``: ``rows.std(axis=0, ddof=1)``
+    over sqrt(rows), 0 for a single row.
+
+    The squared deviations are summed row by row in row order, the order of
+    numpy's reduction over axis 0, so the result has the bits of ``std``
+    without its (rows, columns) temporary.
+    """
+    trials = len(rows)
+    if trials == 1:
+        return np.zeros(rows.shape[1])
+    squares = np.zeros(rows.shape[1])
+    deviation = np.empty(rows.shape[1])
+    for row in rows:
+        np.subtract(row, mean, out=deviation)
+        deviation *= deviation
+        squares += deviation
+    return np.sqrt(squares / (trials - 1)) / np.sqrt(trials)
 
 
 def config_summary(config: ExperimentConfig) -> str:

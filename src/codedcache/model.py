@@ -2,13 +2,17 @@
 
 Requests are drawn by inverse cdf through a guide table over the cdf, in
 chunks that continue one generator stream, so a draw of any length gives
-the indices of a plain ``searchsorted`` over one ``rng.random`` call.
+the indices of a plain ``searchsorted`` over one ``rng.random`` call, and so
+do consecutive draws from one generator, joined.  A distribution builds its
+cdf, guide table and positive-mass cap once, on its first draw, and every
+later draw reuses them.
 """
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -83,6 +87,11 @@ class PopularityDistribution:
     def is_sorted(self) -> bool:
         """True when ranks agree with indices (most popular first)."""
         return bool((np.diff(self.probs) <= 0).all())
+
+    @cached_property
+    def _inverse_cdf(self) -> _InverseCdf:
+        """The tables :func:`sample_requests` searches, built on first use."""
+        return _InverseCdf.build(self.probs)
 
 
 @dataclass(frozen=True)
@@ -220,18 +229,17 @@ def sample_requests(
     :func:`_guide_table`.  The uniforms are drawn and resolved
     ``REQUEST_CHUNK`` at a time; consecutive ``rng.random`` calls continue
     one stream, so the indices are those of a single call, with small
-    temporaries.  A zero-probability file is never drawn.  The cumsum can
-    end just below 1, and a uniform past it goes to the last file with
-    positive mass.  The filled array is made read-only and becomes the
-    profile's ``requests`` without a copy; no other reference to it is kept.
+    temporaries, and consecutive draws from one ``rng`` joined are one draw
+    of their total length.  The cdf, guide table and cap are the
+    distribution's, built on its first draw.  A zero-probability file is
+    never drawn.  The cumsum can end just below 1, and a uniform past it
+    goes to the last file with positive mass.  The filled array is made
+    read-only and becomes the profile's ``requests`` without a copy; no
+    other reference to it is kept.
     """
     if n_users < 1:
         raise ValueError("n_users must be >= 1")
-    edges = np.cumsum(dist.probs)
-    buckets, first, span, wide = _guide_table(edges)
-    # inf pads the edge reads that run past the last file
-    padded = np.concatenate([edges, np.full(span, np.inf)])
-    any_wide = bool(wide.any())
+    edges, buckets, first, span, wide, any_wide, padded, cap = dist._inverse_cdf
     idx = np.empty(n_users, dtype=np.int64)
     for start in range(0, n_users, REQUEST_CHUNK):
         u = rng.random(min(REQUEST_CHUNK, n_users - start))
@@ -244,9 +252,35 @@ def sample_requests(
         if any_wide:
             many = np.flatnonzero(wide[bucket])
             got[many] = np.searchsorted(edges, u[many], side="right")
-    np.minimum(idx, np.flatnonzero(dist.probs)[-1], out=idx)
+    np.minimum(idx, cap, out=idx)
     idx.setflags(write=False)
     return RequestProfile._owning(idx)
+
+
+class _InverseCdf(NamedTuple):
+    """A distribution's cdf ``edges``, its :func:`_guide_table` (``buckets``,
+    ``first``, ``span``, ``wide`` and whether any bucket is wide), the edges
+    padded with ``span`` infs for reads past the last file, and ``cap``, the
+    last file with positive mass."""
+
+    edges: np.ndarray
+    buckets: int
+    first: np.ndarray
+    span: int
+    wide: np.ndarray
+    any_wide: bool
+    padded: np.ndarray
+    cap: int
+
+    @classmethod
+    def build(cls, probs: np.ndarray) -> _InverseCdf:
+        edges = np.cumsum(probs)
+        buckets, first, span, wide = _guide_table(edges)
+        padded = np.concatenate([edges, np.full(span, np.inf)])
+        for table in (edges, first, wide, padded):
+            table.setflags(write=False)
+        cap = int(np.flatnonzero(probs)[-1])
+        return cls(edges, buckets, first, span, wide, bool(wide.any()), padded, cap)
 
 
 def _guide_table(edges: np.ndarray) -> tuple[int, np.ndarray, int, np.ndarray]:

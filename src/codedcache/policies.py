@@ -4,11 +4,13 @@ A policy decides, at the start of every slot, which files each user
 should cache.  All users apply the same decision; randomness enters
 only through the subpacket sampling done elsewhere.  A decision depends
 on the requests only through the per-file counts of the slots already
-served, so :func:`decision_blocks` decides a whole request history in one
-walk: it yields the (slots, n_files) cached-set indicators a block of slots
-at a time, row t being the set cached during slot t, decided before its
-requests arrive.  :func:`decision_matrix` joins the blocks for callers
-that want the (horizon, n_files) matrix whole.  Tracking compares each
+served, so a :class:`DecisionWalk` decides a request history in one walk
+that is fed the requests a block of slots at a time, as they are drawn, and
+returns each block's (slots, n_files) cached-set indicators, row t being the
+set cached during slot t, decided before its requests arrive.
+:func:`decision_blocks` feeds a walk a whole history held in memory, and
+:func:`decision_matrix` joins its blocks for callers that want the
+(horizon, n_files) matrix whole.  Tracking compares each
 count with one integer per slot, :func:`count_floors`, the least count
 whose empirical popularity clears the threshold.
 
@@ -152,16 +154,16 @@ def _decide(
     return key >= np.partition(key, cut, axis=1)[:, cut, None]
 
 
-def decision_blocks(
-    policy: str, requests: np.ndarray, probs: np.ndarray, params: SystemParams
-) -> Iterator[tuple[int, np.ndarray, np.ndarray | slice]]:
-    """``(start, block, varying)`` triples covering a (horizon, n_users) history
-    in order.
+class DecisionWalk:
+    """One policy's decisions over a history whose requests arrive block by block.
 
-    ``block`` holds the cached-set indicators of slots ``start`` to ``start +
-    len(block)``, :func:`block_rows` slots except possibly the last.
-    ``varying`` indexes the columns whose value can differ between the
-    block's rows; every other column repeats ``block[0]``.
+    Each :meth:`step` takes the (rows, n_users) requests of the next block,
+    :func:`block_rows` slots except possibly the last, and returns
+    ``(start, block, varying)``: ``block`` holds the cached-set indicators of
+    slots ``start`` to ``start + len(block)``, row t the set cached during
+    slot t, decided before its requests arrive, and ``varying`` indexes the
+    columns whose value can differ between the block's rows; every other
+    column repeats ``block[0]``.
 
     - ``tracking`` caches the files whose empirical popularity, the request
       count so far over slots seen times K, clears the threshold (ties
@@ -175,58 +177,88 @@ def decision_blocks(
 
     Oracle and uniform blocks are read-only broadcast views of one row, and
     their ``varying`` is empty.  Tracking and LFU carry the running counts
-    from block to block, so the walk holds O(block) memory.  A block past
-    the first takes the counts at its end from one ``bincount`` and finds
-    its :func:`_frontier`; only the frontier's columns are counted per slot,
-    cumsummed and compared or ranked, every other column repeats its fixed
-    decision, and ``varying`` is the frontier's column ids.  Counts and
-    floors never fall, which is what makes the fixed decisions exact (see
-    :func:`_frontier` and :func:`count_floors`).  The first block, which
-    starts with no counts, and any block whose frontier holds more than
-    half the files are decided densely, every file in every row, and their
-    ``varying`` is ``slice(None)``, so indexing with it makes a view.  When
-    the first block is asked for, an invalid policy is refused, and so is an
-    LFU history whose requests times n_files reaches 2**63, where its int64
-    ranking key would overflow.
+    from block to block, and between steps the walk holds nothing else of a
+    block, so it takes O(n_files) memory.  A block past the first takes the
+    counts at its end from one ``bincount`` and finds its :func:`_frontier`;
+    only the frontier's columns are counted per slot, cumsummed and compared
+    or ranked, every other column repeats its fixed decision, and
+    ``varying`` is the frontier's column ids.  Counts and floors never fall,
+    which is what makes the fixed decisions exact (see :func:`_frontier` and
+    :func:`count_floors`).  The first block, which starts with no counts, and
+    any block whose frontier holds more than half the files are decided
+    densely, every file in every row, and their ``varying`` is
+    ``slice(None)``, so indexing with it makes a view.
+
+    The walk is built for a ``horizon`` of slots.  Tracking takes its
+    ``floors``, ``count_floors(np.arange(horizon), params)``, as given, so
+    walks over many histories of one horizon can share them, or computes
+    them.  An invalid policy is refused, and so is an LFU walk whose
+    horizon * n_users * n_files reaches 2**63, where its int64 ranking key
+    could overflow.
     """
-    check_policy(policy, params)
-    t_len, n = len(requests), params.n_files
-    if policy == "lfu" and requests.size * n >= 2**63:
-        raise ValueError("LFU history too long: requests * n_files must stay below 2**63")
-    step = block_rows(n)
-    if policy in CONSTANT_POLICIES:
-        row = params.popular(probs) if policy == "oracle" else np.ones(n, dtype=bool)
-        none = np.empty(0, dtype=np.intp)
-        for start in range(0, t_len, step):
-            yield start, np.broadcast_to(row, (min(step, t_len - start), n)), none
-        return
-    m = int(params.cache_size)
-    tie_break = np.arange(n - 1, -1, -1)
-    running = np.zeros(n, dtype=np.int64)
-    all_floors = count_floors(np.arange(t_len), params) if policy == "tracking" else None
-    floors = None
-    for start in range(0, t_len, step):
-        block = requests[start : start + step]
-        rows = len(block)
-        if policy == "tracking":
-            floors = all_floors[start : start + rows]
+
+    def __init__(
+        self,
+        policy: str,
+        probs: np.ndarray,
+        params: SystemParams,
+        horizon: int,
+        floors: np.ndarray | None = None,
+    ):
+        check_policy(policy, params)
+        n = params.n_files
+        if policy == "lfu" and horizon * params.n_users * n >= 2**63:
+            raise ValueError("LFU history too long: requests * n_files must stay below 2**63")
+        self.policy, self.n_files, self.start = policy, n, 0
+        self.rows = block_rows(n)
+        if policy in CONSTANT_POLICIES:
+            row = params.popular(probs) if policy == "oracle" else np.ones(n, dtype=bool)
+            self._block = np.broadcast_to(row, (self.rows, n))
+            return
+        if policy == "tracking" and floors is None:
+            floors = count_floors(np.arange(horizon), params)
+        self._floors = floors
+        self._m = int(params.cache_size)
+        self._tie_break = np.arange(n - 1, -1, -1)
+        self._running = np.zeros(n, dtype=np.int64)
+
+    def step(self, requests: np.ndarray) -> tuple[int, np.ndarray, np.ndarray | slice]:
+        """Decide the next block of slots from its ``requests``."""
+        start, rows, n = self.start, len(requests), self.n_files
+        self.start += rows
+        if self.policy in CONSTANT_POLICIES:
+            return start, self._block[:rows], np.empty(0, dtype=np.intp)
+        policy, m, running, tie_break = self.policy, self._m, self._running, self._tie_break
+        floors = self._floors[start : start + rows] if policy == "tracking" else None
         if start:
-            end = running + np.bincount(block.ravel(), minlength=n)
+            end = running + np.bincount(requests.ravel(), minlength=n)
             fixed, frontier = _frontier(policy, running, end, floors, m)
             cols = np.flatnonzero(frontier)
         if not start or 2 * len(cols) > n:
-            before = _counts_before(block, running, n)
-            running = before[rows]
-            yield start, _decide(policy, before[:rows], floors, m, n, tie_break), slice(None)
-            continue
+            before = _counts_before(requests, running, n)
+            self._running = before[rows].copy()
+            return start, _decide(policy, before[:rows], floors, m, n, tie_break), slice(None)
         # files off the frontier are counted in one spare last column
         column = np.full(n, len(cols))
         column[cols] = np.arange(len(cols))
-        before = _counts_before(column[block], running[cols], len(cols) + 1)
+        before = _counts_before(column[requests], running[cols], len(cols) + 1)
         decisions = np.repeat(fixed[None], rows, axis=0)
         decisions[:, cols] = _decide(policy, before[:rows, :-1], floors, m, n, tie_break[cols])
-        running = end
-        yield start, decisions, cols
+        self._running = end
+        return start, decisions, cols
+
+
+def decision_blocks(
+    policy: str, requests: np.ndarray, probs: np.ndarray, params: SystemParams
+) -> Iterator[tuple[int, np.ndarray, np.ndarray | slice]]:
+    """``(start, block, varying)`` triples covering a (horizon, n_users) history
+    in order: a :class:`DecisionWalk` fed the history :func:`block_rows`
+    slots at a time.  The walk is built, and an invalid policy or an LFU
+    history too long for its key refused, when the first block is asked for.
+    """
+    walk = DecisionWalk(policy, probs, params, len(requests))
+    for start in range(0, len(requests), walk.rows):
+        yield walk.step(requests[start : start + walk.rows])
 
 
 def decision_matrix(

@@ -1,5 +1,6 @@
 """Tests for the experiment harness."""
 import io
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,8 @@ from codedcache.harness import (
     _draw_requests,
     _lfu_dedup_rates,
     _policy_record,
+    _request_blocks,
+    _stderr,
     config_summary,
     emit_csv,
     run_experiment,
@@ -321,20 +324,124 @@ def test_constant_policy_record_matches_a_charge_per_block(monkeypatch, horizon,
         assert trace.cum_regret.tolist() == np.cumsum(want[name] - ref).tolist()
 
 
-def test_wide_trial_memory_stays_below_the_decision_matrix():
-    # the (T, N) float64 copy of a whole decision matrix alone is 80 MB here;
-    # streamed, a trial's peak is the request draw
-    cfg = ExperimentConfig(
+# --- the trial streams its requests block by block --------------------------
+
+def wide_config(horizon):
+    return ExperimentConfig(
         params=SystemParams(1000, 100, 20.0), dist=make_zipf(1000, 0.8),
-        policies=POLICY_NAMES, horizon=10_000, trials=1, seed=1,
+        policies=POLICY_NAMES, horizon=horizon, trials=1, seed=1,
     )
+
+
+def traced_trial_peak(cfg):
     tracemalloc.start()
     try:
         run_trial(cfg, 0)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40e6
+
+
+def test_wide_trial_memory_stays_below_the_decision_matrix():
+    # the (T, N) float64 copy of a whole decision matrix alone is 80 MB here,
+    # and the (T, K) int64 request matrix 8 MB; streamed, a trial holds one
+    # 640-slot chunk of requests (0.5 MB), blocks of decisions and its
+    # per-slot records
+    assert traced_trial_peak(wide_config(10_000)) < 6e6
+
+
+def test_wide_trial_memory_grows_only_by_the_per_slot_records():
+    # per slot and policy a trial keeps a rate, a size, a switch flag and a
+    # cumulative regret (25 bytes), and one reference rate plus one rates
+    # minus reference temporary; a held request matrix would add 800 bytes
+    per_slot = 25 * len(POLICY_NAMES) + 2 * 8
+    peaks = [traced_trial_peak(wide_config(horizon)) for horizon in (10_000, 20_000)]
+    assert peaks[1] - peaks[0] < 10_000 * per_slot
+
+
+def test_request_blocks_join_into_the_whole_draw(monkeypatch):
+    # 64-slot blocks at N=600 and 3-block chunks of 4 users: horizons one
+    # short of, on and one past a chunk edge
+    monkeypatch.setattr(harness, "REQUEST_CHUNK", 3 * 64 * 4)
+    drawn = []
+
+    def sample(dist, n_users, rng):
+        drawn.append(n_users)
+        return model.sample_requests(dist, n_users, rng)
+
+    for horizon in (1, 191, 192, 193, 400):
+        cfg = ExperimentConfig(params=SystemParams(600, 4, 30.0), dist=make_zipf(600, 0.8),
+                               policies=("lfu",), horizon=horizon, trials=1, seed=2)
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "sample_requests", sample)
+            drawn.clear()
+            blocks = list(_request_blocks(cfg, 0))
+        assert drawn == [4 * min(192, horizon - lo) for lo in range(0, horizon, 192)]
+        assert [len(b) for b in blocks[:-1]] == [64] * (len(blocks) - 1)
+        assert np.concatenate(blocks).tolist() == _draw_requests(cfg, 0).tolist()
+
+
+@pytest.mark.parametrize("horizon", [1, 63, 64, 65, 191, 192, 193])
+@pytest.mark.parametrize("rate_mode", ["analytic", "bitlevel"])
+def test_lockstep_trial_equals_the_whole_matrix_records(monkeypatch, horizon, rate_mode):
+    # 64-slot blocks at N=600, drawn 3 blocks (192 slots) at a time: each
+    # trace is bit for bit the record of the whole request matrix, with the
+    # oracle a listed policy or only the paired reference
+    monkeypatch.setattr(harness, "REQUEST_CHUNK", 3 * 64 * 4)
+    params = SystemParams(600, 4, 30.0, 8)
+    dist = make_zipf(600, 0.8)
+    assert block_rows(params.n_files) == 64
+    cases = itertools.product(
+        [("closed-form", POLICY_NAMES), ("paired", POLICY_NAMES),
+         ("paired", ("lfu", "tracking", "uniform"))],
+        ["per-request", "dedup"],
+    )
+    for (reference, names), accounting in cases:
+        cfg = ExperimentConfig(params=params, dist=dist, policies=names, horizon=horizon,
+                               trials=1, seed=7, rate_mode=rate_mode, reference=reference,
+                               lfu_accounting=accounting)
+        result = run_trial(cfg, 0)
+        requests = _draw_requests(cfg, 0)
+        if reference == "paired":
+            ref = _policy_record(cfg, "oracle", 0, requests)[0]
+        else:
+            ref = np.full(horizon, oracle_rate_upper(dist, params))
+        assert result.reference_rates.tolist() == ref.tolist()
+        for name in names:
+            rates, sizes, switches = _policy_record(cfg, name, 0, requests)
+            trace = result.trace(name)
+            assert trace.rates.tolist() == rates.tolist(), (name, reference, accounting)
+            assert trace.set_sizes.tolist() == sizes.tolist()
+            assert trace.switches.tolist() == switches.tolist()
+            assert trace.cum_regret.tolist() == np.cumsum(rates - ref).tolist()
+
+
+def test_lfu_refuses_a_long_history_before_any_draw(monkeypatch):
+    # T * K * N == 2**63; the refusal comes from the horizon, not the draw
+    def no_draw(*args):
+        raise AssertionError("requests drawn")
+
+    monkeypatch.setattr(harness, "sample_requests", no_draw)
+    cfg = ExperimentConfig(params=SystemParams(2**10, 2**10, 4.0),
+                           dist=PopularityDistribution(np.full(2**10, 2.0**-10)),
+                           policies=("lfu",), horizon=2**43, trials=1, seed=0)
+    with pytest.raises(ValueError, match="2\\*\\*63"):
+        run_trial(cfg, 0)
+
+
+def test_tracking_floors_are_computed_once_per_experiment(monkeypatch):
+    calls = []
+    floors = harness.count_floors
+
+    def counted(slots, params):
+        calls.append(len(slots))
+        return floors(slots, params)
+
+    monkeypatch.setattr(harness, "count_floors", counted)
+    monkeypatch.setattr(policies, "count_floors", counted)
+    cfg = config(trials=3, horizon=9)
+    run_experiment(cfg)
+    assert calls == [9]
 
 
 def test_request_matrix_is_a_view_of_the_drawn_profile(monkeypatch):
@@ -446,7 +553,8 @@ def test_streamed_means_equal_the_stacked_means(trials):
 def test_readme_experiment_memory_streams_the_means():
     # the README command: 200 trials of 2000 slots and three policies.
     # Holding every trial's rates, regrets and cumulative switches until the
-    # end peaks near 36 MB; only the regrets are kept now
+    # end peaks near 36 MB, and a list of regrets stacked at the end near
+    # 13 MB; the regrets alone are 9.6 MB, written into one array per policy
     cfg = ExperimentConfig(
         params=SystemParams(20, 10, 2.0), dist=make_zipf(20, 1.0),
         policies=("tracking", "uniform", "lfu"), horizon=2000, trials=200, seed=1,
@@ -457,7 +565,16 @@ def test_readme_experiment_memory_streams_the_means():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 25e6
+    assert peak < 12e6
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3, 200])
+def test_stderr_has_the_bits_of_numpy_std(trials):
+    rows = np.random.default_rng(trials).standard_normal((trials, 500)).cumsum(axis=1)
+    rows[:, :3] = 0.5  # columns with no spread
+    mean = rows.mean(axis=0)
+    want = rows.std(axis=0, ddof=1) / np.sqrt(trials) if trials > 1 else np.zeros(500)
+    assert _stderr(rows, mean).tobytes() == want.tobytes()
 
 
 def test_stderr_matches_manual_computation():

@@ -339,6 +339,27 @@ def test_sample_requests_across_chunk_edges(offset):
     assert got.tolist() == reference_requests(dist, substream(5, 0).random(n)).tolist()
 
 
+def test_consecutive_draws_join_into_one_and_build_the_tables_once(monkeypatch):
+    # draws of 3, a chunk minus 2 and a chunk plus 7 from one generator are
+    # the one draw of their total length; the guide table is built on the
+    # distribution's first draw only
+    built = []
+    table = model._guide_table
+
+    def counted(edges):
+        built.append(len(edges))
+        return table(edges)
+
+    monkeypatch.setattr(model, "_guide_table", counted)
+    dist = make_zipf(1000, 0.8)
+    sizes = [3, model.REQUEST_CHUNK - 2, model.REQUEST_CHUNK + 7]
+    rng = substream(6, 0)
+    parts = [sample_requests(dist, n, rng).requests for n in sizes]
+    whole = sample_requests(dist, sum(sizes), substream(6, 0)).requests
+    assert np.concatenate(parts).tolist() == whole.tolist()
+    assert built == [1000]
+
+
 def test_sample_requests_empirical_convergence():
     # one million draws track the pmf to within 5e-3 in sup norm
     d = make_zipf(10, 0.8)
