@@ -617,18 +617,24 @@ def slot_rates(
     what the engine charges there: placement stores S whole, so every request
     outside S is sent whole and every request inside it costs nothing.
 
-    Each row is charged on its own, so a caller may pass a history a block of
+    Each row is charged on its own, so a caller may pass a history a slice of
     rows at a time; the mass inside S is one ``decisions @ probs`` product,
-    whose bits match the whole history's when the blocks start at multiples
+    whose bits match the whole history's when the slices start at multiples
     of ``policies.BLOCK_ROW_MULTIPLE`` rows.  ``sizes``, the set sizes |S|,
     may be passed by a caller that has counted them; by default the rows are
-    counted here.
+    counted here.  :func:`rates_of_mass` is the rate given that mass, for a
+    caller that takes the products itself.
     """
-    n, k, m = params.n_files, params.n_users, params.cache_size
     if sizes is None:
         sizes = np.count_nonzero(decisions, axis=-1)
+    return rates_of_mass(decisions @ probs, sizes, params)
+
+
+def rates_of_mass(inside: np.ndarray, sizes: np.ndarray, params: SystemParams) -> np.ndarray:
+    """:func:`slot_rates` of sets of ``sizes`` files holding ``inside`` of the
+    popularity mass; each element is charged on its own."""
+    n, k, m = params.n_files, params.n_users, params.cache_size
     sizes = np.asarray(sizes, dtype=np.float64)
-    inside = decisions @ probs
     with np.errstate(divide="ignore", invalid="ignore"):
         coded = sizes / m - 1.0 + k * (1.0 - inside)
         leftover = (n - sizes) / (m - sizes) - 1.0

@@ -12,17 +12,22 @@ default, charges it one file per request outside its set, as the shared
 rate does.  Per-slot regret is the rate minus a reference oracle rate;
 the reference is either the closed-form upper estimate or the simulated
 oracle of the same trial.
-A trial is one walk over the decision blocks of ``policies.block_rows``
-slots.  Its requests are drawn a chunk of whole blocks at a time, and each
-block goes to every policy in turn, the paired oracle among them, before the
-next: each policy's ``policies.DecisionWalk`` decides the block and its
-record charges it at once.  So neither a (horizon, n_users) request matrix
-nor a (horizon, n_files) decision array of any dtype is held; a trial's
-memory grows with the horizon only through its per-slot records.  Each
-block's set sizes and switches are counted on the columns that can vary
-inside it.  A constant policy (oracle, uniform) repeats one row, so
-in analytic mode it is charged once per distinct block length.  Bit-level
-delivery is planned for a bounded batch of slots at a time.
+A trial draws its requests a chunk at a time, about ``REQUEST_CHUNK``
+requests and a whole number of ``policies.block_rows`` slots, and hands each
+chunk to every policy in turn, the paired oracle among them, before it
+releases the chunk and draws the next.  Each policy's
+``policies.DecisionWalk`` decides the chunk in factored blocks sized by
+their frontier work, and its record charges each block as it comes.  So
+neither a (horizon, n_users) request matrix nor a (horizon, n_files)
+decision array of any dtype is held; a trial's memory grows with the
+horizon only through its per-slot records.  Each block's set sizes and
+switches are counted on the columns that can vary inside it.  Analytic
+rates are charged on slices of ``policies.block_rows`` slots, rebuilt as
+float rows in one buffer the trial's records share, so every rate has the
+bits of charging the whole history a slice at a time.  A constant policy
+(oracle, uniform) repeats one row, so in analytic mode it is charged once
+per experiment and slice length.  Bit-level delivery is planned for a
+bounded batch of slots at a time.
 """
 from __future__ import annotations
 
@@ -35,7 +40,14 @@ from typing import Iterator
 import numpy as np
 
 from .bounds import oracle_rate_upper
-from .engine import batch_slots, holders_full, plan_slots, sample_placement, slot_rates
+from .engine import (
+    batch_slots,
+    holders_full,
+    plan_slots,
+    rates_of_mass,
+    sample_placement,
+    slot_rates,
+)
 from .model import (
     REQUEST_CHUNK,
     PopularityDistribution,
@@ -107,6 +119,12 @@ class ExperimentConfig:
         return self.lfu_accounting == "per-request"
 
     @functools.cached_property
+    def _constant_charges(self) -> dict[tuple[str, int], np.ndarray]:
+        """Analytic rates of a constant policy's slice of rows, keyed by
+        policy and slice length, charged once and shared by every trial."""
+        return {}
+
+    @functools.cached_property
     def _tracking_floors(self) -> np.ndarray:
         """Tracking's ``count_floors`` over the horizon, computed once and
         shared by every trial: they depend only on the slot and params."""
@@ -149,7 +167,7 @@ def _draw_requests(config: ExperimentConfig, trial: int) -> np.ndarray:
 
     It is a read-only view of the drawn profile's requests, not a copy.
     The trial itself draws the same substream a chunk at a time
-    (:func:`_request_blocks`); joined, the chunks are this matrix.
+    (:func:`_request_chunks`); joined, the chunks are this matrix.
     """
     rng = substream(config.seed, trial, 0)
     flat = sample_requests(
@@ -158,29 +176,31 @@ def _draw_requests(config: ExperimentConfig, trial: int) -> np.ndarray:
     return flat.requests.reshape(config.horizon, config.params.n_users)
 
 
-def _request_blocks(config: ExperimentConfig, trial: int) -> Iterator[np.ndarray]:
-    """The trial's requests, one decision block of (rows, n_users) at a time.
+def _request_chunks(config: ExperimentConfig, trial: int) -> Iterator[np.ndarray]:
+    """The trial's requests, one (rows, n_users) chunk at a time.
 
-    The blocks are those of ``policies.block_rows``.  They are drawn from
-    the trial's request substream a chunk of whole blocks at a time, about
-    ``REQUEST_CHUNK`` requests and at least one block, so one chunk is held
-    at once.  Consecutive draws continue one stream, so the blocks joined
-    are :func:`_draw_requests`.
+    A chunk is about ``REQUEST_CHUNK`` requests, a whole number of
+    ``policies.block_rows`` slots and at least one such slice, or the
+    horizon's rest.  The chunks are drawn from the trial's request substream
+    as they are asked for; consecutive draws continue one stream, so the
+    chunks joined are :func:`_draw_requests`.  No reference to a chunk is
+    kept here, so a consumer that drops it before asking for the next holds
+    one chunk at a time.
     """
     k, step = config.params.n_users, block_rows(config.params.n_files)
     chunk = step * max(1, REQUEST_CHUNK // (step * k))
     rng = substream(config.seed, trial, 0)
     for lo in range(0, config.horizon, chunk):
         rows = min(chunk, config.horizon - lo)
-        drawn = sample_requests(config.dist, rows * k, rng).requests.reshape(rows, k)
-        for start in range(0, rows, step):
-            yield drawn[start : start + step]
+        yield sample_requests(config.dist, rows * k, rng).requests.reshape(rows, k)
 
 
 def _lfu_dedup_rates(
     config: ExperimentConfig, decisions: np.ndarray, requests: np.ndarray
 ) -> np.ndarray:
     """LFU charged one file per distinct missed file, not one per request.
+
+    ``decisions`` holds the cached sets as bool or as 0/1 float rows.
 
     Analytic mode charges the expected number of distinct files requested
     outside the set, bit-level mode the number the slot's requests miss.
@@ -190,45 +210,76 @@ def _lfu_dedup_rates(
         return weight.sum() - decisions @ weight
     requested = np.zeros(decisions.shape, dtype=bool)
     requested[np.arange(len(requests))[:, None], requests] = True
-    return (requested & ~decisions).sum(axis=1).astype(np.float64)
+    return (requested & (decisions == 0)).sum(axis=1).astype(np.float64)
+
+
+class _SliceRows:
+    """The float rows a rate slice is rebuilt in, one set shared by the
+    records of a trial and allocated when a slice first needs them."""
+
+    def __init__(self, config: ExperimentConfig):
+        self.config = config
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """``policies.block_rows`` rows of n_files, or the horizon's, if fewer."""
+        n = self.config.params.n_files
+        return np.empty((min(block_rows(n), self.config.horizon), n))
 
 
 class _PolicyRecord:
     """One policy's per-slot rates, cached-set sizes and switch flags, filled
-    block by block as :meth:`feed` hands it each decision block's requests.
+    as :meth:`feed` hands it the history's requests a chunk at a time.
 
-    The record owns the policy's :class:`DecisionWalk`, and each block is
-    charged as it is decided, so the record holds one block of the
-    (horizon, n_files) decisions at a time, and only while it is fed: between
+    The record owns the policy's :class:`DecisionWalk` and charges each
+    factored block ``(start, fixed_row, varying, part)`` as it is decided, so
+    it never holds a (rows, n_files) bool block past the dense ones: between
     blocks it keeps its per-slot arrays, the walk's counts, the last decided
-    row and, in bit-level mode, the placement in force.  LFU under dedup
-    accounting pays per distinct missed file; every other policy pays
-    ``slot_rates`` in analytic mode, and in bit-level mode real delivery over
-    a placement sampled in the first slot and on every switch, from the
-    policy's own substream.  Bit-level slots are planned up to
-    ``engine.batch_slots`` at a time by ``engine.plan_slots``, inside one
-    block; a batch holds the placement in force at its first slot and those
-    sampled at its switches, and ends before a switch once those placements
-    are ``engine.holders_full``.  Placements are sampled in slot order, so
-    the draws are those of planning one slot at a time.
+    row and, in bit-level mode, the placement in force.
 
-    Sizes and switches are counted on the block's varying columns: a row's
-    size is the first row's size with the varying part recounted, and a row
-    past the first switches iff its varying part differs from the row
-    above.  A block with no varying column repeats its first row, so its
+    Sizes and switches are counted on ``part``: a row's size is the fixed
+    row's size outside the varying columns plus the row of ``part``, and a
+    row past the first switches iff its row of ``part`` differs from the row
+    above.  A block with no varying column repeats its fixed row, so its
     sizes are that row's and only its first row can switch.  The block's
     first row is compared whole with the previous block's last, since a
     column that is fixed inside a block can still differ from the block
-    before.  A constant policy's blocks are one row broadcast with no
-    varying column, and blocks of one length share one ``slot_rates``
-    charge: at most two per record, with the bits of a charge per block.
+    before.
+
+    In analytic mode, and for LFU under dedup accounting, the rates are
+    charged on the slices of ``policies.block_rows`` slots that start at its
+    multiples, so every rate has the bits of charging the whole history a
+    slice at a time.  A slice inside a dense block is charged as it is;
+    any other is rebuilt as float rows in a :class:`_SliceRows` shared by
+    the records of a trial: a dense block's rows are copied in, and a
+    frontier block refills the rows with its fixed row once, after which
+    each slice writes only its varying columns.  The rows hold nothing
+    between feeds, so each feed must start on a slice, as
+    :func:`_request_chunks` does.  LFU under dedup accounting pays per
+    distinct missed file; every other policy pays ``slot_rates``: the mass
+    inside each set is one ``decisions @ probs`` product per slice, and
+    ``engine.rates_of_mass`` turns a feed's masses into rates at once.  A
+    constant policy's slices repeat one row, so each slice length is charged
+    once per experiment (``ExperimentConfig._constant_charges``).
+
+    In bit-level mode each policy pays real delivery over a placement
+    sampled in the first slot and on every switch, from the policy's own
+    substream.  Bit-level slots are planned up to ``engine.batch_slots`` at a
+    time by ``engine.plan_slots``, inside one block; a batch holds the
+    placement in force at its first slot and those sampled at its switches,
+    and ends before a switch once those placements are
+    ``engine.holders_full``.  Placements are sampled in slot order, so the
+    draws are those of planning one slot at a time.
     """
 
-    def __init__(self, config: ExperimentConfig, policy: str, trial: int):
+    def __init__(
+        self, config: ExperimentConfig, policy: str, trial: int, slices: _SliceRows | None = None
+    ):
         params = config.params
         floors = config._tracking_floors if policy == "tracking" else None
         self.walk = DecisionWalk(policy, config.dist.probs, params, config.horizon, floors)
-        self.config = config
+        self.config, self.policy = config, policy
+        self.slices = slices or _SliceRows(config)
         if policy == "lfu" and not config.lfu_per_request():
             self.charge = "dedup"
         else:
@@ -237,56 +288,129 @@ class _PolicyRecord:
             self.place_rng = substream(config.seed, trial, POLICY_STREAM_KEYS[policy])
             self.per_batch, self.placed = batch_slots(params), []
         self.constant = policy in CONSTANT_POLICIES
-        self.charged = {}  # a constant policy's analytic rates, by block length
         self.previous = None  # the last decided row
         self.rates = np.empty(config.horizon)
         self.sizes = np.empty(config.horizon, dtype=np.int64)
         self.switches = np.empty(config.horizon, dtype=bool)
 
     def feed(self, requests: np.ndarray) -> None:
-        """Decide and charge the next block of slots, given its requests."""
-        config, rates, sizes, switches = self.config, self.rates, self.sizes, self.switches
-        params, probs = config.params, config.dist.probs
-        start, block, varying = self.walk.step(requests)
-        stop = start + len(block)
-        first = block[0]
-        if isinstance(varying, slice) or varying.size:
-            part = block[:, varying]
-            sizes[start:stop] = part.sum(axis=1)
-            sizes[start:stop] += np.count_nonzero(first) - np.count_nonzero(first[varying])
-            switches[start:stop] = switch_flags(part)
-        else:  # every row repeats the first
-            sizes[start:stop] = np.count_nonzero(first)
-            switches[start + 1 : stop] = False
-        switches[start] = self.previous is not None and (first != self.previous).any()
-        self.previous = block[-1].copy()
-        if self.charge == "dedup":
-            rates[start:stop] = _lfu_dedup_rates(config, block, requests)
-        elif self.charge == "analytic" and self.constant:
-            if len(block) not in self.charged:
-                self.charged[len(block)] = slot_rates(block, probs, params, sizes[start:stop])
-            rates[start:stop] = self.charged[len(block)]
-        elif self.charge == "analytic":
-            rates[start:stop] = slot_rates(block, probs, params, sizes[start:stop])
-        else:
-            lo, placed = start, self.placed
-            while lo < stop:
-                # the placement in force before lo, unless lo draws its own
-                placed = placed[-1:] if lo and not switches[lo] else []
-                which = []
-                for s in range(lo, min(lo + self.per_batch, stop)):
-                    if s == 0 or switches[s]:
-                        if which and holders_full(placed):
-                            break
-                        cached = np.flatnonzero(block[s - start]).tolist()
-                        placed.append(sample_placement(params, cached, self.place_rng))
-                    which.append(len(placed) - 1)
-                hi = lo + len(which)
-                slots = requests[lo - start : hi - start]
-                rates[lo:hi] = plan_slots(params, placed, np.array(which), slots).rates
-                lo = hi
-            # the placement in force carries into the next block, if any
-            self.placed = placed[-1:] if stop < config.horizon else []
+        """Decide and charge the next slots, given their requests: a whole
+        number of rate slices, or the rest of the history."""
+        first, done = self.walk.start, 0
+        while done < len(requests):
+            start, fixed, varying, part = self.walk.step(requests[done:])
+            self._count(start, fixed, varying, part)
+            if self.charge == "bitlevel":
+                self._deliver(start, fixed, varying, part, requests[done:])
+            elif self.constant:
+                self._charge_constant(start, fixed, start + len(part))
+            else:
+                self._charge(start, fixed, varying, part, requests, first)
+            done += len(part)
+        if self.charge == "analytic" and not self.constant:
+            # _charge left the mass inside each set in the rates
+            span = slice(first, self.walk.start)
+            params = self.config.params
+            self.rates[span] = rates_of_mass(self.rates[span], self.sizes[span], params)
+
+    def _count(self, start, fixed, varying, part) -> None:
+        """The block's set sizes and switch flags."""
+        stop = start + len(part)
+        sizes, switches = self.sizes[start:stop], self.switches[start:stop]
+        if part.shape[1]:
+            sizes[:] = part.sum(axis=1)
+            sizes += np.count_nonzero(fixed) - np.count_nonzero(fixed[varying])
+            switches[:] = switch_flags(part)
+        else:  # every row repeats the fixed row
+            sizes[:] = np.count_nonzero(fixed)
+            switches[1:] = False
+        row = fixed.copy()
+        row[varying] = part[0]
+        switches[0] = self.previous is not None and (row != self.previous).any()
+        row[varying] = part[-1]
+        self.previous = row
+
+    def _charge(self, start, fixed, varying, part, requests, first) -> None:
+        """Charge the block's slots a rate slice at a time: the mass inside
+        each set in analytic mode, the rate under dedup accounting.
+        ``requests`` are the feed's, from slot ``first`` on."""
+        config, probs, stale = self.config, self.config.dist.probs, 0
+        dense = isinstance(varying, slice)
+        for base, end, lo, hi in _slices(start, start + len(part), self.walk.rows, config.horizon):
+            if dense and lo == base and hi == end:  # a whole slice, charged as is
+                decisions = part[lo - start : hi - start]
+            else:
+                buffer = self.slices.rows
+                rows = buffer[lo - base : hi - base]
+                if dense:  # a plain copy
+                    rows[...] = part[lo - start : hi - start]
+                else:
+                    if lo == start:  # rows above lo still hold the block before
+                        buffer[lo - base :] = fixed
+                        stale = lo - base
+                    elif stale:
+                        buffer[:stale] = fixed
+                        stale = 0
+                    rows[:, varying] = part[lo - start : hi - start]
+                decisions = buffer[: end - base]
+            if hi < end:
+                continue  # the next block completes the slice
+            if self.charge == "dedup":
+                slots = requests[base - first : end - first]
+                self.rates[base:end] = _lfu_dedup_rates(config, decisions, slots)
+            else:
+                np.matmul(decisions, probs, out=self.rates[base:end])
+
+    def _charge_constant(self, start, row, stop) -> None:
+        """A constant policy's analytic rates: each slice length is charged
+        once per experiment."""
+        config, charges = self.config, self.config._constant_charges
+        for base, end, lo, hi in _slices(start, stop, self.walk.rows, config.horizon):
+            key = (self.policy, end - base)
+            if key not in charges:
+                block = np.broadcast_to(row, (end - base, len(row)))
+                charges[key] = slot_rates(block, config.dist.probs, config.params)
+            self.rates[lo:hi] = charges[key][lo - base : hi - base]
+
+    def _deliver(self, start, fixed, varying, part, requests) -> None:
+        """Bit-level rates of the block's slots; ``requests`` start at its
+        first slot."""
+        config, rates, switches = self.config, self.rates, self.switches
+        params, stop = config.params, start + len(part)
+        lo, placed = start, self.placed
+        while lo < stop:
+            # the placement in force before lo, unless lo draws its own
+            placed = placed[-1:] if lo and not switches[lo] else []
+            which = []
+            for s in range(lo, min(lo + self.per_batch, stop)):
+                if s == 0 or switches[s]:
+                    if which and holders_full(placed):
+                        break
+                    row = fixed.copy()
+                    row[varying] = part[s - start]
+                    cached = np.flatnonzero(row).tolist()
+                    placed.append(sample_placement(params, cached, self.place_rng))
+                which.append(len(placed) - 1)
+            hi = lo + len(which)
+            slots = requests[lo - start : hi - start]
+            rates[lo:hi] = plan_slots(params, placed, np.array(which), slots).rates
+            lo = hi
+        # the placement in force carries into the next block, if any
+        self.placed = placed[-1:] if stop < config.horizon else []
+
+
+def _slices(start: int, stop: int, step: int, horizon: int) -> Iterator[tuple[int, int, int, int]]:
+    """``(base, end, lo, hi)`` for each rate slice that slots ``start`` to
+    ``stop`` meet: the slice [base, end) starts at a multiple of ``step``
+    and ends ``step`` slots on or at the horizon, and [lo, hi) is the part
+    of the slots inside it."""
+    lo = start
+    while lo < stop:
+        base = lo - lo % step
+        end = min(base + step, horizon)
+        hi = min(stop, end)
+        yield base, end, lo, hi
+        lo = hi
 
 
 def _policy_record(
@@ -294,30 +418,29 @@ def _policy_record(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One policy's per-slot rates, cached-set sizes and switch flags over a
     whole (horizon, n_users) history held in memory: a :class:`_PolicyRecord`
-    fed the history block by block, as :func:`run_trial` feeds it the blocks
-    it draws."""
+    fed the history in one piece."""
     record = _PolicyRecord(config, policy, trial)
-    step = record.walk.rows
-    for start in range(0, config.horizon, step):
-        record.feed(requests[start : start + step])
+    record.feed(requests)
     return record.rates, record.sizes, record.switches
 
 
 def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
     """Play every configured policy against one sampled request history.
 
-    The history is drawn a chunk of decision blocks at a time
-    (:func:`_request_blocks`), and each block goes to every policy's record
-    in turn, the paired oracle's among them, before the next is drawn, so
-    no (horizon, n_users) request matrix is held.
+    The history is drawn a chunk at a time (:func:`_request_chunks`), and
+    each chunk goes to every policy's record in turn, the paired oracle's
+    among them, and is released before the next is drawn, so no (horizon,
+    n_users) request matrix is held.  The records share one rate buffer.
     """
     names = config.policies
     if config.reference == "paired" and "oracle" not in names:
         names += ("oracle",)
-    records = {name: _PolicyRecord(config, name, trial) for name in names}
-    for requests in _request_blocks(config, trial):
+    slices = _SliceRows(config)
+    records = {name: _PolicyRecord(config, name, trial, slices) for name in names}
+    for requests in _request_chunks(config, trial):
         for record in records.values():
             record.feed(requests)
+        del requests  # the chunk is freed before the next is drawn
     if config.reference == "closed-form":
         ref = np.full(
             config.horizon, oracle_rate_upper(config.dist, config.params)

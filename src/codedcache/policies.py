@@ -5,14 +5,17 @@ should cache.  All users apply the same decision; randomness enters
 only through the subpacket sampling done elsewhere.  A decision depends
 on the requests only through the per-file counts of the slots already
 served, so a :class:`DecisionWalk` decides a request history in one walk
-that is fed the requests a block of slots at a time, as they are drawn, and
-returns each block's (slots, n_files) cached-set indicators, row t being the
-set cached during slot t, decided before its requests arrive.
-:func:`decision_blocks` feeds a walk a whole history held in memory, and
-:func:`decision_matrix` joins its blocks for callers that want the
-(horizon, n_files) matrix whole.  Tracking compares each
-count with one integer per slot, :func:`count_floors`, the least count
-whose empirical popularity clears the threshold.
+that is fed the requests as they are drawn and decides them a block of slots
+at a time, row t of a block being the set cached during slot t, decided
+before its requests arrive.  A block comes factored: the files whose
+decision cannot change inside it share one fixed row, and only the rest,
+the block's ``varying`` columns, are decided per slot.
+:func:`decision_blocks` feeds a walk a whole history held in memory,
+:func:`block_matrix` expands one block to its (slots, n_files) indicators,
+and :func:`decision_matrix` joins the expanded blocks for callers that want
+the (horizon, n_files) matrix whole.  Tracking compares each count with one
+integer per slot, :func:`count_floors`, the least count whose empirical
+popularity clears the threshold.
 
 Counts and count floors never fall, so within a block most files keep one
 decision in every row: tracking caches a file whose count already reaches
@@ -20,8 +23,9 @@ the block's last floor, and no file that stays below its first floor; LFU
 caches no file whose count at the block's end still ranks below the M-th
 key at its start.  Past the first block, the walk counts and compares only
 the rest, the block's frontier (:func:`_frontier`), typically a few
-percent of the files when popularity is skewed, and yields those columns
-with the block, so a caller can count set sizes and switches on them alone.
+percent of the files when popularity is skewed.  Such a block is sized by
+its frontier work, not by n_files: it grows while the frontier stays
+narrow, so one O(n_files) frontier pass serves many slots.
 """
 from __future__ import annotations
 
@@ -38,11 +42,12 @@ CONSTANT_POLICIES = ("oracle", "uniform")
 # slot-by-file counts held at once while deciding tracking and LFU
 BLOCK_ELEMS = 2**16
 
-# Every block but the last has a multiple of this many rows.  The last bits
-# of a row of ``decisions @ probs`` depend on how the BLAS gemv tiles and
-# threads the rows; blocks of 64 rows reproduce the rows of the
-# whole-horizon product, where blocks of 65 (BLOCK_ELEMS // N at N=1000)
-# move the last bits of some tracking and uniform rates.
+# Every decision block but a history's last has a multiple of this many rows,
+# and so does every slice of ``block_rows`` rows that ``engine.slot_rates`` is
+# charged on.  The last bits of a row of ``decisions @ probs`` depend on how
+# the BLAS gemv tiles and threads the rows; slices of 64 rows reproduce the
+# rows of the whole-horizon product, where slices of 65 (BLOCK_ELEMS // N at
+# N=1000) move the last bits of some tracking and uniform rates.
 BLOCK_ROW_MULTIPLE = 64
 
 
@@ -58,8 +63,9 @@ def check_policy(name: str, params: SystemParams) -> None:
 
 
 def block_rows(n_files: int) -> int:
-    """Slots per decision block: about ``BLOCK_ELEMS`` slot-by-file entries,
-    rounded down to a multiple of ``BLOCK_ROW_MULTIPLE``, and at least that."""
+    """Slots per dense decision block and per rate slice: about
+    ``BLOCK_ELEMS`` slot-by-file entries, rounded down to a multiple of
+    ``BLOCK_ROW_MULTIPLE``, and at least that."""
     rows = BLOCK_ROW_MULTIPLE
     return max(rows, BLOCK_ELEMS // n_files // rows * rows)
 
@@ -127,14 +133,15 @@ def _counts_before(slot_columns: np.ndarray, carried: np.ndarray, width: int) ->
     """(rows + 1, width) counts: row r the count before the block's slot r.
 
     ``slot_columns`` is the (rows, K) block of requests as column ids below
-    ``width`` and ``carried`` the counts before the block, in the first
-    columns.  Each slot's counts land one row down, under the carried counts
-    in row 0, so the cumsum's row r is the count before slot r and its last
-    row is the count after the block.
+    ``width``, an int64 array that is overwritten, and ``carried`` the counts
+    before the block, in the first columns.  Each slot's counts land one row
+    down, under the carried counts in row 0, so the cumsum's row r is the
+    count before slot r and its last row is the count after the block.
     """
     rows = len(slot_columns)
-    flat = (np.arange(1, rows + 1)[:, None] * width + slot_columns).ravel()
-    counts = np.bincount(flat, minlength=(rows + 1) * width).reshape(rows + 1, width)
+    slot_columns += np.arange(1, rows + 1)[:, None] * width
+    counts = np.bincount(slot_columns.ravel(), minlength=(rows + 1) * width)
+    counts = counts.reshape(rows + 1, width)
     counts[0, : len(carried)] = carried
     return np.cumsum(counts, axis=0, out=counts)
 
@@ -155,15 +162,18 @@ def _decide(
 
 
 class DecisionWalk:
-    """One policy's decisions over a history whose requests arrive block by block.
+    """One policy's decisions over a history whose requests arrive in chunks.
 
-    Each :meth:`step` takes the (rows, n_users) requests of the next block,
-    :func:`block_rows` slots except possibly the last, and returns
-    ``(start, block, varying)``: ``block`` holds the cached-set indicators of
-    slots ``start`` to ``start + len(block)``, row t the set cached during
-    slot t, decided before its requests arrive, and ``varying`` indexes the
-    columns whose value can differ between the block's rows; every other
-    column repeats ``block[0]``.
+    Each :meth:`step` is given the (slots, n_users) requests of the slots from
+    ``start`` on, decides a block from a prefix of them and returns it
+    factored, as ``(start, fixed_row, varying, part)``.  The block covers
+    slots ``start`` to ``start + len(part)``; ``varying`` indexes the columns
+    whose decision can differ between its rows, ``part``, (rows, |varying|),
+    holds their decisions, and every other column takes its ``fixed_row``
+    value in every row.  Row t of the block, ``fixed_row`` with ``part[t]``
+    written into its varying columns (:func:`block_matrix`), is the set
+    cached during slot ``start + t``, decided before its requests arrive.
+    The next step is given the requests after the block's.
 
     - ``tracking`` caches the files whose empirical popularity, the request
       count so far over slots seen times K, clears the threshold (ties
@@ -175,19 +185,32 @@ class DecisionWalk:
     - ``lfu`` caches the M most-requested files so far, breaking ties
       toward lower ids.
 
-    Oracle and uniform blocks are read-only broadcast views of one row, and
-    their ``varying`` is empty.  Tracking and LFU carry the running counts
-    from block to block, and between steps the walk holds nothing else of a
-    block, so it takes O(n_files) memory.  A block past the first takes the
-    counts at its end from one ``bincount`` and finds its :func:`_frontier`;
-    only the frontier's columns are counted per slot, cumsummed and compared
-    or ranked, every other column repeats its fixed decision, and
-    ``varying`` is the frontier's column ids.  Counts and floors never fall,
-    which is what makes the fixed decisions exact (see :func:`_frontier` and
-    :func:`count_floors`).  The first block, which starts with no counts, and
-    any block whose frontier holds more than half the files are decided
-    densely, every file in every row, and their ``varying`` is
-    ``slice(None)``, so indexing with it makes a view.
+    Oracle and uniform decide every slot they are given in one block whose
+    ``fixed_row`` is one read-only row and whose ``varying`` is empty.
+    Tracking and LFU carry the running counts from block to block, and
+    between steps the walk holds nothing else of a block, so it takes
+    O(n_files) memory.  The first block, which starts with no counts, is
+    decided densely, every file in every row, over :func:`block_rows` slots:
+    its ``varying`` is ``slice(None)``, so indexing with it makes a view, and
+    ``part`` is the whole block.  A later block takes the counts at its end
+    from one ``bincount`` and finds its :func:`_frontier`.  Only the
+    frontier's columns are counted per slot, cumsummed and compared or
+    ranked, and ``varying`` is their column ids.  Counts and floors never
+    fall, which is what makes the fixed decisions exact (see
+    :func:`_frontier` and :func:`count_floors`).
+
+    A frontier block is sized by its frontier work, not by n_files: its
+    height is a multiple of ``BLOCK_ROW_MULTIPLE`` with rows * |frontier| at
+    most ``BLOCK_ELEMS``, and it counts at most about ``BLOCK_ELEMS``
+    requests.  A height whose frontier is too wide shrinks to at most half
+    and the block is decided again; a block whose frontier still holds more
+    than half the files at ``BLOCK_ROW_MULTIPLE`` rows is decided densely,
+    over :func:`block_rows` slots.  The height doubles after a block whose
+    frontier would still fit the budget at twice the height and twice the
+    width, since tracking's frontier widens with the height.  A block never
+    takes more slots than the step is given, so when the requests come in
+    multiples of ``BLOCK_ROW_MULTIPLE`` slots, as the harness draws them,
+    every block but the history's last has a multiple of that many rows.
 
     The walk is built for a ``horizon`` of slots.  Tracking takes its
     ``floors``, ``count_floors(np.arange(horizon), params)``, as given, so
@@ -213,7 +236,8 @@ class DecisionWalk:
         self.rows = block_rows(n)
         if policy in CONSTANT_POLICIES:
             row = params.popular(probs) if policy == "oracle" else np.ones(n, dtype=bool)
-            self._block = np.broadcast_to(row, (self.rows, n))
+            row.setflags(write=False)
+            self._row = row
             return
         if policy == "tracking" and floors is None:
             floors = count_floors(np.arange(horizon), params)
@@ -221,53 +245,92 @@ class DecisionWalk:
         self._m = int(params.cache_size)
         self._tie_break = np.arange(n - 1, -1, -1)
         self._running = np.zeros(n, dtype=np.int64)
+        self._height = self.rows  # the next frontier block's height
+        most = BLOCK_ELEMS // params.n_users // BLOCK_ROW_MULTIPLE * BLOCK_ROW_MULTIPLE
+        self._most = max(self.rows, most)
 
-    def step(self, requests: np.ndarray) -> tuple[int, np.ndarray, np.ndarray | slice]:
-        """Decide the next block of slots from its ``requests``."""
-        start, rows, n = self.start, len(requests), self.n_files
-        self.start += rows
+    def step(
+        self, requests: np.ndarray
+    ) -> tuple[int, np.ndarray, np.ndarray | slice, np.ndarray]:
+        """Decide the next block from a prefix of ``requests``, those of the
+        slots from ``start`` on."""
+        start, n = self.start, self.n_files
         if self.policy in CONSTANT_POLICIES:
-            return start, self._block[:rows], np.empty(0, dtype=np.intp)
+            self.start += len(requests)
+            none = np.empty((len(requests), 0), dtype=bool)
+            return start, self._row, np.empty(0, dtype=np.intp), none
         policy, m, running, tie_break = self.policy, self._m, self._running, self._tie_break
-        floors = self._floors[start : start + rows] if policy == "tracking" else None
+        dense = not start
         if start:
-            end = running + np.bincount(requests.ravel(), minlength=n)
-            fixed, frontier = _frontier(policy, running, end, floors, m)
-            cols = np.flatnonzero(frontier)
-        if not start or 2 * len(cols) > n:
-            before = _counts_before(requests, running, n)
+            rows, multiple = min(self._height, len(requests)), BLOCK_ROW_MULTIPLE
+            while True:
+                end = running + np.bincount(requests[:rows].ravel(), minlength=n)
+                fixed, frontier = _frontier(policy, running, end, self._floors_of(rows), m)
+                cols = np.flatnonzero(frontier)
+                dense = 2 * len(cols) > n
+                if rows <= multiple or not dense and rows * len(cols) <= BLOCK_ELEMS:
+                    break
+                rows = min(rows // 2, BLOCK_ELEMS // len(cols)) // multiple * multiple
+                rows = self._height = max(multiple, rows)
+        if dense:
+            rows = min(self.rows, len(requests))
+            before = _counts_before(requests[:rows].astype(np.int64), running, n)
+            part = _decide(policy, before[:rows], self._floors_of(rows), m, n, tie_break)
             self._running = before[rows].copy()
-            return start, _decide(policy, before[:rows], floors, m, n, tie_break), slice(None)
+            self.start += rows
+            return start, part[0], slice(None), part
+        if rows == self._height and 4 * rows * len(cols) <= BLOCK_ELEMS:
+            # twice the rows fit even if the frontier doubles with them
+            self._height = min(2 * rows, self._most)
         # files off the frontier are counted in one spare last column
         column = np.full(n, len(cols))
         column[cols] = np.arange(len(cols))
-        before = _counts_before(column[requests], running[cols], len(cols) + 1)
-        decisions = np.repeat(fixed[None], rows, axis=0)
-        decisions[:, cols] = _decide(policy, before[:rows, :-1], floors, m, n, tie_break[cols])
+        before = _counts_before(np.take(column, requests[:rows]), running[cols], len(cols) + 1)
+        part = _decide(policy, before[:rows, :-1], self._floors_of(rows), m, n, tie_break[cols])
         self._running = end
-        return start, decisions, cols
+        self.start += rows
+        return start, fixed, cols, part
+
+    def _floors_of(self, rows: int) -> np.ndarray | None:
+        """Tracking's count floors for the ``rows`` slots from ``start``."""
+        if self.policy == "tracking":
+            return self._floors[self.start : self.start + rows]
+        return None
+
+
+def block_matrix(
+    fixed_row: np.ndarray, varying: np.ndarray | slice, part: np.ndarray
+) -> np.ndarray:
+    """The (rows, n_files) cached-set indicators of one factored block."""
+    block = np.repeat(fixed_row[None], len(part), axis=0)
+    block[:, varying] = part
+    return block
 
 
 def decision_blocks(
     policy: str, requests: np.ndarray, probs: np.ndarray, params: SystemParams
-) -> Iterator[tuple[int, np.ndarray, np.ndarray | slice]]:
-    """``(start, block, varying)`` triples covering a (horizon, n_users) history
-    in order: a :class:`DecisionWalk` fed the history :func:`block_rows`
-    slots at a time.  The walk is built, and an invalid policy or an LFU
-    history too long for its key refused, when the first block is asked for.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray | slice, np.ndarray]]:
+    """``(start, fixed_row, varying, part)`` blocks covering a (horizon,
+    n_users) history in order: a :class:`DecisionWalk` fed the history's
+    remaining requests at each step.  The walk is built, and an invalid policy
+    or an LFU history too long for its key refused, when the first block is
+    asked for.
     """
     walk = DecisionWalk(policy, probs, params, len(requests))
-    for start in range(0, len(requests), walk.rows):
-        yield walk.step(requests[start : start + walk.rows])
+    while walk.start < len(requests):
+        yield walk.step(requests[walk.start :])
 
 
 def decision_matrix(
     policy: str, requests: np.ndarray, probs: np.ndarray, params: SystemParams
 ) -> np.ndarray:
-    """(horizon, n_files) cached-set indicators: :func:`decision_blocks`,
-    concatenated."""
-    blocks = [block for _, block, _ in decision_blocks(policy, requests, probs, params)]
-    return np.concatenate([np.zeros((0, params.n_files), dtype=bool), *blocks])
+    """(horizon, n_files) cached-set indicators: the blocks of
+    :func:`decision_blocks`, expanded and concatenated."""
+    blocks = decision_blocks(policy, requests, probs, params)
+    return np.concatenate(
+        [np.zeros((0, params.n_files), dtype=bool)]
+        + [block_matrix(fixed, varying, part) for _, fixed, varying, part in blocks]
+    )
 
 
 def switch_flags(decisions: np.ndarray, previous: np.ndarray | None = None) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Tests for the experiment harness."""
+import dataclasses
 import io
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from codedcache.harness import (
     _draw_requests,
     _lfu_dedup_rates,
     _policy_record,
-    _request_blocks,
+    _request_chunks,
     _stderr,
     config_summary,
     emit_csv,
@@ -205,10 +207,12 @@ def test_lfu_dedup_accounting_in_analytic_mode():
 
 # --- the record streams over decision blocks --------------------------------
 
-@pytest.mark.parametrize("horizon", [192, 200])
+@pytest.mark.parametrize("horizon", [192, 200, 1024])
 def test_streamed_record_matches_whole_matrix(horizon):
-    # 64-slot blocks at N=1000: 192 slots are three whole blocks, 200 leave
-    # an 8-slot tail; rates are compared with the whole-horizon products
+    # 64-slot rate slices at N=1000: 192 slots are three whole slices, 200
+    # leave an 8-slot tail; over 1024 slots LFU and tracking decide blocks
+    # of more than 64 rows.  Rates are compared with the whole-horizon
+    # products
     params = SystemParams(1000, 20, 20.0)
     dist = make_zipf(1000, 0.8)
     assert block_rows(params.n_files) == 64
@@ -218,6 +222,10 @@ def test_streamed_record_matches_whole_matrix(horizon):
             seed=4, lfu_accounting=accounting,
         )
         requests = _draw_requests(cfg, 0)
+        if horizon == 1024:
+            for name in ("tracking", "lfu"):
+                blocks = decision_blocks(name, requests, dist.probs, params)
+                assert max(len(part) for _, _, _, part in blocks) > 64, name
         for name in POLICY_NAMES:
             rates, sizes, switches = _policy_record(cfg, name, 0, requests)
             whole = decision_matrix(name, requests, dist.probs, params)
@@ -233,6 +241,67 @@ def test_streamed_record_matches_whole_matrix(horizon):
                 assert np.all(np.abs(rates - want) <= 4 * np.spacing(np.abs(want))), name
 
 
+def test_rate_slices_span_decision_blocks():
+    # 192-slot rate slices at N=300: tracking's 64- and 128-slot frontier
+    # blocks start inside a slice, which is then charged from rows of two
+    # blocks; every rate equals the charge of the whole matrix's slice
+    params = SystemParams(300, 20, 10.0)
+    dist = make_zipf(300, 0.3)
+    assert block_rows(300) == 192
+    for accounting in ("per-request", "dedup"):
+        cfg = ExperimentConfig(params=params, dist=dist, policies=("tracking", "lfu"),
+                               horizon=1500, trials=1, seed=1, lfu_accounting=accounting)
+        requests = _draw_requests(cfg, 0)
+        starts = [start for start, *_ in decision_blocks("tracking", requests, dist.probs, params)]
+        assert any(start % 192 for start in starts)
+        for name in cfg.policies:
+            whole = decision_matrix(name, requests, dist.probs, params)
+            want = []
+            for lo in range(0, 1500, 192):
+                rows, slots = whole[lo : lo + 192], requests[lo : lo + 192]
+                if name == "lfu" and accounting == "dedup":
+                    want.append(_lfu_dedup_rates(cfg, rows, slots))
+                else:
+                    want.append(slot_rates(rows, dist.probs, params))
+            rates, _, _ = _policy_record(cfg, name, 0, requests)
+            assert rates.tolist() == np.concatenate(want).tolist(), (name, accounting)
+
+
+def test_rate_slices_of_small_blocks_match_the_whole_matrix(monkeypatch):
+    # no row rule, so frontier blocks of any height start inside the rate
+    # slices of block_rows slots; many histories and budgets, both LFU
+    # accountings, and every slice's rates exactly those of the whole matrix
+    monkeypatch.setattr(policies, "BLOCK_ROW_MULTIPLE", 1)
+    rng = np.random.default_rng(41)
+    straddled = 0
+    for case in range(30):
+        n, k = int(rng.integers(3, 25)), int(rng.integers(1, 6))
+        params = SystemParams(n, k, float(rng.integers(1, n)))
+        dist = PopularityDistribution(rng.dirichlet(np.full(n, 0.5)))
+        horizon = int(rng.integers(20, 300))
+        monkeypatch.setattr(policies, "BLOCK_ELEMS", int(rng.integers(2, 12)) * n)
+        step = block_rows(n)
+        for accounting in ("per-request", "dedup"):
+            cfg = ExperimentConfig(params=params, dist=dist, policies=("tracking", "lfu"),
+                                   horizon=horizon, trials=1, seed=case,
+                                   lfu_accounting=accounting, reference="paired")
+            requests = _draw_requests(cfg, 0)
+            for name in cfg.policies:
+                blocks = decision_blocks(name, requests, dist.probs, params)
+                straddled += sum(start % step != 0 for start, *_ in blocks)
+                whole = decision_matrix(name, requests, dist.probs, params)
+                want = []
+                for lo in range(0, horizon, step):
+                    rows, slots = whole[lo : lo + step], requests[lo : lo + step]
+                    if name == "lfu" and accounting == "dedup":
+                        want.append(_lfu_dedup_rates(cfg, rows, slots))
+                    else:
+                        want.append(slot_rates(rows, dist.probs, params))
+                rates, _, _ = _policy_record(cfg, name, 0, requests)
+                assert rates.tolist() == np.concatenate(want).tolist(), (case, name)
+    assert straddled > 50
+
+
 def test_switch_in_fixed_columns_at_a_block_edge(monkeypatch):
     # one-slot blocks: at slot 1 tracking keeps file 0 and drops files 1 and
     # 2, and all three decisions are fixed in that block, so the switch shows
@@ -243,7 +312,7 @@ def test_switch_in_fixed_columns_at_a_block_edge(monkeypatch):
     dist = PopularityDistribution(np.full(3, 1 / 3))
     requests = np.array([[0], [0]])
     blocks = list(decision_blocks("tracking", requests, dist.probs, params))
-    assert [len(varying) for _, _, varying in blocks[1:]] == [0]
+    assert [len(varying) for _, _, varying, _ in blocks[1:]] == [0]
     cfg = ExperimentConfig(params=params, dist=dist, policies=("tracking",), horizon=2,
                            trials=1, seed=0)
     _, sizes, switches = _policy_record(cfg, "tracking", 0, requests)
@@ -251,8 +320,9 @@ def test_switch_in_fixed_columns_at_a_block_edge(monkeypatch):
 
 
 def test_streamed_bitlevel_record_across_blocks(monkeypatch):
-    # 3-slot blocks against one block: sizes and switches match the whole
-    # matrix, and placement and delivery carry across the block edges
+    # blocks of 3 slots and more against one block: sizes and switches match
+    # the whole matrix, and placement and delivery carry across the block
+    # edges
     cfg = config(params=SystemParams(6, 4, 2.0, 24), dist=make_zipf(6, 1.0), seed=6,
                  rate_mode="bitlevel", lfu_accounting="per-request", horizon=10)
     requests = _draw_requests(cfg, 0)
@@ -266,7 +336,8 @@ def test_streamed_bitlevel_record_across_blocks(monkeypatch):
         assert sizes.tolist() == whole.sum(axis=1).tolist()
         assert switches.tolist() == switch_flags(whole).tolist()
         assert rates.tolist() == one_block[name][0].tolist(), name
-        edge_switches += int(switches[3::3].sum())
+        blocks = list(decision_blocks(name, requests, cfg.dist.probs, cfg.params))
+        edge_switches += int(switches[[start for start, *_ in blocks[1:]]].sum())
     assert edge_switches > 0  # the first slot of a later block switched
 
 
@@ -292,7 +363,8 @@ def test_bitlevel_csv_unchanged_by_block_size(monkeypatch):
 @pytest.mark.parametrize("reference", ["closed-form", "paired"])
 def test_constant_policy_record_matches_a_charge_per_block(monkeypatch, horizon, reference):
     # oracle and uniform blocks repeat one row: one slot_rates call per
-    # distinct block length gives the bits of charging every block
+    # distinct 64-slot slice length gives the bits of charging every slice,
+    # and an experiment charges each length once, not once per trial
     params = SystemParams(1000, 3, 20.0)
     dist = make_zipf(1000, 0.8)
     assert block_rows(params.n_files) == 64
@@ -306,15 +378,17 @@ def test_constant_policy_record_matches_a_charge_per_block(monkeypatch, horizon,
         return slot_rates(*args, **kwargs)
 
     monkeypatch.setattr(harness, "slot_rates", counted)
+    lengths = sorted({min(64, horizon), horizon % 64} - {0})
     want = {}
     for name in cfg.policies:
-        blocks = [b for _, b, _ in decision_blocks(name, requests, dist.probs, params)]
-        want[name] = np.concatenate([slot_rates(b, dist.probs, params) for b in blocks])
+        whole = decision_matrix(name, requests, dist.probs, params)
+        slices = [whole[lo : lo + 64] for lo in range(0, horizon, 64)]
+        want[name] = np.concatenate([slot_rates(s, dist.probs, params) for s in slices])
         calls.clear()
         rates, sizes, switches = _policy_record(cfg, name, 0, requests)
-        assert len(calls) <= 2 and len(set(calls)) == len(calls)
+        assert sorted(calls) == lengths
         assert rates.tolist() == want[name].tolist(), name
-        assert sizes.tolist() == [int(blocks[0][0].sum())] * horizon
+        assert sizes.tolist() == [int(whole[0].sum())] * horizon
         assert not switches.any()
     result = run_trial(cfg, 0)
     ref = want["oracle"] if reference == "paired" else result.reference_rates
@@ -322,6 +396,94 @@ def test_constant_policy_record_matches_a_charge_per_block(monkeypatch, horizon,
         trace = result.trace(name)
         assert trace.rates.tolist() == want[name].tolist(), name
         assert trace.cum_regret.tolist() == np.cumsum(want[name] - ref).tolist()
+    calls.clear()
+    three = dataclasses.replace(cfg, trials=3)
+    for agg in run_experiment(three).aggregates:
+        assert agg.mean_rate.tolist() == want[agg.policy].tolist(), agg.policy
+    assert sorted(calls) == sorted(lengths * len(cfg.policies))
+
+
+@pytest.mark.parametrize("reference", ["closed-form", "paired"])
+def test_wide_csv_unchanged_by_the_frontier_budget(monkeypatch, reference):
+    # BLOCK_ELEMS bounds a frontier block's rows * |varying|; from 2**12 to
+    # 2**16 the rate slices stay 64 rows and only the decision blocks change
+    cfg = ExperimentConfig(
+        params=SystemParams(1000, 100, 20.0), dist=make_zipf(1000, 0.8),
+        policies=POLICY_NAMES, horizon=2000, trials=1, seed=3, reference=reference,
+    )
+
+    def csv():
+        buf = io.StringIO()
+        emit_csv(run_experiment(cfg), buf)
+        return buf.getvalue()
+
+    default = csv()
+    for elems in (2**12, 2**14, 2**15):
+        monkeypatch.setattr(policies, "BLOCK_ELEMS", elems)
+        assert block_rows(1000) == 64
+        assert csv() == default, elems
+
+
+@pytest.mark.parametrize("n, k, m, horizon", [
+    (1000, 100, 20.0, 3001), (300, 20, 10.0, 3001), (5000, 4, 50.0, 20_001), (20, 10, 2.0, 7001),
+])
+def test_trial_blocks_are_whole_multiples_within_the_budget(monkeypatch, n, k, m, horizon):
+    # as a trial feeds them: every block but the last has a multiple of 64
+    # rows, a dense block has block_rows of them, and a frontier block keeps
+    # rows * |varying| within BLOCK_ELEMS unless it has 64 rows
+    blocks = []
+    step = policies.DecisionWalk.step
+
+    def spy(walk, requests):
+        block = step(walk, requests)
+        blocks.append((walk.policy, block))
+        return block
+
+    monkeypatch.setattr(policies.DecisionWalk, "step", spy)
+    cfg = ExperimentConfig(params=SystemParams(n, k, m), dist=make_zipf(n, 1.0),
+                           policies=("tracking", "lfu"), horizon=horizon, trials=1, seed=5)
+    run_trial(cfg, 0)
+    for name in cfg.policies:
+        mine = [block for policy, block in blocks if policy == name]
+        assert sum(len(part) for *_, part in mine) == horizon
+        for start, _, varying, part in mine[:-1]:
+            rows = len(part)
+            assert rows % 64 == 0, (name, start)
+            if isinstance(varying, slice):
+                assert rows == block_rows(n)
+            else:
+                assert rows * len(varying) <= policies.BLOCK_ELEMS or rows == 64
+        assert any(not isinstance(varying, slice) for _, _, varying, _ in mine)
+
+
+def test_frontier_blocks_build_no_dense_block():
+    # N=20000 files for 2 users: past the first chunk, a trial's frontier
+    # blocks span thousands of slots, whose (rows, N) bool block would be
+    # tens of MB; a record decides and charges them in a small part of that
+    cfg = ExperimentConfig(params=SystemParams(20_000, 2, 50.0), dist=make_zipf(20_000, 1.0),
+                           policies=("tracking", "lfu"), horizon=2 * 32768, trials=1, seed=5)
+    for name in cfg.policies:
+        first, second = _request_chunks(cfg, 0)
+        record = harness._PolicyRecord(cfg, name, 0)
+        record.feed(first)  # allocates the rate slice rows too
+        shapes = []
+        step = record.walk.step
+
+        def noted(requests):
+            block = step(requests)
+            shapes.append(block[3].shape)
+            return block
+
+        record.walk.step = noted
+        tracemalloc.start()
+        try:
+            record.feed(second)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(cols for _, cols in shapes) < 10_000, name
+        # one (rows, N) bool block alone would exceed 4 times the traced peak
+        assert max(rows for rows, _ in shapes) * 20_000 > 4 * peak, (name, shapes, peak)
 
 
 # --- the trial streams its requests block by block --------------------------
@@ -360,8 +522,8 @@ def test_wide_trial_memory_grows_only_by_the_per_slot_records():
 
 
 def test_request_blocks_join_into_the_whole_draw(monkeypatch):
-    # 64-slot blocks at N=600 and 3-block chunks of 4 users: horizons one
-    # short of, on and one past a chunk edge
+    # 64-slot rate slices at N=600 and chunks of 3 slices for 4 users:
+    # horizons one short of, on and one past a chunk edge
     monkeypatch.setattr(harness, "REQUEST_CHUNK", 3 * 64 * 4)
     drawn = []
 
@@ -375,10 +537,31 @@ def test_request_blocks_join_into_the_whole_draw(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(harness, "sample_requests", sample)
             drawn.clear()
-            blocks = list(_request_blocks(cfg, 0))
+            chunks = list(_request_chunks(cfg, 0))
         assert drawn == [4 * min(192, horizon - lo) for lo in range(0, horizon, 192)]
-        assert [len(b) for b in blocks[:-1]] == [64] * (len(blocks) - 1)
-        assert np.concatenate(blocks).tolist() == _draw_requests(cfg, 0).tolist()
+        assert [len(c) for c in chunks[:-1]] == [192] * (len(chunks) - 1)
+        assert np.concatenate(chunks).tolist() == _draw_requests(cfg, 0).tolist()
+
+
+def test_trial_frees_each_chunk_before_drawing_the_next(monkeypatch):
+    # one-slice chunks: when a chunk is drawn, no earlier chunk is alive
+    monkeypatch.setattr(harness, "REQUEST_CHUNK", 64 * 4)
+    alive = []
+
+    def sample(dist, n_users, rng):
+        assert all(ref() is None for ref in alive)
+        profile = model.sample_requests(dist, n_users, rng)
+        alive.append(weakref.ref(profile.requests))
+        return profile
+
+    monkeypatch.setattr(harness, "sample_requests", sample)
+    for rate_mode in ("analytic", "bitlevel"):
+        alive.clear()
+        cfg = ExperimentConfig(params=SystemParams(600, 4, 30.0, 8), dist=make_zipf(600, 0.8),
+                               policies=POLICY_NAMES, horizon=300, trials=1, seed=2,
+                               rate_mode=rate_mode, lfu_accounting="dedup")
+        run_trial(cfg, 0)
+        assert len(alive) == 5
 
 
 @pytest.mark.parametrize("horizon", [1, 63, 64, 65, 191, 192, 193])

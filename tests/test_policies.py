@@ -14,6 +14,7 @@ from codedcache.model import (
 from codedcache import policies
 from codedcache.policies import (
     POLICY_NAMES,
+    block_matrix,
     count_floors,
     decision_blocks,
     decision_matrix,
@@ -114,22 +115,30 @@ def test_factory_round_trip():
 
 
 def test_decision_blocks_tile_the_history(monkeypatch):
-    # 2-slot blocks over 5 slots: starts 0, 2, 4, and the last block is short
+    # 2-slot dense blocks over 5 slots: the blocks follow one another, the
+    # first has block_rows rows, and the expanded blocks switch where the
+    # whole matrix does
     monkeypatch.setattr(policies, "BLOCK_ROW_MULTIPLE", 1)
     monkeypatch.setattr(policies, "BLOCK_ELEMS", 8)
     params = SystemParams(4, 2, 1.0)
     probs = make_zipf(4, 1.0).probs
     requests = np.array([[0, 1], [2, 2], [3, 0], [3, 3], [1, 0]])
+    assert policies.block_rows(4) == 2
     for name in POLICY_NAMES:
         blocks = list(decision_blocks(name, requests, probs, params))
-        assert [start for start, _, _ in blocks] == [0, 2, 4]
-        assert [len(block) for _, block, _ in blocks] == [2, 2, 1]
+        starts = [start for start, *_ in blocks]
+        lengths = [len(part) for *_, part in blocks]
+        assert starts == np.cumsum([0] + lengths[:-1]).tolist() and sum(lengths) == 5
         whole = decision_matrix(name, requests, probs, params)
         if name in ("oracle", "uniform"):
-            assert not any(block.flags.writeable for _, block, _ in blocks)
-            assert all(len(varying) == 0 for _, _, varying in blocks)
-        flags = [switch_flags(blocks[0][1])]
-        flags += [switch_flags(b, a[-1]) for (_, a, _), (_, b, _) in zip(blocks, blocks[1:])]
+            assert lengths == [5]
+            assert not any(fixed.flags.writeable for _, fixed, _, _ in blocks)
+            assert all(len(varying) == 0 for _, _, varying, _ in blocks)
+        else:
+            assert lengths[0] == 2 and isinstance(blocks[0][2], slice)
+        expanded = [block_matrix(fixed, varying, part) for _, fixed, varying, part in blocks]
+        flags = [switch_flags(expanded[0])]
+        flags += [switch_flags(b, a[-1]) for a, b in zip(expanded, expanded[1:])]
         assert np.concatenate(flags).tolist() == switch_flags(whole).tolist()
     with pytest.raises(ValueError, match="unknown policy"):
         next(decision_blocks("mru", requests, probs, params))
@@ -138,10 +147,10 @@ def test_decision_blocks_tile_the_history(monkeypatch):
 def test_wide_history_is_decided_on_narrow_frontiers(monkeypatch):
     # the wide shape (N=1000, K=100, M=20, zipf:0.8): past the first 64-slot
     # block, fewer than N/10 files can change their LFU decision inside a
-    # block.  Tracking's floors start low, so its early frontiers are wide
-    # (571 files at slot 64, the one dense block past the first); from slot
-    # 1024 on they hold fewer than N/10.  The blocks still equal a dense
-    # decision over every file.
+    # block, so LFU's blocks grow to hundreds of rows.  Tracking's floors
+    # start low, so its early frontiers are wide (571 files at slot 64, where
+    # its one dense block past the first starts); later blocks outgrow 64
+    # rows too.  The blocks still equal a dense decision over every file
     params = SystemParams(1000, 100, 20.0)
     dist = make_zipf(1000, 0.8)
     cfg = ExperimentConfig(params=params, dist=dist, policies=("tracking", "lfu"),
@@ -164,18 +173,21 @@ def test_wide_history_is_decided_on_narrow_frontiers(monkeypatch):
         "tracking": before >= count_floors(np.arange(2000), params)[:, None],
         "lfu": key >= np.sort(key, axis=1)[:, 1000 - 20, None],
     }
-    late = np.arange(64, 2000, 64) >= 1024
     for name in ("tracking", "lfu"):
         seen.clear()
-        blocks = [block for _, block, _ in decision_blocks(name, requests, dist.probs, params)]
-        assert len(seen) == len(blocks) - 1 == 31
-        assert np.concatenate(blocks).tolist() == want[name].tolist(), name
-        widths = np.array(seen)
+        blocks = list(decision_blocks(name, requests, dist.probs, params))
+        expanded = [block_matrix(fixed, varying, part) for _, fixed, varying, part in blocks]
+        assert np.concatenate(expanded).tolist() == want[name].tolist(), name
+        starts = [start for start, *_ in blocks]
+        dense = [start for start, _, varying, _ in blocks if isinstance(varying, slice)]
+        rows = max(len(part) for *_, part in blocks)
         if name == "lfu":
-            assert widths.max() < 100
+            assert dense == [0] and len(blocks) <= 8 and rows >= 512
+            assert max(part.shape[1] for *_, part in blocks[1:]) < 100
         else:
-            assert (2 * widths > 1000).tolist() == [True] + [False] * 30
-            assert widths[late].max() < 100
+            assert dense == [0, 64] and seen[0] == 571 and rows >= 256
+            late = [len(part) for start, *_, part in blocks[:-1] if start >= 1024]
+            assert len(blocks) <= 16 and min(late) >= 128
 
 
 def test_block_rows_are_multiples_of_the_row_rule():

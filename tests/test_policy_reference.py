@@ -31,6 +31,7 @@ from codedcache.model import (
 )
 from codedcache.policies import (
     POLICY_NAMES,
+    block_matrix,
     count_floors,
     decision_blocks,
     decision_matrix,
@@ -221,10 +222,11 @@ def test_frontier_blocks_match_stepped_reference(monkeypatch):
             got = decision_matrix(name, requests, probs, params)
             want = stepped_decisions(name, params, probs, requests)
             assert got.tolist() == want.tolist(), (name, n, k, m)
-            for _, block, varying in decision_blocks(name, requests, probs, params):
+            for _, fixed, varying, part in decision_blocks(name, requests, probs, params):
+                block = block_matrix(fixed, varying, part)
                 still = np.ones(n, dtype=bool)
                 still[varying] = False
-                assert (block[:, still] == block[0, still]).all(), (name, n, k, m)
+                assert (block[:, still] == fixed[still]).all(), (name, n, k, m)
             cfg = ExperimentConfig(params=params, dist=PopularityDistribution(probs),
                                    policies=(name,), horizon=t_len, trials=1, seed=0,
                                    reference="paired")
