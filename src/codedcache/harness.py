@@ -23,10 +23,10 @@ decision array of any dtype is held; a trial's memory grows with the
 horizon only through its per-slot records.  Each block's set sizes and
 switches are counted on the columns that can vary inside it.  Analytic
 rates are charged on slices of ``policies.block_rows`` slots, rebuilt as
-float rows in one buffer the trial's records share, so every rate has the
-bits of charging the whole history a slice at a time.  A constant policy
-(oracle, uniform) repeats one row, so in analytic mode it is charged once
-per experiment and slice length.  Bit-level delivery is planned for a
+float rows in one buffer that a record holds only while it is fed a chunk,
+so every rate has the bits of charging the whole history a slice at a
+time.  A constant policy (oracle, uniform) repeats one row, so in analytic
+mode it is charged once per experiment and slice length.  Bit-level delivery is planned for a
 bounded batch of slots at a time.
 """
 from __future__ import annotations
@@ -213,20 +213,6 @@ def _lfu_dedup_rates(
     return (requested & (decisions == 0)).sum(axis=1).astype(np.float64)
 
 
-class _SliceRows:
-    """The float rows a rate slice is rebuilt in, one set shared by the
-    records of a trial and allocated when a slice first needs them."""
-
-    def __init__(self, config: ExperimentConfig):
-        self.config = config
-
-    @functools.cached_property
-    def rows(self) -> np.ndarray:
-        """``policies.block_rows`` rows of n_files, or the horizon's, if fewer."""
-        n = self.config.params.n_files
-        return np.empty((min(block_rows(n), self.config.horizon), n))
-
-
 class _PolicyRecord:
     """One policy's per-slot rates, cached-set sizes and switch flags, filled
     as :meth:`feed` hands it the history's requests a chunk at a time.
@@ -249,12 +235,12 @@ class _PolicyRecord:
     In analytic mode, and for LFU under dedup accounting, the rates are
     charged on the slices of ``policies.block_rows`` slots that start at its
     multiples, so every rate has the bits of charging the whole history a
-    slice at a time.  A slice inside a dense block is charged as it is;
-    any other is rebuilt as float rows in a :class:`_SliceRows` shared by
-    the records of a trial: a dense block's rows are copied in, and a
-    frontier block refills the rows with its fixed row once, after which
-    each slice writes only its varying columns.  The rows hold nothing
-    between feeds, so each feed must start on a slice, as
+    slice at a time.  Each slice is rebuilt in float rows the record
+    allocates at a feed's first slice and drops when the feed ends, so the
+    records of a trial hold one such buffer at a time: a dense block's rows
+    are copied in, and a frontier block refills the rows with its fixed row
+    once, after which each slice writes only its varying columns.  As the
+    rows hold nothing between feeds, each feed must start on a slice, as
     :func:`_request_chunks` does.  LFU under dedup accounting pays per
     distinct missed file; every other policy pays ``slot_rates``: the mass
     inside each set is one ``decisions @ probs`` product per slice, and
@@ -272,14 +258,12 @@ class _PolicyRecord:
     draws are those of planning one slot at a time.
     """
 
-    def __init__(
-        self, config: ExperimentConfig, policy: str, trial: int, slices: _SliceRows | None = None
-    ):
+    def __init__(self, config: ExperimentConfig, policy: str, trial: int):
         params = config.params
         floors = config._tracking_floors if policy == "tracking" else None
         self.walk = DecisionWalk(policy, config.dist.probs, params, config.horizon, floors)
         self.config, self.policy = config, policy
-        self.slices = slices or _SliceRows(config)
+        self.buffer = None  # the float rows of the slices a feed charges
         if policy == "lfu" and not config.lfu_per_request():
             self.charge = "dedup"
         else:
@@ -307,6 +291,7 @@ class _PolicyRecord:
             else:
                 self._charge(start, fixed, varying, part, requests, first)
             done += len(part)
+        self.buffer = None  # a trial's records hold one buffer at a time
         if self.charge == "analytic" and not self.constant:
             # _charge left the mass inside each set in the rates
             span = slice(first, self.walk.start)
@@ -335,26 +320,25 @@ class _PolicyRecord:
         each set in analytic mode, the rate under dedup accounting.
         ``requests`` are the feed's, from slot ``first`` on."""
         config, probs, stale = self.config, self.config.dist.probs, 0
-        dense = isinstance(varying, slice)
+        if self.buffer is None:
+            n = config.params.n_files
+            self.buffer = np.empty((min(self.walk.rows, config.horizon), n))
+        buffer, dense = self.buffer, isinstance(varying, slice)
         for base, end, lo, hi in _slices(start, start + len(part), self.walk.rows, config.horizon):
-            if dense and lo == base and hi == end:  # a whole slice, charged as is
-                decisions = part[lo - start : hi - start]
+            rows = buffer[lo - base : hi - base]
+            if dense:  # a plain copy
+                rows[...] = part[lo - start : hi - start]
             else:
-                buffer = self.slices.rows
-                rows = buffer[lo - base : hi - base]
-                if dense:  # a plain copy
-                    rows[...] = part[lo - start : hi - start]
-                else:
-                    if lo == start:  # rows above lo still hold the block before
-                        buffer[lo - base :] = fixed
-                        stale = lo - base
-                    elif stale:
-                        buffer[:stale] = fixed
-                        stale = 0
-                    rows[:, varying] = part[lo - start : hi - start]
-                decisions = buffer[: end - base]
+                if lo == start:  # rows above lo still hold the block before
+                    buffer[lo - base :] = fixed
+                    stale = lo - base
+                elif stale:
+                    buffer[:stale] = fixed
+                    stale = 0
+                rows[:, varying] = part[lo - start : hi - start]
             if hi < end:
                 continue  # the next block completes the slice
+            decisions = buffer[: end - base]
             if self.charge == "dedup":
                 slots = requests[base - first : end - first]
                 self.rates[base:end] = _lfu_dedup_rates(config, decisions, slots)
@@ -430,13 +414,12 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
     The history is drawn a chunk at a time (:func:`_request_chunks`), and
     each chunk goes to every policy's record in turn, the paired oracle's
     among them, and is released before the next is drawn, so no (horizon,
-    n_users) request matrix is held.  The records share one rate buffer.
+    n_users) request matrix is held.
     """
     names = config.policies
     if config.reference == "paired" and "oracle" not in names:
         names += ("oracle",)
-    slices = _SliceRows(config)
-    records = {name: _PolicyRecord(config, name, trial, slices) for name in names}
+    records = {name: _PolicyRecord(config, name, trial) for name in names}
     for requests in _request_chunks(config, trial):
         for record in records.values():
             record.feed(requests)
