@@ -1,20 +1,20 @@
 """Bit-level cache placement, XOR multicast delivery, decoding, and the slot rate.
 
-Files are split into `subpackets` equal pieces and caches are tracked as index
-sets, so delivery plans carry exact lengths without simulating payload bytes.
-:func:`sample_placement` draws a :class:`Placement`: every user's cache
-state, and the same placement over the cached set as holder words, one bit
-per user id, ⌈K/63⌉ int64 words per (file, subpacket).  One holder-bucket
-planner computes the coded plans of a batch of slots as flat numpy arrays:
-each slot's group masks the words of its requested files, each (slot,
-file)'s subpackets are bucketed by their masked words, one share row per
-(member, holder bucket) carries its subgroup key, and one stable sort over
-(slot, subgroup key) yields every slot's messages and the payload dedup.
-:func:`plan_slots` runs it on a batch of slots, and :func:`build_delivery`
-is its one-slot call; :func:`decode` peels one slot's arrays, and only
-reading ``Transmission.coded`` builds a :class:`CodedMessage`/:class:`Segment`
-view.  :func:`slot_rates` is the analytic (upper) estimate of that
-delivery's rate.
+Files are split into `subpackets` equal pieces and caches are tracked as
+holder sets, so delivery plans carry exact lengths without simulating payload
+bytes.  :func:`sample_placement` draws a :class:`Placement`: the holder set
+of every subpacket of the cached set as words, one bit per user id, ⌈K/63⌉
+int64 words per (file, subpacket); the words are the only record of the
+caches.  One holder-bucket planner computes the coded plans of a batch of
+slots as flat numpy arrays: each slot's group masks the words of its
+requested files, each (slot, file)'s subpackets are bucketed by their masked
+words, one share row per (member, holder bucket) carries its subgroup key,
+and one stable sort over (slot, subgroup key) yields every slot's messages
+and the payload dedup.  :func:`plan_slots` runs it on a batch of slots, and
+:func:`build_delivery` is its one-slot call; :func:`decode` peels one slot's
+arrays against a user's bits in the words, and only reading
+``Transmission.coded`` builds a :class:`CodedMessage`/:class:`Segment` view.
+:func:`slot_rates` is the analytic (upper) estimate of that delivery's rate.
 """
 from __future__ import annotations
 
@@ -38,29 +38,10 @@ FUZZ_MAX_USERS = 5
 FUZZ_MAX_CACHE = 3.0
 FUZZ_MAX_SUBPACKETS = 64
 
-_EMPTY_INT = np.empty(0, dtype=np.int64)
-
-
 def _decimal_cache_size(params: SystemParams):
     """M as an exact Fraction of its decimal text: as floats, 0.07 * 100 > 7."""
     from fractions import Fraction  # local import keeps module load cheap
     return Fraction(str(params.cache_size))
-
-
-@dataclass
-class CacheState:
-    """Subpacket indices one user holds, keyed by file; missing key = none cached."""
-
-    files: dict[int, np.ndarray] = field(default_factory=dict)
-
-    def subpackets(self, file: int) -> np.ndarray:
-        return self.files.get(file, _EMPTY_INT)
-
-    def total_cached(self) -> int:
-        return int(sum(len(v) for v in self.files.values()))
-
-    def within_budget(self, params: SystemParams) -> bool:
-        return self.total_cached() <= math.ceil(_decimal_cache_size(params) * params.subpackets)
 
 
 @dataclass(frozen=True)
@@ -178,21 +159,18 @@ def _check_files(params: SystemParams, files: Iterable[int]) -> list[int]:
     return out
 
 
-class Placement(list):
-    """One placement: every user's :class:`CacheState`, in user order, and
-    the same caches over the cached set as holder words.
+@dataclass(frozen=True, eq=False)
+class Placement:
+    """One placement of every user's cache over the cached set, as holder words.
 
     ``cached`` lists the cached set's files in ascending order.  Bit u % 63
     of ``holders[u // 63, c, i]`` is set iff user u holds subpacket i of file
     ``cached[c]``: ⌈K/63⌉ int64 words per (file, subpacket), and no sign bit
-    is ever set.  :func:`plan_slots` reads the words, and
-    :func:`build_delivery` the cache states.
+    is ever set.  A user holds nothing outside the cached set.
     """
 
-    def __init__(self, caches: Iterable[CacheState], cached: list[int], holders: np.ndarray):
-        super().__init__(caches)
-        self.cached = cached
-        self.holders = holders
+    cached: list[int]
+    holders: np.ndarray
 
 
 def sample_placement(
@@ -200,57 +178,33 @@ def sample_placement(
 ) -> Placement:
     """Independent random placement of every user's cache over the cached set.
 
-    When the set is at least the budget, each user keeps min(F, floor(M*F/|S|))
-    uniformly random subpackets of every file in it.  A smaller set is stored
-    whole and the leftover budget is split evenly over the remaining files.
-    Both floors are taken from the decimal M, not its binary float.  The
-    random keys of every (user, file) draw come user by user and file by file
-    from ``rng.random`` calls over blocks of users of about ``BLOCK_ELEMS``
-    keys each, which draw the same stream as one call.  A draw keeps the
-    subpackets of its ``take`` smallest keys (:func:`_smallest`), and the
-    same mask sets the holder words of a partly stored cached set.
+    Each user keeps min(F, floor(M*F/|S|)) uniformly random subpackets of
+    every file in S, the floor taken from the decimal M, not its binary
+    float, so a set of at most M files is stored whole and draws nothing
+    from ``rng``.  The random keys of every (user, file) draw come user by
+    user and file by file from ``rng.random`` calls over blocks of users of
+    about ``BLOCK_ELEMS`` keys each, which draw the same stream as one call.
+    A draw keeps the subpackets of its ``take`` smallest keys
+    (:func:`_smallest`), and its mask sets the user's bit in the words.
     """
     S = _check_files(params, cached)
-    n, k, f = params.n_files, params.n_users, params.subpackets
-    m = _decimal_cache_size(params)
+    k, f = params.n_users, params.subpackets
     holders = np.zeros((-(-k // _WORD_MEMBERS), len(S), f), dtype=np.int64)
-    if not S:
-        return Placement([CacheState() for _ in range(k)], S, holders)
-    if len(S) >= m:
-        whole, part, take = [], S, min(f, math.floor(m * f / len(S)))
-    else:
-        chosen = set(S)
-        whole, part = S, [i for i in range(n) if i not in chosen]
-        take = math.floor((m - len(S)) * f / (n - len(S)))
-    if take >= f:
-        whole, part = whole + part, []
-    if whole:
-        # the cached set is among the files stored whole: every user holds it
+    take = min(f, math.floor(_decimal_cache_size(params) * f / len(S))) if S else 0
+    if take == f:  # every user holds the whole set
         holders[:] = np.array(
             [(1 << min(_WORD_MEMBERS, k - lo)) - 1 for lo in range(0, k, _WORD_MEMBERS)],
             dtype=np.int64,
         )[:, None, None]
-    full = np.arange(f, dtype=np.int64)
-    if take > 0 and part:
-        step, picks = max(1, BLOCK_ELEMS // (len(part) * f)), []
+    elif take > 0:
+        step = max(1, BLOCK_ELEMS // (len(S) * f))
         for start in range(0, k, step):
-            keys = rng.random((min(step, k - start), len(part), f))
-            held = _smallest(keys, take)
-            # each row holds exactly `take` subpackets, so the flat positions
-            # of the held keys, less their row's start, are the sorted picks
-            rows = np.flatnonzero(held).reshape(-1, take) - np.arange(0, held.size, f)[:, None]
-            picks.extend(rows.reshape(len(keys), len(part), take))
-            if not whole:  # the partly stored files are the cached set
-                for user, mask in enumerate(held, start):
-                    bits = np.left_shift(mask, user % _WORD_MEMBERS, dtype=np.int64)
-                    holders[user // _WORD_MEMBERS] |= bits
-    else:
-        part, picks = [], [()] * k
-    return Placement(
-        [CacheState({**dict.fromkeys(whole, full), **dict(zip(part, row))}) for row in picks],
-        S,
-        holders,
-    )
+            held = _smallest(rng.random((min(step, k - start), len(S), f)), take)
+            for user, mask in enumerate(held, start):
+                holders[user // _WORD_MEMBERS] |= np.left_shift(
+                    mask, user % _WORD_MEMBERS, dtype=np.int64
+                )
+    return Placement(S, holders)
 
 
 def _smallest(keys: np.ndarray, take: int) -> np.ndarray:
@@ -274,10 +228,10 @@ def _smallest(keys: np.ndarray, take: int) -> np.ndarray:
 def build_delivery(
     params: SystemParams,
     profile: RequestProfile,
-    caches: Sequence[CacheState],
+    placement: Placement,
     cached: Iterable[int],
 ) -> Transmission:
-    """Multicast plan for one slot: the one-slot call of the planner.
+    """Multicast plan for one slot: the one-slot call of :func:`plan_slots`.
 
     Users whose request lies in the cached set form the coded group.  The
     subpackets of each requested file are bucketed by exactly which members
@@ -302,30 +256,19 @@ def build_delivery(
     Each member has at most one share per holder bucket of its file, and a
     file has at most min(F, 2**|group|) buckets, so a slot sends at most
     |group| * min(F, 2**|group|) coded messages.  The cost grows with the
-    group size times F, and a group of any size is built.  The caches'
-    holder words are set here from the cache states, and the plan comes from
-    the same planner as :func:`plan_slots`' batches.
+    group size times F, and a group of any size is built.  ``cached`` must
+    be the placement's cached set.
     """
     req = profile.requests
-    n, k, f = params.n_files, params.n_users, params.subpackets
-    if len(req) != k:
+    if len(req) != params.n_users:
         raise ValueError("profile size != n_users")
-    if int(req.max()) >= n:
+    if int(req.max()) >= params.n_files:
         raise ValueError("request index out of range")
-    in_set = np.zeros(n, dtype=bool)
-    in_set[_check_files(params, cached)] = True
-    group = np.flatnonzero(in_set[req])
-    files = np.unique(req[group])
-    holders = np.zeros((-(-k // _WORD_MEMBERS), len(files), f), dtype=np.int64)
-    for user in group.tolist():
-        words, bit = holders[user // _WORD_MEMBERS], 1 << user % _WORD_MEMBERS
-        for rank, file in enumerate(files.tolist()):
-            idx = caches[user].subpackets(file)
-            if len(idx):
-                words[rank][idx] |= bit
-    column = np.full(n, -1, dtype=np.int64)
-    column[files] = np.arange(len(files))
-    return _plan(params, holders, column[req][None], req[None]).transmission(0)
+    # `cached` repeats placement.cached because the benchmark's counting hook
+    # on this function reads the cached set by argument name
+    if _check_files(params, cached) != placement.cached:
+        raise ValueError("cached set differs from the placement's")
+    return plan_slots(params, [placement], [0], req[None]).transmission(0)
 
 
 # a planner batch holds about this many masked holder-word entries and
@@ -357,8 +300,7 @@ def plan_slots(
 
     The placements' holder words are stacked once, and every slot's plan
     comes from one planner pass (see :class:`SlotPlans`); a batch may span
-    several placements.  Slot b's plan is :func:`build_delivery`'s for the
-    same requests, caches and cached set, field by field.
+    several placements; :func:`build_delivery` is the call on one slot.
     """
     column = np.full((len(placements), params.n_files), -1, dtype=np.int64)
     base = 0
@@ -571,7 +513,7 @@ def decode(
     params: SystemParams,
     user: int,
     profile: RequestProfile,
-    caches: Sequence[CacheState],
+    placement: Placement,
     transmission: Transmission,
 ) -> bool:
     """Peel the slot's transmissions against one user's cache.
@@ -579,15 +521,18 @@ def decode(
     True iff every subpacket of the user's requested file is recovered.  XOR
     terms are modeled symbolically: a position is solved once all but one of
     its terms are known.  Subpacket i of file n is entry n*F + i of a mask of
-    what the user knows; the terms and their message positions are the
-    plan's ``Transmission.terms``, set up once per plan.  Each round learns
-    every unknown term alone at its position; the rule only adds terms, so
-    rounds reach the known set that peeling one position at a time does.
+    what the user knows, starting from the subpackets whose holder words
+    carry the user's bit and from the direct sends.  The terms and their
+    message positions are the plan's ``Transmission.terms``, set up once per
+    plan.  Each round learns every unknown term alone at its position; the
+    rule only adds terms, so rounds reach the known set that peeling one
+    position at a time does.
     """
     f, tx = params.subpackets, transmission
-    known = np.zeros(params.n_files * f, dtype=bool)
-    for file, idx in caches[user].files.items():
-        known[file * f + idx] = True
+    word, bit = divmod(user, _WORD_MEMBERS)
+    known = np.zeros((params.n_files, f), dtype=bool)
+    known[placement.cached] = placement.holders[word] >> bit & 1
+    known = known.reshape(-1)
     for send in tx.direct:
         known[send.file * f : send.file * f + send.length] = True
     term_file, term_subpacket, position = tx.terms
@@ -611,11 +556,13 @@ def slot_rates(
 
     ``decisions`` is a boolean array of shape (..., N), one row per set S.  A
     set at least as large as the budget is charged |S|/M - 1 + K * (mass
-    outside S); a smaller one is stored whole with the leftover budget spread
-    over the other files, giving (N - |S|)/(M - |S|) - 1.  At |S| == M < N the
-    spread vanishes, and the first branch gives K * (mass outside S), which is
-    what the engine charges there: placement stores S whole, so every request
-    outside S is sent whole and every request inside it costs nothing.
+    outside S); a smaller one is charged (N - |S|)/(M - |S|) - 1.  That
+    branch is the closed form of a leftover spread over the other files that
+    :func:`sample_placement` no longer makes (it stores such a set whole and
+    nothing else), and item 1 of ROADMAP.md replaces it.  At |S| == M < N the
+    first branch gives K * (mass outside S), which is what the engine charges
+    there: placement stores S whole, so every request outside S is sent whole
+    and every request inside it costs nothing.
 
     Each row is charged on its own, so a caller may pass a history a slice of
     rows at a time; the mass inside S is one ``decisions @ probs`` product,
@@ -657,8 +604,9 @@ def run_decode_fuzz(
     """Random placement/delivery/decode round trips; failures should stay at zero.
 
     With corrupt=True, one cached subpacket of a served request is dropped
-    after the delivery plan is built, so decode failures become the expected
-    outcome (a working checker must report some).
+    (its holder bit cleared) after the delivery plan is built, so decode
+    failures become the expected outcome (a working checker must report
+    some).
     """
     from .model import substream  # local import keeps module load cheap
 
@@ -673,26 +621,25 @@ def run_decode_fuzz(
         params = SystemParams(n, k, m, f)
         size = int(rng.integers(0, n + 1))
         cached = sorted(int(i) for i in rng.choice(n, size=size, replace=False))
-        states = sample_placement(params, cached, rng)
+        placement = sample_placement(params, cached, rng)
         profile = RequestProfile(rng.integers(0, n, size=k))
-        tx = build_delivery(params, profile, states, cached)
+        tx = build_delivery(params, profile, placement, cached)
         if corrupt:
-            in_set = set(cached)
-            victims = [
-                u
-                for u in range(k)
-                if int(profile.requests[u]) in in_set
-                and len(states[u].subpackets(int(profile.requests[u])))
-            ]
+            # each served user's holder words of its requested file (views
+            # into the placement), holding its bit where it caches a subpacket
+            words = {
+                u: placement.holders[u // _WORD_MEMBERS, cached.index(r)]
+                for u, r in enumerate(profile.requests.tolist())
+                if r in cached
+            }
+            victims = [u for u, w in words.items() if (w & 1 << u % _WORD_MEMBERS).any()]
             if not victims:
                 continue  # nothing cached to break in this draw
             victim = int(rng.choice(victims))
-            file = int(profile.requests[victim])
-            held = states[victim].files[file]
-            drop = int(rng.choice(held))
-            states[victim].files[file] = held[held != drop]
+            held, bit = words[victim], 1 << victim % _WORD_MEMBERS
+            held[int(rng.choice(np.flatnonzero(held & bit)))] &= ~bit
         for u in range(k):
             users_checked += 1
-            if not decode(params, u, profile, states, tx):
+            if not decode(params, u, profile, placement, tx):
                 failures += 1
     return FuzzResult(n_trials, users_checked, failures)

@@ -25,7 +25,6 @@ from codedcache.bounds import (
     verify_bad_set_gap,
 )
 from codedcache.engine import (
-    CacheState,
     build_delivery,
     run_decode_fuzz,
     sample_placement,
@@ -41,6 +40,7 @@ from codedcache.model import (
     sample_requests,
     substream,
 )
+from placements import placement_of
 
 
 @pytest.fixture
@@ -84,19 +84,16 @@ def regret_run():
 def test_criterion_1_two_file_rate_table(report):
     start = time.perf_counter()
     params = SystemParams(2, 2, 1.0, 2)
-    full = np.array([0, 1])
     configs = [
-        [CacheState({0: full}), CacheState({0: full.copy()})],
-        [CacheState({0: full}), CacheState({1: full.copy()})],
-        [
-            CacheState({0: np.array([0]), 1: np.array([0])}),
-            CacheState({0: np.array([1]), 1: np.array([1])}),
-        ],
+        [{0: [0, 1]}, {0: [0, 1]}],
+        [{0: [0, 1]}, {1: [0, 1]}],
+        [{0: [0], 1: [0]}, {0: [1], 1: [1]}],
     ]
     averages = []
     for caches in configs:
+        placement = placement_of(params, [0, 1], caches)
         rates = [
-            build_delivery(params, RequestProfile(np.array(r)), caches, [0, 1]).rate
+            build_delivery(params, RequestProfile(np.array(r)), placement, [0, 1]).rate
             for r in ([0, 0], [0, 1], [1, 0], [1, 1])
         ]
         averages.append(sum(rates) / 4)
@@ -128,9 +125,9 @@ def test_criterion_3_realized_vs_analytic(report):
     rng = substream(11, 3)
     rates = []
     for _ in range(500):
-        caches = sample_placement(params, cached, rng)
+        placement = sample_placement(params, cached, rng)
         profile = sample_requests(dist, params.n_users, rng)
-        rates.append(build_delivery(params, profile, caches, cached).rate)
+        rates.append(build_delivery(params, profile, placement, cached).rate)
     mean = float(np.mean(rates))
     elapsed = time.perf_counter() - start
     ok = 0.0 <= mean <= target + 0.05 and elapsed < 120.0

@@ -14,11 +14,11 @@ pairs, reading the plan's CodedMessage/Segment view.
 from collections import namedtuple
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codedcache.engine import (
-    CacheState,
     CodedMessage,
     DirectSend,
     Segment,
@@ -33,12 +33,13 @@ from codedcache.model import (
     sample_requests,
     substream,
 )
+from placements import placement_of, subpackets_held
 
 # what the references return: the fields a Transmission plan is compared on
 ReferencePlan = namedtuple("ReferencePlan", "coded direct subpackets_sent rate")
 
 
-def reference_delivery(params, profile, caches, cached):
+def reference_delivery(params, profile, placement, cached):
     """Exhaustive subgroup walk: the plan build_delivery must reproduce."""
     req = profile.requests
     f = params.subpackets
@@ -49,7 +50,7 @@ def reference_delivery(params, profile, caches, cached):
     for file in sorted({int(req[k]) for k in group}):
         holders = np.zeros(f, dtype=np.int64)
         for k in group:
-            idx = caches[k].subpackets(file)
+            idx = subpackets_held(placement, k, file)
             if len(idx):
                 holders[idx] |= bit[k]
         order = np.argsort(holders, kind="stable")
@@ -86,7 +87,7 @@ def reference_delivery(params, profile, caches, cached):
     return ReferencePlan(tuple(coded), tuple(direct), total, total / f)
 
 
-def bucket_reference_delivery(params, profile, caches, cached):
+def bucket_reference_delivery(params, profile, placement, cached):
     """Holder sets as Python ints, one subpacket at a time; a message per
     subgroup W | {k} for a member k and a holder set W of k's file without k."""
     req = profile.requests
@@ -98,7 +99,7 @@ def bucket_reference_delivery(params, profile, caches, cached):
     for file in sorted({int(req[k]) for k in group}):
         holders = [0] * f
         for k in group:
-            for i in caches[k].subpackets(file).tolist():
+            for i in subpackets_held(placement, k, file).tolist():
                 holders[i] |= bit[k]
         by_set = {}
         for i, held in enumerate(holders):
@@ -135,7 +136,7 @@ def bucket_reference_delivery(params, profile, caches, cached):
     return ReferencePlan(tuple(coded), tuple(direct), total, total / f)
 
 
-def reference_decode(params, user, profile, caches, transmission):
+def reference_decode(params, user, profile, placement, transmission):
     """Peel the slot's transmissions against one user's cache, one position
     at a time over a set of (file, index) pairs: what decode must reproduce.
 
@@ -145,8 +146,8 @@ def reference_decode(params, user, profile, caches, transmission):
     """
     want = int(profile.requests[user])
     known: set[tuple[int, int]] = set()
-    for file, idx in caches[user].files.items():
-        known.update((file, int(j)) for j in idx)
+    for file in placement.cached:
+        known.update((file, int(j)) for j in subpackets_held(placement, user, file))
     for send in transmission.direct:
         known.update((send.file, j) for j in range(send.length))
 
@@ -175,24 +176,24 @@ def reference_decode(params, user, profile, caches, transmission):
     return all((want, j) in known for j in range(params.subpackets))
 
 
-def assert_decodes_like_reference(params, profile, caches, tx):
+def assert_decodes_like_reference(params, profile, placement, tx):
     """decode agrees with reference_decode for every user; their verdicts."""
-    got = [decode(params, u, profile, caches, tx) for u in range(params.n_users)]
-    want = [reference_decode(params, u, profile, caches, tx) for u in range(params.n_users)]
+    got = [decode(params, u, profile, placement, tx) for u in range(params.n_users)]
+    want = [reference_decode(params, u, profile, placement, tx) for u in range(params.n_users)]
     assert got == want
     return got
 
 
-def corrupted(caches, rng):
-    """Copies of the caches with a random part of some users' subpackets gone."""
-    out = []
-    for state in caches:
+def corrupted(params, placement, rng):
+    """A copy of the placement with a random part of some users' subpackets gone."""
+    caches = [
+        {file: subpackets_held(placement, u, file) for file in placement.cached}
+        for u in range(params.n_users)
+    ]
+    for u, cache in enumerate(caches):
         if rng.random() < 0.5:
-            state = CacheState({
-                file: idx[rng.random(len(idx)) < 0.8] for file, idx in state.files.items()
-            })
-        out.append(state)
-    return out
+            caches[u] = {file: idx[rng.random(len(idx)) < 0.8] for file, idx in cache.items()}
+    return placement_of(params, placement.cached, caches)
 
 
 def assert_same_plan(got, want):
@@ -210,10 +211,10 @@ def assert_same_plan(got, want):
     assert got.rate == want.rate
 
 
-def check_instance(params, cached, caches, requests):
+def check_instance(params, cached, placement, requests):
     profile = RequestProfile(np.asarray(requests))
-    got = build_delivery(params, profile, caches, cached)
-    assert_same_plan(got, reference_delivery(params, profile, caches, cached))
+    got = build_delivery(params, profile, placement, cached)
+    assert_same_plan(got, reference_delivery(params, profile, placement, cached))
     return profile, got
 
 
@@ -226,9 +227,9 @@ def test_matches_reference_on_random_instances():
         params = SystemParams(n, k, float(rng.uniform(0.1, n)), int(rng.integers(1, 65)))
         size = int(rng.integers(0, n + 1))
         cached = sorted(int(i) for i in rng.choice(n, size=size, replace=False))
-        caches = sample_placement(params, cached, rng)
+        placement = sample_placement(params, cached, rng)
         requests = rng.integers(0, n, size=k)
-        check_instance(params, cached, caches, requests)
+        check_instance(params, cached, placement, requests)
         groups.append(int(np.isin(requests, cached).sum()))
     # at least 500 draws code something, and they reach groups of 12 users
     assert sum(g > 0 for g in groups) >= 500 and max(groups) == 12
@@ -245,12 +246,12 @@ def test_decode_matches_reference_on_random_instances():
         params = SystemParams(n, k, float(rng.uniform(0.1, n)), int(rng.integers(1, 65)))
         size = int(rng.integers(0, n + 1))
         cached = sorted(int(i) for i in rng.choice(n, size=size, replace=False))
-        caches = sample_placement(params, cached, rng)
+        placement = sample_placement(params, cached, rng)
         profile = RequestProfile(rng.integers(0, n, size=k))
-        tx = build_delivery(params, profile, caches, cached)
+        tx = build_delivery(params, profile, placement, cached)
         if trial % 2:
-            caches = corrupted(caches, rng)
-        verdicts += assert_decodes_like_reference(params, profile, caches, tx)
+            placement = corrupted(params, placement, rng)
+        verdicts += assert_decodes_like_reference(params, profile, placement, tx)
     assert 0 < verdicts.count(False) < verdicts.count(True)
 
 
@@ -261,18 +262,18 @@ def test_matches_reference_at_bitlevel_shape():
     for trial in range(6):
         rng = substream(202, trial)
         cached = list(range(5 + 3 * trial))
-        caches = sample_placement(params, cached, rng)
+        placement = sample_placement(params, cached, rng)
         requests = sample_requests(dist, params.n_users, rng).requests
-        profile, tx = check_instance(params, cached, caches, requests)
+        profile, tx = check_instance(params, cached, placement, requests)
         assert tx.coded
-        assert all(decode(params, u, profile, caches, tx) for u in range(params.n_users))
+        assert all(decode(params, u, profile, placement, tx) for u in range(params.n_users))
 
 
 def test_matches_reference_when_every_user_holds_everything():
     params = SystemParams(3, 8, 3.0, 16)
     cached = [0, 1, 2]
-    caches = sample_placement(params, cached, substream(303, 0))
-    _, tx = check_instance(params, cached, caches, [0, 1, 2, 0, 1, 2, 0, 1])
+    placement = sample_placement(params, cached, substream(303, 0))
+    _, tx = check_instance(params, cached, placement, [0, 1, 2, 0, 1, 2, 0, 1])
     assert tx.coded == () and tx.rate == 0.0
 
 
@@ -280,8 +281,8 @@ def test_matches_reference_when_nobody_holds_anything():
     # every subpacket sits in the empty holder bucket, so each distinct
     # requested file goes out once, to the first user asking for it
     params = SystemParams(4, 7, 1.0, 12)
-    caches = [CacheState() for _ in range(7)]
-    _, tx = check_instance(params, [0, 1, 2], caches, [2, 0, 2, 3, 1, 0, 2])
+    placement = placement_of(params, [0, 1, 2], [])
+    _, tx = check_instance(params, [0, 1, 2], placement, [2, 0, 2, 3, 1, 0, 2])
     assert [m.users for m in tx.coded] == [(0,), (1,), (4,)]
     assert [d.user for d in tx.direct] == [3]
     assert tx.rate == 4.0
@@ -291,10 +292,33 @@ def test_groups_at_and_above_one_mask_word_build():
     # 63 members fill one holder word and 64 spill into a second
     for users, trial in ((63, 0), (64, 1)):
         params = SystemParams(1, users, 1.0, 1)
-        caches = sample_placement(params, [0], substream(404, trial))
+        placement = sample_placement(params, [0], substream(404, trial))
         profile = RequestProfile(np.zeros(users, dtype=np.int64))
-        tx = build_delivery(params, profile, caches, [0])
+        tx = build_delivery(params, profile, placement, [0])
         assert tx.rate == 0.0
+
+
+@pytest.mark.parametrize("k", [62, 63, 64, 126, 127, 130])
+def test_decode_across_the_holder_word_edges(k):
+    # every user, in every holder word, decodes a sampled placement's plan
+    # as the reference does.  The last user, bit (K - 1) % 63 of the last
+    # word, alone asks for file 2: no other share carries that file, so once
+    # one of its held subpackets is dropped it alone cannot decode
+    params = SystemParams(4, k, 1.5, 8)
+    cached = [0, 1, 2]
+    rng = substream(808, k)
+    placement = sample_placement(params, cached, rng)
+    requests = np.append(rng.choice([0, 1, 3], size=k - 1, p=[0.45, 0.45, 0.1]), 2)
+    profile = RequestProfile(requests)
+    tx = build_delivery(params, profile, placement, cached)
+    assert 0 < len(tx.direct) < k - 1
+    assert all(assert_decodes_like_reference(params, profile, placement, tx))
+    victim = k - 1
+    held = subpackets_held(placement, victim, 2)
+    assert 0 < len(held) < params.subpackets
+    placement.holders[victim // 63, 2, held[0]] &= ~(1 << victim % 63)
+    verdicts = assert_decodes_like_reference(params, profile, placement, tx)
+    assert not verdicts[victim] and verdicts.count(False) == 1
 
 
 def shared_holder_caches(params, cached, group, rng):
@@ -308,10 +332,10 @@ def shared_holder_caches(params, cached, group, rng):
     held = rng.random((params.n_users, 3)) < 0.5
     first_word = group[:63]
     held[first_word, 1] = held[first_word, 0]
-    return [
-        CacheState({file: np.flatnonzero(held[k][kind]) for file in cached})
-        for k in range(params.n_users)
+    caches = [
+        {file: np.flatnonzero(held[k][kind]) for file in cached} for k in range(params.n_users)
     ]
+    return placement_of(params, cached, caches)
 
 
 def test_matches_bucket_reference_past_the_word_boundaries():
@@ -333,21 +357,22 @@ def test_matches_bucket_reference_past_the_word_boundaries():
         requests = rng.permutation(requests)
         if trial % 2:
             group = np.flatnonzero(requests < n - 1)
-            caches = shared_holder_caches(params, cached, group, rng)
+            placement = shared_holder_caches(params, cached, group, rng)
         else:
-            caches = sample_placement(params, cached, rng)
+            placement = sample_placement(params, cached, rng)
         profile = RequestProfile(requests)
-        tx = build_delivery(params, profile, caches, cached)
-        assert_same_plan(tx, bucket_reference_delivery(params, profile, caches, cached))
+        tx = build_delivery(params, profile, placement, cached)
+        assert_same_plan(tx, bucket_reference_delivery(params, profile, placement, cached))
         assert tx.coded
-        assert all(decode(params, u, profile, caches, tx) for u in range(params.n_users))
-        verdicts += assert_decodes_like_reference(params, profile, corrupted(caches, rng), tx)
+        assert all(decode(params, u, profile, placement, tx) for u in range(params.n_users))
+        broken = corrupted(params, placement, rng)
+        verdicts += assert_decodes_like_reference(params, profile, broken, tx)
         groups.append(width)
     assert min(groups) < 63 and 63 < 126 < max(groups)
     assert False in verdicts
 
 
-def reference_duplicate_share_counts(params, profile, caches, cached):
+def reference_duplicate_share_counts(params, profile, placement, cached):
     """Share count of every subgroup whose payload repeats an earlier one's.
 
     Subgroups, shares and signatures are the bucket reference's, built here
@@ -361,7 +386,7 @@ def reference_duplicate_share_counts(params, profile, caches, cached):
     for file in {int(req[k]) for k in group}:
         holders = [0] * params.subpackets
         for k in group:
-            for i in caches[k].subpackets(file).tolist():
+            for i in subpackets_held(placement, k, file).tolist():
                 holders[i] |= bit[k]
         holder_sets[file] = set(holders)
     signatures = {}
@@ -398,17 +423,18 @@ def delivery_instances(draw):
         np.concatenate([rng.integers(0, n - 1, size=width), np.full(outside, n - 1)])
     )
     if repeated:
-        caches = shared_holder_caches(params, cached, np.flatnonzero(requests < n - 1), rng)
+        placement = shared_holder_caches(params, cached, np.flatnonzero(requests < n - 1), rng)
     else:
-        caches = sample_placement(params, cached, rng)
-    return params, cached, caches, RequestProfile(requests)
+        placement = sample_placement(params, cached, rng)
+    return params, cached, placement, RequestProfile(requests)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
 @given(delivery_instances())
 def test_plan_property_against_bucket_reference(instance):
-    params, cached, caches, profile = instance
-    tx = build_delivery(params, profile, caches, cached)
-    assert_same_plan(tx, bucket_reference_delivery(params, profile, caches, cached))
-    assert all(c == 1 for c in reference_duplicate_share_counts(params, profile, caches, cached))
-    assert all(decode(params, u, profile, caches, tx) for u in range(params.n_users))
+    params, cached, placement, profile = instance
+    tx = build_delivery(params, profile, placement, cached)
+    assert_same_plan(tx, bucket_reference_delivery(params, profile, placement, cached))
+    counts = reference_duplicate_share_counts(params, profile, placement, cached)
+    assert all(c == 1 for c in counts)
+    assert all(decode(params, u, profile, placement, tx) for u in range(params.n_users))

@@ -1,13 +1,16 @@
-"""The benchmark's seed-1 CSVs, byte for byte.
+"""The benchmark's seed-1 CSVs and verify report, byte for byte.
 
 The workloads and their golden sha256 digests are read from
 ``perfbench/workloads.py`` by file path, so the benchmark's own record is
 the one checked.  ``wide`` is left out: its oracle regret rounds
 differently on other BLAS kernels, so its digest holds only on the host
-where it was recorded.
+where it was recorded.  The ``verify`` report is the stdout of its
+commands, concatenated in order as the benchmark joins them.
 """
+import contextlib
 import hashlib
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
@@ -37,3 +40,15 @@ def test_seed_one_csv_matches_the_golden_digest(monkeypatch, tmp_path, name):
     (argv,) = workload.commands(workloads.DEFAULT_SEED, str(out))
     assert cli.main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == workload.golden_sha256
+
+
+def test_seed_one_verify_report_matches_the_golden_digest(monkeypatch, tmp_path):
+    workloads = load_workloads(monkeypatch)
+    workload = workloads.WORKLOADS["verify"]
+    out = str(tmp_path / "verify.out")
+    stdout = io.StringIO()
+    for argv in workload.commands(workloads.DEFAULT_SEED, out):
+        with contextlib.redirect_stdout(stdout):
+            assert cli.main(argv) == 0
+    output = workload.output(stdout.getvalue(), out)
+    assert hashlib.sha256(output).hexdigest() == workload.golden_sha256

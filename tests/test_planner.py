@@ -3,9 +3,9 @@
 A history is a run of slots with a placement drawn at the start of each
 placement run.  It is planned in batches cut anywhere, so batches cross
 placement runs, and every slot's plan must equal build_delivery's plan for
-the same requests, caches and cached set.  The cached sets include the
-empty set, sets smaller than M (stored whole, with leftover placement on
-the other files) and sets of exactly M files (stored whole, as LFU's are).
+the same requests and placement.  The cached sets include the empty set,
+sets smaller than M (stored whole, nothing else cached) and sets of exactly
+M files (stored whole, as LFU's are).
 """
 import dataclasses
 import tracemalloc
@@ -63,7 +63,7 @@ def draw_cached(rng, params, kind):
     n, m = params.n_files, params.cache_size
     if kind == "empty":
         size = 0
-    elif kind == "leftover":  # |S| < M: S whole, leftover spread over the rest
+    elif kind == "small":  # |S| < M: S whole, nothing else cached
         size = int(rng.integers(1, int(np.ceil(m))))
     elif kind == "whole":  # |S| == M, LFU's set: every file of S stored whole
         size = int(m)
@@ -91,7 +91,7 @@ def test_batches_across_runs_match_one_slot_plans(k):
     # of 1 to 5 slots and in one batch over the whole history
     params = SystemParams(6, k, 3.0, 12 if k > 10 else 40)
     rng = substream(707, k)
-    kinds = ["random", "empty", "leftover", "whole", "random", "whole", "leftover"]
+    kinds = ["random", "empty", "small", "whole", "random", "whole", "small"]
     placements, starts, requests = random_history(rng, params, 14, kinds)
     assert len(placements) > 3
     cuts = [0]
@@ -113,12 +113,12 @@ def histories(draw):
     m = min(m, float(n))
     f = draw(st.integers(1, 24 if k < 60 else 8))
     horizon = draw(st.integers(1, 10))
-    kinds = draw(st.lists(st.sampled_from(["empty", "leftover", "whole", "random"]),
+    kinds = draw(st.lists(st.sampled_from(["empty", "small", "whole", "random"]),
                           min_size=1, max_size=5))
     if m != int(m):
-        kinds = ["leftover" if kind == "whole" else kind for kind in kinds]
+        kinds = ["small" if kind == "whole" else kind for kind in kinds]
     if m <= 1:
-        kinds = ["empty" if kind == "leftover" else kind for kind in kinds]
+        kinds = ["empty" if kind == "small" else kind for kind in kinds]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     params = SystemParams(n, k, m, f)
     placements, starts, requests = random_history(rng, params, horizon, kinds)

@@ -206,8 +206,8 @@ def test_lfu_realized_rate_accounting():
     assert _lfu_dedup_rates(cfg, cached, requests).tolist() == [2.0]
     assert _lfu_dedup_rates(cfg, np.ones((1, 3), dtype=bool), requests).tolist() == [0.0]
     assert misses(cached, requests).tolist() == [3]
-    caches = sample_placement(params, [0], substream(0, 0))
-    assert build_delivery(params, RequestProfile(requests[0]), caches, [0]).rate == 3.0
+    placement = sample_placement(params, [0], substream(0, 0))
+    assert build_delivery(params, RequestProfile(requests[0]), placement, [0]).rate == 3.0
 
 
 def test_lfu_expected_rate_accounting():

@@ -313,7 +313,7 @@ def test_bitlevel_trial_matches_stepped_run(lfu_accounting):
     for name in POLICY_NAMES:
         pol = SteppedPolicy(name, params, cfg.dist.probs)
         place_rng = substream(cfg.seed, 0, POLICY_STREAM_KEYS[name])
-        caches = None
+        placement = None
         rates, sizes, switches = [], [], []
         for s in range(cfg.horizon):
             cached, switched = pol.decide()
@@ -321,10 +321,10 @@ def test_bitlevel_trial_matches_stepped_run(lfu_accounting):
                 rates.append(reference_lfu_realized(
                     cached, requests[s], per_request=cfg.lfu_per_request()))
             else:
-                if caches is None or switched:
-                    caches = sample_placement(params, sorted(cached), place_rng)
+                if placement is None or switched:
+                    placement = sample_placement(params, sorted(cached), place_rng)
                 profile = RequestProfile(requests[s])
-                rates.append(build_delivery(params, profile, caches, sorted(cached)).rate)
+                rates.append(build_delivery(params, profile, placement, sorted(cached)).rate)
             sizes.append(len(cached))
             switches.append(switched)
             pol.observe(requests[s])

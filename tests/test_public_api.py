@@ -2,7 +2,6 @@
 import codedcache
 
 PUBLIC_NAMES = [
-    "CacheState",
     "CodedMessage",
     "DegenerateGapError",
     "DirectSend",
