@@ -23,11 +23,18 @@ decision array of any dtype is held; a trial's memory grows with the
 horizon only through its per-slot records.  Each block's set sizes and
 switches are counted on the columns that can vary inside it.  Analytic
 rates are charged on slices of ``policies.block_rows`` slots, rebuilt as
-float rows in one buffer that a record holds only while it is fed a chunk,
-so every rate has the bits of charging the whole history a slice at a
-time.  A constant policy (oracle, uniform) repeats one row, so in analytic
-mode it is charged once per experiment and slice length.  Bit-level delivery is planned for a
+float rows in one buffer that a record holds only while it is fed a chunk
+and refills between blocks only on the columns that changed, so every rate
+has the bits of charging the whole history a slice at a time.  A constant
+policy (oracle, uniform) repeats one row, so in analytic mode it is charged
+once per experiment and slice length.  Bit-level delivery is planned for a
 bounded batch of slots at a time.
+An experiment aggregates its trials in trial order: the means are running
+sums, and each trial keeps its per-slot regrets as runs of equal values,
+from which the standard error's second pass rebuilds the cumulative regrets
+one trial at a time.  Its memory grows with the horizon plus the runs, not
+with trials times horizon, and every aggregate has the bits of a stacked
+(trials, horizon) array.
 """
 from __future__ import annotations
 
@@ -35,7 +42,7 @@ import dataclasses
 import functools
 import io
 import itertools
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -239,7 +246,12 @@ class _PolicyRecord:
     allocates at a feed's first slice and drops when the feed ends, so the
     records of a trial hold one such buffer at a time: a dense block's rows
     are copied in, and a frontier block refills the rows with its fixed row
-    once, after which each slice writes only its varying columns.  As the
+    once, after which each slice writes only its varying columns.  The refill
+    writes only the columns where a row may differ from the fixed row: those
+    varying since the rows were last filled whole and those whose fixed value
+    changed, or every column when those are a quarter of the files or more,
+    as at a feed's first block and after a dense block.  Either way the rows
+    hold the bits of a whole refill.  As the
     rows hold nothing between feeds, each feed must start on a slice, as
     :func:`_request_chunks` does.  LFU under dedup accounting pays per
     distinct missed file; every other policy pays ``slot_rates``: the mass
@@ -264,6 +276,8 @@ class _PolicyRecord:
         self.walk = DecisionWalk(policy, config.dist.probs, params, config.horizon, floors)
         self.config, self.policy = config, policy
         self.buffer = None  # the float rows of the slices a feed charges
+        # every buffer row holds fill outside the loose columns (None: any)
+        self.fill = self.loose = None
         if policy == "lfu" and not config.lfu_per_request():
             self.charge = "dedup"
         else:
@@ -291,7 +305,7 @@ class _PolicyRecord:
             else:
                 self._charge(start, fixed, varying, part, requests, first)
             done += len(part)
-        self.buffer = None  # a trial's records hold one buffer at a time
+        self.buffer = self.loose = None  # a trial's records hold one buffer at a time
         if self.charge == "analytic" and not self.constant:
             # _charge left the mass inside each set in the rates
             span = slice(first, self.walk.start)
@@ -324,16 +338,21 @@ class _PolicyRecord:
             n = config.params.n_files
             self.buffer = np.empty((min(self.walk.rows, config.horizon), n))
         buffer, dense = self.buffer, isinstance(varying, slice)
+        cols = slice(None)  # the columns where a row may differ from fixed
+        if self.loose is not None:
+            changed = np.flatnonzero(self.loose | (self.fill != fixed))
+            if 4 * len(changed) < len(fixed):  # else a whole fill is faster
+                cols = changed
         for base, end, lo, hi in _slices(start, start + len(part), self.walk.rows, config.horizon):
             rows = buffer[lo - base : hi - base]
             if dense:  # a plain copy
                 rows[...] = part[lo - start : hi - start]
             else:
                 if lo == start:  # rows above lo still hold the block before
-                    buffer[lo - base :] = fixed
+                    buffer[lo - base :, cols] = fixed[cols]
                     stale = lo - base
                 elif stale:
-                    buffer[:stale] = fixed
+                    buffer[:stale, cols] = fixed[cols]
                     stale = 0
                 rows[:, varying] = part[lo - start : hi - start]
             if hi < end:
@@ -344,6 +363,12 @@ class _PolicyRecord:
                 self.rates[base:end] = _lfu_dedup_rates(config, decisions, slots)
             else:
                 np.matmul(decisions, probs, out=self.rates[base:end])
+        # every row holds fixed outside varying (all columns for a dense
+        # block), or outside cols for the rows [:stale] the block did not refill
+        self.fill, self.loose = fixed, np.zeros(len(fixed), dtype=bool)
+        self.loose[varying] = True
+        if stale:
+            self.loose[cols] = True
 
     def _charge_constant(self, start, row, stop) -> None:
         """A constant policy's analytic rates: each slice length is charged
@@ -471,61 +496,92 @@ class ExperimentResult:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Independent trials, aggregated in trial order.
 
-    The mean rate and mean switch count are streamed: each trial's per-slot
-    rates and cumulative switches are added to one running sum per policy,
-    in trial order, and divided by the trial count at the end, the same
-    sequential sum, bit for bit, as a mean over the stacked trials.  The
-    cumulative regrets are written into one preallocated (trials, horizon)
-    array per policy, since their standard error takes a second pass over
-    the trials (:func:`_stderr`).  mean_switches accumulates: its value at
-    slot t is the mean number of cache rewrites up to and including t.
+    The means are streamed: each trial's per-slot rates, cumulative switches
+    and cumulative regrets are added to one running sum per policy, in trial
+    order, and divided by the trial count at the end, the same sequential
+    sum, bit for bit, as a mean over the stacked trials.  The standard error
+    of the cumulative regret takes a second pass over the trials
+    (:func:`_stderr`), so each trial keeps its per-slot regrets as runs of
+    equal values (:func:`_runs`), and pass two rebuilds its cumulative
+    regrets one trial at a time.  An analytic rate changes only when the
+    cached set switches, so a trial keeps a few runs where it has thousands
+    of slots, and the memory grows with the horizon plus the runs, not with
+    trials times horizon; a bit-level trial, whose rate changes from slot to
+    slot, keeps its per-slot regrets as they are.  mean_switches
+    accumulates: its value at slot t is the mean number of cache rewrites up
+    to and including t.
     """
-    sums = {}  # per policy: running sums of rates and of cumulative switches
-    regrets = {name: np.empty((config.trials, config.horizon)) for name in config.policies}
+    sums = {}  # per policy: running sums of rates, cumulative switches and regrets
+    runs = {name: [] for name in config.policies}  # per policy: each trial's runs
     for trial in range(config.trials):
-        for tr in run_trial(config, trial).traces:
+        result = run_trial(config, trial)
+        for tr in result.traces:
             switched = np.cumsum(tr.switches)
             if tr.policy in sums:
-                rate_sum, switch_sum = sums[tr.policy]
+                rate_sum, switch_sum, regret_sum = sums[tr.policy]
                 rate_sum += tr.rates
                 switch_sum += switched
-            else:
-                sums[tr.policy] = (tr.rates.copy(), switched.astype(float))
-            regrets[tr.policy][trial] = tr.cum_regret
+                regret_sum += tr.cum_regret
+            else:  # the sums start as the first trial's own rows, which nothing keeps
+                sums[tr.policy] = (tr.rates, switched.astype(float), tr.cum_regret)
+            runs[tr.policy].append(_runs(tr.rates - result.reference_rates))
     aggregates = []
     for name in config.policies:
-        regret = regrets.pop(name)
-        mean = regret.mean(axis=0)
-        rate_sum, switch_sum = sums[name]
+        rate_sum, switch_sum, regret_sum = sums[name]
+        mean = regret_sum / config.trials
+        # the cumsum of run_trial, over the same per-slot regrets
+        regrets = (np.cumsum(np.repeat(*trial)) for trial in runs.pop(name))
         aggregates.append(
             PolicyAggregate(
                 policy=name,
                 mean_rate=rate_sum / config.trials,
                 mean_cum_regret=mean,
-                stderr_cum_regret=_stderr(regret, mean),
+                stderr_cum_regret=_stderr(regrets, mean),
                 mean_switches=switch_sum / config.trials,
             )
         )
     return ExperimentResult(config, tuple(aggregates))
 
 
-def _stderr(rows: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Standard error of the across-row ``mean``: ``rows.std(axis=0, ddof=1)``
-    over sqrt(rows), 0 for a single row.
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | int]:
+    """``values`` as ``(run values, run lengths)``, runs of equal bits, so that
+    ``np.repeat`` of the pair gives back ``values`` bit for bit.  When there
+    are more runs than half the slots, the pair is ``(values, 1)``, which
+    keeps no more than ``values`` itself."""
+    bits, slots = values.view(np.int64), len(values)
+    starts = np.empty(slots, dtype=bool)
+    starts[0] = True
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    starts = starts.nonzero()[0]
+    if 2 * len(starts) > slots:
+        return values, 1
+    lengths = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+    lengths[-1] = slots - starts[-1]
+    return values[starts], lengths
 
-    The squared deviations are summed row by row in row order, the order of
-    numpy's reduction over axis 0, so the result has the bits of ``std``
-    without its (rows, columns) temporary.
+
+def _stderr(rows: Iterable[np.ndarray], mean: np.ndarray) -> np.ndarray:
+    """Standard error of the across-row ``mean``: the std (ddof=1) of the
+    ``rows`` over sqrt(rows), 0 for a single row.
+
+    ``rows`` is any iterable of rows, such as a (rows, columns) array or a
+    generator that rebuilds one row at a time.  The squared deviations are
+    summed row by row in row order, the order of numpy's reduction over axis
+    0, so the result has the bits of ``np.stack(rows).std(axis=0, ddof=1) /
+    sqrt(rows)`` without holding the rows or ``std``'s (rows, columns)
+    temporary.
     """
-    trials = len(rows)
-    if trials == 1:
-        return np.zeros(rows.shape[1])
-    squares = np.zeros(rows.shape[1])
-    deviation = np.empty(rows.shape[1])
+    squares = np.zeros(len(mean))
+    deviation = np.empty(len(mean))
+    trials = 0
     for row in rows:
         np.subtract(row, mean, out=deviation)
         deviation *= deviation
         squares += deviation
+        trials += 1
+    if trials == 1:
+        return np.zeros(len(mean))
     return np.sqrt(squares / (trials - 1)) / np.sqrt(trials)
 
 

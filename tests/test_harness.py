@@ -30,6 +30,7 @@ from codedcache.harness import (
 from codedcache.model import PopularityDistribution, SystemParams, make_zipf
 from codedcache.policies import (
     POLICY_NAMES,
+    block_matrix,
     block_rows,
     decision_blocks,
     decision_matrix,
@@ -300,6 +301,82 @@ def test_rate_slices_of_small_blocks_match_the_whole_matrix(monkeypatch):
                 rates, _, _ = _policy_record(cfg, name, 0, requests)
                 assert rates.tolist() == np.concatenate(want).tolist(), (case, name)
     assert straddled > 50
+
+
+@pytest.mark.parametrize("multiple", [64, 1])
+def test_frontier_refill_of_changed_columns_matches_a_dense_charge(monkeypatch, multiple):
+    # N=2000: a frontier block refills the slice rows only on the columns
+    # varying since the last whole fill and those whose fixed value changed,
+    # and every rate keeps the bits of charging the expanded blocks.  With no
+    # row rule the blocks also start inside the 32-slot rate slices
+    monkeypatch.setattr(policies, "BLOCK_ROW_MULTIPLE", multiple)
+    params, dist = SystemParams(2000, 10, 20.0), make_zipf(2000, 0.8)
+    step = block_rows(2000)
+    for accounting in ("per-request", "dedup"):
+        cfg = ExperimentConfig(params=params, dist=dist, policies=("tracking", "lfu"),
+                               horizon=3000, trials=1, seed=7, lfu_accounting=accounting)
+        requests = _draw_requests(cfg, 0)
+        for name in cfg.policies:
+            blocks = list(decision_blocks(name, requests, dist.probs, params))
+            assert sum(not isinstance(varying, slice) for _, _, varying, _ in blocks) >= 3
+            whole = np.concatenate([block_matrix(*block[1:]) for block in blocks])
+            want = []
+            for lo in range(0, cfg.horizon, step):
+                rows, slots = whole[lo : lo + step], requests[lo : lo + step]
+                if name == "lfu" and accounting == "dedup":
+                    want.append(_lfu_dedup_rates(cfg, rows, slots))
+                else:
+                    want.append(slot_rates(rows, dist.probs, params))
+            record = harness._PolicyRecord(cfg, name, 0)
+            partial, charge = [], record._charge
+
+            def noted(start, fixed, varying, *rest):
+                if record.loose is not None and not isinstance(varying, slice):
+                    changed = np.count_nonzero(record.loose | (record.fill != fixed))
+                    partial.append(4 * changed < len(fixed))
+                return charge(start, fixed, varying, *rest)
+
+            record._charge = noted
+            record.feed(requests)
+            assert sum(partial) >= 2, (name, partial)
+            assert record.rates.tobytes() == np.concatenate(want).tobytes(), (name, accounting)
+
+
+def test_partial_refills_of_made_up_blocks_match_the_expanded_blocks(monkeypatch):
+    # factored blocks of 1 to 12 rows over 8-row rate slices, with fixed
+    # rows that flip a few columns, varying columns that come and go and an
+    # occasional dense block: every slice's masses, charged from rows that
+    # were refilled only in part, are those of the expanded blocks
+    monkeypatch.setattr(policies, "BLOCK_ROW_MULTIPLE", 1)
+    monkeypatch.setattr(policies, "BLOCK_ELEMS", 8 * 40)
+    params, dist = SystemParams(40, 2, 4.0), make_zipf(40, 0.5)
+    rng = np.random.default_rng(3)
+    partial = 0
+    for case in range(60):
+        horizon = int(rng.integers(30, 120))
+        cfg = ExperimentConfig(params=params, dist=dist, policies=("tracking",),
+                               horizon=horizon, trials=1, seed=case)
+        record = harness._PolicyRecord(cfg, "tracking", 0)
+        assert record.walk.rows == 8
+        fixed, blocks = rng.random(40) < 0.5, []
+        while (start := sum(len(part) for *_, part in blocks)) < horizon:
+            rows = min(int(rng.integers(1, 13)), horizon - start)
+            if rng.random() < 0.1:
+                part = rng.random((rows, 40)) < 0.5
+                blocks.append((start, part[0], slice(None), part))
+                continue
+            fixed = fixed.copy()
+            fixed[rng.integers(0, 40, int(rng.integers(0, 3)))] ^= True
+            varying = np.sort(rng.choice(40, int(rng.integers(0, 6)), replace=False))
+            blocks.append((start, fixed, varying, rng.random((rows, len(varying))) < 0.5))
+        for start, fixed, varying, part in blocks:
+            if record.loose is not None and not isinstance(varying, slice):
+                partial += 4 * np.count_nonzero(record.loose | (record.fill != fixed)) < 40
+            record._charge(start, fixed, varying, part, None, 0)
+        whole = np.concatenate([block_matrix(*block[1:]) for block in blocks]).astype(float)
+        want = [whole[lo : lo + 8] @ dist.probs for lo in range(0, horizon, 8)]
+        assert record.rates.tobytes() == np.concatenate(want).tobytes(), case
+    assert partial > 300
 
 
 def test_switch_in_fixed_columns_at_a_block_edge(monkeypatch):
@@ -716,42 +793,85 @@ def test_single_trial_aggregate_equals_trial():
         assert np.allclose(agg.mean_switches, np.cumsum(tr.switches), atol=1e-12)
 
 
-@pytest.mark.parametrize("trials", [1, 2, 200])
-def test_streamed_means_equal_the_stacked_means(trials):
+@pytest.mark.parametrize("trials, overrides", [
+    pytest.param(1, {}, id="1"),
+    pytest.param(2, {}, id="2"),
+    pytest.param(200, {}, id="200"),
+    pytest.param(2, {"reference": "paired"}, id="2-paired"),
+    pytest.param(200, {"reference": "paired"}, id="200-paired"),
+    pytest.param(3, {"params": SystemParams(20, 10, 4.0, 50), "rate_mode": "bitlevel",
+                     "horizon": 60}, id="3-bitlevel"),
+])
+def test_streamed_means_equal_the_stacked_means(trials, overrides):
     # the running sums, divided once, give the bits of a mean over the
-    # stacked trials
-    cfg = ExperimentConfig(
-        params=SystemParams(20, 10, 2.0), dist=make_zipf(20, 1.0), policies=POLICY_NAMES,
-        horizon=300, trials=trials, seed=5,
-    )
+    # stacked trials, and the cumulative regrets rebuilt from each trial's
+    # runs give the bits of the stacked standard error
+    cfg = ExperimentConfig(**{
+        "params": SystemParams(20, 10, 2.0), "dist": make_zipf(20, 1.0),
+        "policies": POLICY_NAMES, "horizon": 300, "trials": trials, "seed": 5, **overrides,
+    })
     result = run_experiment(cfg)
     traces = [run_trial(cfg, trial) for trial in range(trials)]
+    per_slot = 0  # trials whose regrets are kept slot by slot
     for agg in result.aggregates:
         mine = [trial.trace(agg.policy) for trial in traces]
         rates = np.stack([tr.rates for tr in mine]).mean(axis=0)
-        regret = np.stack([tr.cum_regret for tr in mine]).mean(axis=0)
+        regrets = np.stack([tr.cum_regret for tr in mine])
         switches = np.stack([np.cumsum(tr.switches) for tr in mine]).mean(axis=0)
+        if trials > 1:
+            stderr = regrets.std(axis=0, ddof=1) / np.sqrt(trials)
+        else:
+            stderr = np.zeros(cfg.horizon)
         assert agg.mean_rate.tobytes() == rates.tobytes(), agg.policy
-        assert agg.mean_cum_regret.tobytes() == regret.tobytes(), agg.policy
+        assert agg.mean_cum_regret.tobytes() == regrets.mean(axis=0).tobytes(), agg.policy
+        assert agg.stderr_cum_regret.tobytes() == stderr.tobytes(), agg.policy
         assert agg.mean_switches.tobytes() == switches.tobytes(), agg.policy
+        for trial, tr in zip(traces, mine):
+            _, lengths = harness._runs(tr.rates - trial.reference_rates)
+            per_slot += isinstance(lengths, int)
+    # bit-level rates change from slot to slot, analytic ones only on a switch
+    assert (per_slot > 0) == (cfg.rate_mode == "bitlevel")
+
+
+def test_runs_give_back_the_bits():
+    # runs are found by bits, so -0.0 and 0.0 are two runs and equal NaNs
+    # one; more runs than half the slots keep the values as they are
+    values = np.array([1.5] * 3 + [-0.0] + [0.0] * 3 + [np.nan] * 3 + [2.0])
+    runs, lengths = harness._runs(values)
+    assert runs.tobytes() == values[[0, 3, 4, 7, 10]].tobytes()
+    assert lengths.tolist() == [3, 1, 3, 3, 1]
+    assert np.repeat(runs, lengths).tobytes() == values.tobytes()
+    for values in (np.arange(6.0), np.array([3.0]), np.array([1.0, 1.0, 2.0])):
+        runs, lengths = harness._runs(values)
+        assert np.repeat(runs, lengths).tobytes() == values.tobytes()
+    assert harness._runs(np.arange(6.0))[1] == 1
+
+
+def experiment_peak(trials, horizon):
+    cfg = ExperimentConfig(
+        params=SystemParams(20, 10, 2.0), dist=make_zipf(20, 1.0),
+        policies=("tracking", "uniform", "lfu"), horizon=horizon, trials=trials, seed=1,
+    )
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_readme_experiment_memory_streams_the_means():
     # the README command: 200 trials of 2000 slots and three policies.
     # Holding every trial's rates, regrets and cumulative switches until the
-    # end peaks near 36 MB, and a list of regrets stacked at the end near
-    # 13 MB; the regrets alone are 9.6 MB, written into one array per policy
-    cfg = ExperimentConfig(
-        params=SystemParams(20, 10, 2.0), dist=make_zipf(20, 1.0),
-        policies=("tracking", "uniform", "lfu"), horizon=2000, trials=200, seed=1,
-    )
-    tracemalloc.start()
-    try:
-        run_experiment(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 12e6
+    # end peaks near 36 MB, and one (trials, horizon) regret array per policy
+    # near 12 MB; kept as runs, a trial's regrets take a few hundred bytes
+    assert experiment_peak(200, 2000) < 4e6
+
+
+def test_experiment_memory_does_not_grow_with_trials_times_horizon():
+    # 1000 trials of 500 slots: a (trials, horizon) regret array per policy
+    # would be 12 MB
+    assert experiment_peak(1000, 500) < 8e6
 
 
 @pytest.mark.parametrize("trials", [1, 2, 3, 200])
