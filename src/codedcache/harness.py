@@ -23,11 +23,10 @@ decision array of any dtype is held; a trial's memory grows with the
 horizon only through its per-slot records.  Each block's set sizes and
 switches are counted on the columns that can vary inside it.  Analytic
 rates are charged on slices of ``policies.block_rows`` slots, rebuilt as
-float rows in one buffer that a record holds only while it is fed a chunk
-and refills between blocks only on the columns that changed, so every rate
-has the bits of charging the whole history a slice at a time.  A constant
-policy (oracle, uniform) repeats one row, so in analytic mode it is charged
-once per experiment and slice length.  Bit-level delivery is planned for a
+float rows in one buffer that a record holds only while it is fed a chunk,
+so every rate has the bits of charging the whole history a slice at a
+time.  A constant policy (oracle, uniform) repeats one row, so in analytic
+mode it is charged once per experiment and slice length.  Bit-level delivery is planned for a
 bounded batch of slots at a time.
 An experiment aggregates its trials in trial order: the means are running
 sums, and each trial keeps its per-slot regrets as runs of equal values,
@@ -246,12 +245,7 @@ class _PolicyRecord:
     allocates at a feed's first slice and drops when the feed ends, so the
     records of a trial hold one such buffer at a time: a dense block's rows
     are copied in, and a frontier block refills the rows with its fixed row
-    once, after which each slice writes only its varying columns.  The refill
-    writes only the columns where a row may differ from the fixed row: those
-    varying since the rows were last filled whole and those whose fixed value
-    changed, or every column when those are a quarter of the files or more,
-    as at a feed's first block and after a dense block.  Either way the rows
-    hold the bits of a whole refill.  As the
+    once, after which each slice writes only its varying columns.  As the
     rows hold nothing between feeds, each feed must start on a slice, as
     :func:`_request_chunks` does.  LFU under dedup accounting pays per
     distinct missed file; every other policy pays ``slot_rates``: the mass
@@ -276,8 +270,6 @@ class _PolicyRecord:
         self.walk = DecisionWalk(policy, config.dist.probs, params, config.horizon, floors)
         self.config, self.policy = config, policy
         self.buffer = None  # the float rows of the slices a feed charges
-        # every buffer row holds fill outside the loose columns (None: any)
-        self.fill = self.loose = None
         if policy == "lfu" and not config.lfu_per_request():
             self.charge = "dedup"
         else:
@@ -305,7 +297,7 @@ class _PolicyRecord:
             else:
                 self._charge(start, fixed, varying, part, requests, first)
             done += len(part)
-        self.buffer = self.loose = None  # a trial's records hold one buffer at a time
+        self.buffer = None  # a trial's records hold one buffer at a time
         if self.charge == "analytic" and not self.constant:
             # _charge left the mass inside each set in the rates
             span = slice(first, self.walk.start)
@@ -338,21 +330,16 @@ class _PolicyRecord:
             n = config.params.n_files
             self.buffer = np.empty((min(self.walk.rows, config.horizon), n))
         buffer, dense = self.buffer, isinstance(varying, slice)
-        cols = slice(None)  # the columns where a row may differ from fixed
-        if self.loose is not None:
-            changed = np.flatnonzero(self.loose | (self.fill != fixed))
-            if 4 * len(changed) < len(fixed):  # else a whole fill is faster
-                cols = changed
         for base, end, lo, hi in _slices(start, start + len(part), self.walk.rows, config.horizon):
             rows = buffer[lo - base : hi - base]
             if dense:  # a plain copy
                 rows[...] = part[lo - start : hi - start]
             else:
                 if lo == start:  # rows above lo still hold the block before
-                    buffer[lo - base :, cols] = fixed[cols]
+                    buffer[lo - base :] = fixed
                     stale = lo - base
                 elif stale:
-                    buffer[:stale, cols] = fixed[cols]
+                    buffer[:stale] = fixed
                     stale = 0
                 rows[:, varying] = part[lo - start : hi - start]
             if hi < end:
@@ -363,12 +350,6 @@ class _PolicyRecord:
                 self.rates[base:end] = _lfu_dedup_rates(config, decisions, slots)
             else:
                 np.matmul(decisions, probs, out=self.rates[base:end])
-        # every row holds fixed outside varying (all columns for a dense
-        # block), or outside cols for the rows [:stale] the block did not refill
-        self.fill, self.loose = fixed, np.zeros(len(fixed), dtype=bool)
-        self.loose[varying] = True
-        if stale:
-            self.loose[cols] = True
 
     def _charge_constant(self, start, row, stop) -> None:
         """A constant policy's analytic rates: each slice length is charged

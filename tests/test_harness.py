@@ -30,7 +30,6 @@ from codedcache.harness import (
 from codedcache.model import PopularityDistribution, SystemParams, make_zipf
 from codedcache.policies import (
     POLICY_NAMES,
-    block_matrix,
     block_rows,
     decision_blocks,
     decision_matrix,
@@ -301,82 +300,6 @@ def test_rate_slices_of_small_blocks_match_the_whole_matrix(monkeypatch):
                 rates, _, _ = _policy_record(cfg, name, 0, requests)
                 assert rates.tolist() == np.concatenate(want).tolist(), (case, name)
     assert straddled > 50
-
-
-@pytest.mark.parametrize("multiple", [64, 1])
-def test_frontier_refill_of_changed_columns_matches_a_dense_charge(monkeypatch, multiple):
-    # N=2000: a frontier block refills the slice rows only on the columns
-    # varying since the last whole fill and those whose fixed value changed,
-    # and every rate keeps the bits of charging the expanded blocks.  With no
-    # row rule the blocks also start inside the 32-slot rate slices
-    monkeypatch.setattr(policies, "BLOCK_ROW_MULTIPLE", multiple)
-    params, dist = SystemParams(2000, 10, 20.0), make_zipf(2000, 0.8)
-    step = block_rows(2000)
-    for accounting in ("per-request", "dedup"):
-        cfg = ExperimentConfig(params=params, dist=dist, policies=("tracking", "lfu"),
-                               horizon=3000, trials=1, seed=7, lfu_accounting=accounting)
-        requests = _draw_requests(cfg, 0)
-        for name in cfg.policies:
-            blocks = list(decision_blocks(name, requests, dist.probs, params))
-            assert sum(not isinstance(varying, slice) for _, _, varying, _ in blocks) >= 3
-            whole = np.concatenate([block_matrix(*block[1:]) for block in blocks])
-            want = []
-            for lo in range(0, cfg.horizon, step):
-                rows, slots = whole[lo : lo + step], requests[lo : lo + step]
-                if name == "lfu" and accounting == "dedup":
-                    want.append(_lfu_dedup_rates(cfg, rows, slots))
-                else:
-                    want.append(slot_rates(rows, dist.probs, params))
-            record = harness._PolicyRecord(cfg, name, 0)
-            partial, charge = [], record._charge
-
-            def noted(start, fixed, varying, *rest):
-                if record.loose is not None and not isinstance(varying, slice):
-                    changed = np.count_nonzero(record.loose | (record.fill != fixed))
-                    partial.append(4 * changed < len(fixed))
-                return charge(start, fixed, varying, *rest)
-
-            record._charge = noted
-            record.feed(requests)
-            assert sum(partial) >= 2, (name, partial)
-            assert record.rates.tobytes() == np.concatenate(want).tobytes(), (name, accounting)
-
-
-def test_partial_refills_of_made_up_blocks_match_the_expanded_blocks(monkeypatch):
-    # factored blocks of 1 to 12 rows over 8-row rate slices, with fixed
-    # rows that flip a few columns, varying columns that come and go and an
-    # occasional dense block: every slice's masses, charged from rows that
-    # were refilled only in part, are those of the expanded blocks
-    monkeypatch.setattr(policies, "BLOCK_ROW_MULTIPLE", 1)
-    monkeypatch.setattr(policies, "BLOCK_ELEMS", 8 * 40)
-    params, dist = SystemParams(40, 2, 4.0), make_zipf(40, 0.5)
-    rng = np.random.default_rng(3)
-    partial = 0
-    for case in range(60):
-        horizon = int(rng.integers(30, 120))
-        cfg = ExperimentConfig(params=params, dist=dist, policies=("tracking",),
-                               horizon=horizon, trials=1, seed=case)
-        record = harness._PolicyRecord(cfg, "tracking", 0)
-        assert record.walk.rows == 8
-        fixed, blocks = rng.random(40) < 0.5, []
-        while (start := sum(len(part) for *_, part in blocks)) < horizon:
-            rows = min(int(rng.integers(1, 13)), horizon - start)
-            if rng.random() < 0.1:
-                part = rng.random((rows, 40)) < 0.5
-                blocks.append((start, part[0], slice(None), part))
-                continue
-            fixed = fixed.copy()
-            fixed[rng.integers(0, 40, int(rng.integers(0, 3)))] ^= True
-            varying = np.sort(rng.choice(40, int(rng.integers(0, 6)), replace=False))
-            blocks.append((start, fixed, varying, rng.random((rows, len(varying))) < 0.5))
-        for start, fixed, varying, part in blocks:
-            if record.loose is not None and not isinstance(varying, slice):
-                partial += 4 * np.count_nonzero(record.loose | (record.fill != fixed)) < 40
-            record._charge(start, fixed, varying, part, None, 0)
-        whole = np.concatenate([block_matrix(*block[1:]) for block in blocks]).astype(float)
-        want = [whole[lo : lo + 8] @ dist.probs for lo in range(0, horizon, 8)]
-        assert record.rates.tobytes() == np.concatenate(want).tobytes(), case
-    assert partial > 300
 
 
 def test_switch_in_fixed_columns_at_a_block_edge(monkeypatch):
