@@ -20,7 +20,9 @@ releases the chunk and draws the next.  Each policy's
 their frontier work, and its record charges each block as it comes.  So
 neither a (horizon, n_users) request matrix nor a (horizon, n_files)
 decision array of any dtype is held; a trial's memory grows with the
-horizon only through its per-slot records.  Each block's set sizes and
+horizon only through its per-slot records.  The walks of a trial share one
+holder of dense-block counts, emptied with each chunk, so tracking and LFU
+count such a block once between them.  Each block's set sizes and
 switches are counted on the columns that can vary inside it.  Analytic
 rates are charged on slices of ``policies.block_rows`` slots, rebuilt as
 float rows in one buffer that a record holds only while it is fed a chunk,
@@ -138,6 +140,12 @@ class ExperimentConfig:
         floors.setflags(write=False)
         return floors
 
+    @functools.cached_property
+    def _oracle_rate_upper(self) -> float:
+        """The closed-form reference rate, computed once and shared by every
+        trial: it depends only on the popularity and params."""
+        return oracle_rate_upper(self.dist, self.params)
+
 
 @dataclasses.dataclass(frozen=True)
 class PolicyTrace:
@@ -223,7 +231,8 @@ class _PolicyRecord:
     """One policy's per-slot rates, cached-set sizes and switch flags, filled
     as :meth:`feed` hands it the history's requests a chunk at a time.
 
-    The record owns the policy's :class:`DecisionWalk` and charges each
+    The record owns the policy's :class:`DecisionWalk`, built with the
+    trial's dense-block ``counts`` holder if it is given one, and charges each
     factored block ``(start, fixed_row, varying, part)`` as it is decided, so
     it never holds a (rows, n_files) bool block past the dense ones: between
     blocks it keeps its per-slot arrays, the walk's counts, the last decided
@@ -264,10 +273,12 @@ class _PolicyRecord:
     draws are those of planning one slot at a time.
     """
 
-    def __init__(self, config: ExperimentConfig, policy: str, trial: int):
+    def __init__(
+        self, config: ExperimentConfig, policy: str, trial: int, counts: dict | None = None
+    ):
         params = config.params
         floors = config._tracking_floors if policy == "tracking" else None
-        self.walk = DecisionWalk(policy, config.dist.probs, params, config.horizon, floors)
+        self.walk = DecisionWalk(policy, config.dist.probs, params, config.horizon, floors, counts)
         self.config, self.policy = config, policy
         self.buffer = None  # the float rows of the slices a feed charges
         if policy == "lfu" and not config.lfu_per_request():
@@ -420,20 +431,22 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
     The history is drawn a chunk at a time (:func:`_request_chunks`), and
     each chunk goes to every policy's record in turn, the paired oracle's
     among them, and is released before the next is drawn, so no (horizon,
-    n_users) request matrix is held.
+    n_users) request matrix is held.  The records' walks share one counts
+    holder, so a dense block that tracking and LFU both decide is counted
+    once; it is emptied with each chunk.
     """
     names = config.policies
     if config.reference == "paired" and "oracle" not in names:
         names += ("oracle",)
-    records = {name: _PolicyRecord(config, name, trial) for name in names}
+    counts = {}  # the dense blocks' counts of the chunk being fed
+    records = {name: _PolicyRecord(config, name, trial, counts) for name in names}
     for requests in _request_chunks(config, trial):
         for record in records.values():
             record.feed(requests)
+        counts.clear()
         del requests  # the chunk is freed before the next is drawn
     if config.reference == "closed-form":
-        ref = np.full(
-            config.horizon, oracle_rate_upper(config.dist, config.params)
-        )
+        ref = np.full(config.horizon, config._oracle_rate_upper)
     else:
         ref = records["oracle"].rates
     traces = []

@@ -26,6 +26,11 @@ the rest, the block's frontier (:func:`_frontier`), typically a few
 percent of the files when popularity is skewed.  Such a block is sized by
 its frontier work, not by n_files: it grows while the frontier stays
 narrow, so one O(n_files) frontier pass serves many slots.
+
+The counts before a slot are the same for every policy, so walks over one
+history can share a holder in which a dense block, every file in every
+row, is counted once for tracking and LFU.  LFU ranks on int32 keys when
+the horizon keeps every key below 2**31, and on int64 keys otherwise.
 """
 from __future__ import annotations
 
@@ -100,13 +105,19 @@ def count_floors(slots: np.ndarray, params: SystemParams) -> np.ndarray:
 
 
 def _frontier(
-    policy: str, running: np.ndarray, end: np.ndarray, floors: np.ndarray, m: int
+    policy: str,
+    running: np.ndarray,
+    end: np.ndarray,
+    floors: np.ndarray,
+    m: int,
+    tie_break: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(fixed, frontier)`` masks over the files for one block of slots.
 
     ``running`` and ``end`` are the per-file counts before the block's first
     slot and after its last, ``floors`` the block's :func:`count_floors`
-    (tracking) and ``m`` the budget (LFU).  Every file outside ``frontier``
+    (tracking), ``m`` the budget and ``tie_break`` the walk's N - 1 - id per
+    file, in its key width (LFU).  Every file outside ``frontier``
     takes the decision ``fixed`` in every row of the block; the frontier
     holds the files whose decision can differ between rows.
 
@@ -124,9 +135,8 @@ def _frontier(
         fixed = running >= floors[-1]
         return fixed, ~fixed & (end >= floors[0])
     n = len(running)
-    tie_break = np.arange(n - 1, -1, -1)
-    kth0 = np.partition(running * n + tie_break, n - m)[n - m]
-    return np.zeros(n, dtype=bool), end * n + tie_break >= kth0
+    kth0 = np.partition(_keys(running, n, tie_break), n - m)[n - m]
+    return np.zeros(n, dtype=bool), _keys(end, n, tie_break) >= kth0
 
 
 def _counts_before(slot_columns: np.ndarray, carried: np.ndarray, width: int) -> np.ndarray:
@@ -146,6 +156,15 @@ def _counts_before(slot_columns: np.ndarray, carried: np.ndarray, width: int) ->
     return np.cumsum(counts, axis=0, out=counts)
 
 
+def _keys(counts: np.ndarray, n: int, tie_break: np.ndarray) -> np.ndarray:
+    """LFU's ranking keys ``counts * n + tie_break``, in the dtype of
+    ``tie_break``, which the walk makes wide enough for every key."""
+    key = counts.astype(tie_break.dtype)
+    key *= n
+    key += tie_break
+    return key
+
+
 def _decide(
     policy: str, before: np.ndarray, floors: np.ndarray, m: int, n: int, tie_break: np.ndarray
 ) -> np.ndarray:
@@ -156,7 +175,7 @@ def _decide(
     # LFU ranks by the key before * N + (N - 1 - id): more requests first,
     # then the lower id.  Keys are unique in a row, so the m keys at or
     # above the (width - m)-th order statistic are exactly the top m.
-    key = before * n + tie_break
+    key = _keys(before, n, tie_break)
     cut = key.shape[1] - m
     return key >= np.partition(key, cut, axis=1)[:, cut, None]
 
@@ -215,9 +234,18 @@ class DecisionWalk:
     The walk is built for a ``horizon`` of slots.  Tracking takes its
     ``floors``, ``count_floors(np.arange(horizon), params)``, as given, so
     walks over many histories of one horizon can share them, or computes
-    them.  An invalid policy is refused, and so is an LFU walk whose
-    horizon * n_users * n_files reaches 2**63, where its int64 ranking key
-    could overflow.
+    them.  LFU ranks on int32 keys when every key fits, that is when
+    (horizon * n_users + 1) * n_files <= 2**31, and on int64 keys otherwise.
+    An invalid policy is refused, and so is an LFU walk whose horizon *
+    n_users * n_files reaches 2**63, where even an int64 key could overflow.
+
+    Walks over one history may also share a ``counts`` holder, a dict.  The
+    counts before each slot are the same for every policy, since they count
+    the same requests, so the first walk to decide a dense block stores the
+    block's counts there under its (start, rows), and a walk that decides
+    the same block reads them instead of counting again.  Whoever feeds the
+    walks empties the holder once every walk has passed the requests it was
+    given; a walk built without one shares nothing.
     """
 
     def __init__(
@@ -227,6 +255,7 @@ class DecisionWalk:
         params: SystemParams,
         horizon: int,
         floors: np.ndarray | None = None,
+        counts: dict | None = None,
     ):
         check_policy(policy, params)
         n = params.n_files
@@ -241,9 +270,11 @@ class DecisionWalk:
             return
         if policy == "tracking" and floors is None:
             floors = count_floors(np.arange(horizon), params)
-        self._floors = floors
+        self._floors, self._counts = floors, counts
         self._m = int(params.cache_size)
-        self._tie_break = np.arange(n - 1, -1, -1)
+        # the largest key is horizon * n_users * n + n - 1
+        width = np.int32 if (horizon * params.n_users + 1) * n <= 2**31 else np.int64
+        self._tie_break = np.arange(n - 1, -1, -1, dtype=width)
         self._running = np.zeros(n, dtype=np.int64)
         self._height = self.rows  # the next frontier block's height
         most = BLOCK_ELEMS // params.n_users // BLOCK_ROW_MULTIPLE * BLOCK_ROW_MULTIPLE
@@ -265,7 +296,8 @@ class DecisionWalk:
             rows, multiple = min(self._height, len(requests)), BLOCK_ROW_MULTIPLE
             while True:
                 end = running + np.bincount(requests[:rows].ravel(), minlength=n)
-                fixed, frontier = _frontier(policy, running, end, self._floors_of(rows), m)
+                floors = self._floors_of(rows)
+                fixed, frontier = _frontier(policy, running, end, floors, m, tie_break)
                 cols = np.flatnonzero(frontier)
                 dense = 2 * len(cols) > n
                 if rows <= multiple or not dense and rows * len(cols) <= BLOCK_ELEMS:
@@ -274,7 +306,7 @@ class DecisionWalk:
                 rows = self._height = max(multiple, rows)
         if dense:
             rows = min(self.rows, len(requests))
-            before = _counts_before(requests[:rows].astype(np.int64), running, n)
+            before = self._dense_counts(rows, requests)
             part = _decide(policy, before[:rows], self._floors_of(rows), m, n, tie_break)
             self._running = before[rows].copy()
             self.start += rows
@@ -290,6 +322,16 @@ class DecisionWalk:
         self._running = end
         self.start += rows
         return start, fixed, cols, part
+
+    def _dense_counts(self, rows: int, requests: np.ndarray) -> np.ndarray:
+        """The :func:`_counts_before` of a dense block of ``rows`` slots from
+        ``start``, read from the shared holder if another walk counted them."""
+        counts = {} if self._counts is None else self._counts
+        before = counts.get((self.start, rows))
+        if before is None:
+            slots = requests[:rows].astype(np.int64)
+            before = counts[self.start, rows] = _counts_before(slots, self._running, self.n_files)
+        return before
 
     def _floors_of(self, rows: int) -> np.ndarray | None:
         """Tracking's count floors for the ``rows`` slots from ``start``."""

@@ -456,6 +456,68 @@ def test_trial_blocks_are_whole_multiples_within_the_budget(monkeypatch, n, k, m
         assert any(not isinstance(varying, slice) for _, _, varying, _ in mine)
 
 
+@pytest.mark.parametrize("shape", ["readme", "dense fallback"])
+def test_shared_counts_change_no_record(monkeypatch, shape):
+    # tracking and LFU read each dense block's counts from one holder, and
+    # each policy's record in a paired trial is bit for bit its record alone.
+    # The README shape is one dense block per trial, counted once.  In the
+    # fallback shape (N=40, K=2, M=21, uniform, 64-slot blocks drawn 192
+    # slots at a time) LFU's frontier always holds more than half the files,
+    # so every LFU block is dense, and so are many of tracking's: the holder
+    # serves blocks past the first and is emptied between chunks
+    if shape == "readme":
+        params, dist, horizon = SystemParams(20, 10, 2.0), make_zipf(20, 1.0), 2000
+    else:
+        monkeypatch.setattr(policies, "BLOCK_ELEMS", 64 * 40)
+        monkeypatch.setattr(harness, "REQUEST_CHUNK", 3 * 64 * 2)
+        params, dist, horizon = SystemParams(40, 2, 21.0), make_zipf(40, 0.0), 640
+    counted, dense = [], []
+    count, step = policies._counts_before, policies.DecisionWalk.step
+
+    def counting(*args):
+        before = count(*args)
+        counted.append(weakref.ref(before))
+        return before
+
+    def sample(*args):
+        # the holder is emptied with each chunk: no counts outlive it
+        assert all(ref() is None for ref in counted)
+        return model.sample_requests(*args)
+
+    def spy(walk, requests):
+        block = step(walk, requests)
+        if isinstance(block[2], slice):
+            dense.append((walk.policy, block[0], len(block[3])))
+        return block
+
+    monkeypatch.setattr(policies, "_counts_before", counting)
+    monkeypatch.setattr(policies.DecisionWalk, "step", spy)
+    monkeypatch.setattr(harness, "sample_requests", sample)
+
+    def trial(names):
+        counted.clear()
+        dense.clear()
+        cfg = ExperimentConfig(params=params, dist=dist, policies=names, horizon=horizon,
+                               trials=1, seed=3)
+        return run_trial(cfg, 0), len(counted)
+
+    paired, calls = trial(("tracking", "lfu"))
+    shared = set.intersection(*({(start, rows) for policy, start, rows in dense if policy == name}
+                                for name in ("tracking", "lfu")))
+    alone_calls = 0
+    for name in ("tracking", "lfu"):
+        alone, name_calls = trial((name,))
+        alone_calls += name_calls
+        for field in ("rates", "set_sizes", "switches"):
+            got, want = getattr(paired.trace(name), field), getattr(alone.trace(name), field)
+            assert got.tolist() == want.tolist(), (name, field)
+    assert calls == alone_calls - len(shared)
+    if shape == "readme":
+        assert shared == {(0, 2000)} and calls == 1
+    else:
+        assert sum(start >= 192 for start, _ in shared) >= 2, shared
+
+
 def test_frontier_blocks_build_no_dense_block():
     # N=20000 files for 2 users: past the first chunk, a trial's frontier
     # blocks span thousands of slots, whose (rows, N) bool block would be
@@ -628,6 +690,21 @@ def test_tracking_floors_are_computed_once_per_experiment(monkeypatch):
     cfg = config(trials=3, horizon=9)
     run_experiment(cfg)
     assert calls == [9]
+
+
+def test_closed_form_reference_is_computed_once_per_experiment(monkeypatch):
+    calls = []
+
+    def counted(dist, params):
+        calls.append(params)
+        return oracle_rate_upper(dist, params)
+
+    monkeypatch.setattr(harness, "oracle_rate_upper", counted)
+    cfg = config(trials=3, horizon=9)
+    run_experiment(cfg)
+    reference = run_trial(cfg, 3).reference_rates
+    assert calls == [cfg.params]
+    assert reference.tolist() == [oracle_rate_upper(cfg.dist, cfg.params)] * 9
 
 
 def test_request_matrix_is_a_view_of_the_drawn_profile(monkeypatch):

@@ -159,8 +159,8 @@ def test_wide_history_is_decided_on_narrow_frontiers(monkeypatch):
     seen = []
     rule = policies._frontier
 
-    def spy(policy, running, end, floors, m):
-        fixed, frontier = rule(policy, running, end, floors, m)
+    def spy(*args):
+        fixed, frontier = rule(*args)
         seen.append(np.count_nonzero(frontier))
         return fixed, frontier
 
@@ -188,6 +188,31 @@ def test_wide_history_is_decided_on_narrow_frontiers(monkeypatch):
             assert dense == [0, 64] and seen[0] == 571 and rows >= 256
             late = [len(part) for start, *_, part in blocks[:-1] if start >= 1024]
             assert len(blocks) <= 16 and min(late) >= 128
+
+
+def test_lfu_keys_at_the_int32_bound_decide_as_int64():
+    # counts near 2**28 over N=8 files: file 0's key (2**28 - 1) * 8 + 7 is
+    # 2**31 - 1, the largest int32, and ties between files are common
+    n = 8
+    before = np.random.default_rng(4).integers(2**28 - 4, 2**28, size=(200, n))
+    before[0, 0] = 2**28 - 1
+    narrow, wide = (np.arange(n - 1, -1, -1, dtype=width) for width in (np.int32, np.int64))
+    assert policies._keys(before, n, narrow).max() == 2**31 - 1
+    key = before * n + wide
+    for m in range(1, n + 1):
+        want = key >= np.sort(key, axis=1)[:, n - m, None]
+        assert policies._decide("lfu", before, None, m, n, narrow).tolist() == want.tolist()
+        assert policies._decide("lfu", before, None, m, n, wide).tolist() == want.tolist()
+
+
+def test_lfu_walk_picks_int64_keys_one_past_the_int32_bound():
+    # N=8 files for one user: a horizon of 2**28 - 1 slots keeps every key
+    # count * 8 + (7 - id) at most 2**31 - 1, and one slot more could pass it.
+    # Building the walk draws nothing
+    params, probs = SystemParams(8, 1, 2.0), np.full(8, 1 / 8)
+    for horizon, width in ((2**28 - 1, np.int32), (2**28, np.int64)):
+        walk = policies.DecisionWalk("lfu", probs, params, horizon)
+        assert walk._tie_break.dtype == width, horizon
 
 
 def test_block_rows_are_multiples_of_the_row_rule():

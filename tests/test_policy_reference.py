@@ -197,8 +197,8 @@ def test_frontier_blocks_match_stepped_reference(monkeypatch):
     narrow = []
     rule = policies._frontier
 
-    def spy(policy, running, end, floors, m):
-        fixed, frontier = rule(policy, running, end, floors, m)
+    def spy(*args):
+        fixed, frontier = rule(*args)
         narrow.append(2 * np.count_nonzero(frontier) <= len(frontier))
         return fixed, frontier
 
@@ -261,7 +261,8 @@ def test_files_off_the_frontier_keep_one_decision(data):
     for start in range(0, t_len, rows):
         stop = min(start + rows, t_len)
         floors = count_floors(np.arange(start, stop), params)
-        fixed, frontier = policies._frontier(name, counts[start], counts[stop], floors, int(m))
+        fixed, frontier = policies._frontier(
+            name, counts[start], counts[stop], floors, int(m), np.arange(n - 1, -1, -1))
         assert (want[start:stop, ~frontier] == fixed[~frontier]).all(), (start, stop)
         if name == "lfu":
             assert np.count_nonzero(frontier) >= int(m)
