@@ -21,8 +21,9 @@ their frontier work, and its record charges each block as it comes.  So
 neither a (horizon, n_users) request matrix nor a (horizon, n_files)
 decision array of any dtype is held; a trial's memory grows with the
 horizon only through its per-slot records.  The walks of a trial share one
-holder of dense-block counts, emptied with each chunk, so tracking and LFU
-count such a block once between them.  Each block's set sizes and
+counts holder, emptied with each chunk, so tracking and LFU count their
+first block, which both decide densely, once between them.  Each block's
+set sizes and
 switches are counted on the columns that can vary inside it.  Analytic
 rates are charged on slices of ``policies.block_rows`` slots, rebuilt as
 float rows in one buffer that a record holds only while it is fed a chunk,
@@ -232,7 +233,7 @@ class _PolicyRecord:
     as :meth:`feed` hands it the history's requests a chunk at a time.
 
     The record owns the policy's :class:`DecisionWalk`, built with the
-    trial's dense-block ``counts`` holder if it is given one, and charges each
+    trial's first-block ``counts`` holder if it is given one, and charges each
     factored block ``(start, fixed_row, varying, part)`` as it is decided, so
     it never holds a (rows, n_files) bool block past the dense ones: between
     blocks it keeps its per-slot arrays, the walk's counts, the last decided
@@ -432,13 +433,13 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
     each chunk goes to every policy's record in turn, the paired oracle's
     among them, and is released before the next is drawn, so no (horizon,
     n_users) request matrix is held.  The records' walks share one counts
-    holder, so a dense block that tracking and LFU both decide is counted
-    once; it is emptied with each chunk.
+    holder, so the first block, which tracking and LFU both decide densely,
+    is counted once; it is emptied with each chunk.
     """
     names = config.policies
     if config.reference == "paired" and "oracle" not in names:
         names += ("oracle",)
-    counts = {}  # the dense blocks' counts of the chunk being fed
+    counts = {}  # the first block's counts while the first chunk is fed
     records = {name: _PolicyRecord(config, name, trial, counts) for name in names}
     for requests in _request_chunks(config, trial):
         for record in records.values():

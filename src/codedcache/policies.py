@@ -27,10 +27,11 @@ percent of the files when popularity is skewed.  Such a block is sized by
 its frontier work, not by n_files: it grows while the frontier stays
 narrow, so one O(n_files) frontier pass serves many slots.
 
-The counts before a slot are the same for every policy, so walks over one
-history can share a holder in which a dense block, every file in every
-row, is counted once for tracking and LFU.  LFU ranks on int32 keys when
-the horizon keeps every key below 2**31, and on int64 keys otherwise.
+The counts before a slot are the same for every policy, and every adaptive
+walk decides its first block densely, every file in every row, so walks
+over one history can share a holder in which that block is counted once
+for tracking and LFU.  LFU ranks on int32 keys when the horizon keeps
+every key below 2**31, and on int64 keys otherwise.
 """
 from __future__ import annotations
 
@@ -241,11 +242,13 @@ class DecisionWalk:
 
     Walks over one history may also share a ``counts`` holder, a dict.  The
     counts before each slot are the same for every policy, since they count
-    the same requests, so the first walk to decide a dense block stores the
-    block's counts there under its (start, rows), and a walk that decides
-    the same block reads them instead of counting again.  Whoever feeds the
-    walks empties the holder once every walk has passed the requests it was
-    given; a walk built without one shares nothing.
+    the same requests, and every adaptive walk decides its first block
+    densely, so the first walk to decide it stores the block's counts there
+    under its rows, and the other walks read them instead of counting
+    again.  Later blocks are counted by each walk alone, as few of them are
+    dense for both policies.  Whoever feeds the walks empties the holder
+    once every walk has passed the requests it was given; a walk built
+    without one shares nothing.
     """
 
     def __init__(
@@ -325,13 +328,14 @@ class DecisionWalk:
 
     def _dense_counts(self, rows: int, requests: np.ndarray) -> np.ndarray:
         """The :func:`_counts_before` of a dense block of ``rows`` slots from
-        ``start``, read from the shared holder if another walk counted them."""
-        counts = {} if self._counts is None else self._counts
-        before = counts.get((self.start, rows))
-        if before is None:
+        ``start``; the first block's are read from the holder if another walk
+        counted them."""
+        if self.start or self._counts is None:
+            return _counts_before(requests[:rows].astype(np.int64), self._running, self.n_files)
+        if rows not in self._counts:
             slots = requests[:rows].astype(np.int64)
-            before = counts[self.start, rows] = _counts_before(slots, self._running, self.n_files)
-        return before
+            self._counts[rows] = _counts_before(slots, self._running, self.n_files)
+        return self._counts[rows]
 
     def _floors_of(self, rows: int) -> np.ndarray | None:
         """Tracking's count floors for the ``rows`` slots from ``start``."""

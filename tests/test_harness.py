@@ -457,14 +457,14 @@ def test_trial_blocks_are_whole_multiples_within_the_budget(monkeypatch, n, k, m
 
 
 @pytest.mark.parametrize("shape", ["readme", "dense fallback"])
-def test_shared_counts_change_no_record(monkeypatch, shape):
-    # tracking and LFU read each dense block's counts from one holder, and
+def test_shared_first_block_changes_no_record(monkeypatch, shape):
+    # tracking and LFU read their first block's counts from one holder, and
     # each policy's record in a paired trial is bit for bit its record alone.
     # The README shape is one dense block per trial, counted once.  In the
     # fallback shape (N=40, K=2, M=21, uniform, 64-slot blocks drawn 192
     # slots at a time) LFU's frontier always holds more than half the files,
-    # so every LFU block is dense, and so are many of tracking's: the holder
-    # serves blocks past the first and is emptied between chunks
+    # so every LFU block is dense, and so are many of tracking's: each walk
+    # counts those later blocks alone
     if shape == "readme":
         params, dist, horizon = SystemParams(20, 10, 2.0), make_zipf(20, 1.0), 2000
     else:
@@ -487,7 +487,7 @@ def test_shared_counts_change_no_record(monkeypatch, shape):
     def spy(walk, requests):
         block = step(walk, requests)
         if isinstance(block[2], slice):
-            dense.append((walk.policy, block[0], len(block[3])))
+            dense.append((walk.policy, block[0]))
         return block
 
     monkeypatch.setattr(policies, "_counts_before", counting)
@@ -502,8 +502,8 @@ def test_shared_counts_change_no_record(monkeypatch, shape):
         return run_trial(cfg, 0), len(counted)
 
     paired, calls = trial(("tracking", "lfu"))
-    shared = set.intersection(*({(start, rows) for policy, start, rows in dense if policy == name}
-                                for name in ("tracking", "lfu")))
+    both = set.intersection(*({start for policy, start in dense if policy == name}
+                              for name in ("tracking", "lfu")))
     alone_calls = 0
     for name in ("tracking", "lfu"):
         alone, name_calls = trial((name,))
@@ -511,11 +511,11 @@ def test_shared_counts_change_no_record(monkeypatch, shape):
         for field in ("rates", "set_sizes", "switches"):
             got, want = getattr(paired.trace(name), field), getattr(alone.trace(name), field)
             assert got.tolist() == want.tolist(), (name, field)
-    assert calls == alone_calls - len(shared)
+    assert calls == alone_calls - 1
     if shape == "readme":
-        assert shared == {(0, 2000)} and calls == 1
+        assert both == {0} and calls == 1
     else:
-        assert sum(start >= 192 for start, _ in shared) >= 2, shared
+        assert sum(start >= 192 for start in both) >= 2, both
 
 
 def test_frontier_blocks_build_no_dense_block():
