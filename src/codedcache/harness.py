@@ -23,8 +23,8 @@ decision array of any dtype is held; a trial's memory grows with the
 horizon only through its per-slot records.  The walks of a trial share one
 counts holder, emptied with each chunk, so tracking and LFU count their
 first block, which both decide densely, once between them.  Each block's
-set sizes and
-switches are counted on the columns that can vary inside it.  Analytic
+switches are found on the columns that can vary inside it, and its set
+sizes are summed once per set change, not once per slot.  Analytic
 rates are charged on slices of ``policies.block_rows`` slots, rebuilt as
 float rows in one buffer that a record holds only while it is fed a chunk,
 so every rate has the bits of charging the whole history a slice at a
@@ -32,9 +32,10 @@ time.  A constant policy (oracle, uniform) repeats one row, so in analytic
 mode it is charged once per experiment and slice length.  Bit-level delivery is planned for a
 bounded batch of slots at a time.
 An experiment aggregates its trials in trial order: the means are running
-sums, and each trial keeps its per-slot regrets as runs of equal values,
-from which the standard error's second pass rebuilds the cumulative regrets
-one trial at a time.  Its memory grows with the horizon plus the runs, not
+sums, the switches one integer total per slot that is cumsummed once, and
+each trial keeps its per-slot regrets as runs of equal values, from which
+the standard error's second pass rebuilds the cumulative regrets one trial
+at a time.  Its memory grows with the horizon plus the runs, not
 with trials times horizon, and every aggregate has the bits of a stacked
 (trials, horizon) array.
 """
@@ -239,14 +240,18 @@ class _PolicyRecord:
     blocks it keeps its per-slot arrays, the walk's counts, the last decided
     row and, in bit-level mode, the placement in force.
 
-    Sizes and switches are counted on ``part``: a row's size is the fixed
-    row's size outside the varying columns plus the row of ``part``, and a
-    row past the first switches iff its row of ``part`` differs from the row
-    above.  A block with no varying column repeats its fixed row, so its
-    sizes are that row's and only its first row can switch.  The block's
-    first row is compared whole with the previous block's last, since a
-    column that is fixed inside a block can still differ from the block
-    before.
+    Sizes and switches are counted on ``part``, once per set change: a row
+    past the first switches iff its row of ``part`` differs from the row
+    above (``policies.switch_flags``), so the block's rows fall into runs
+    that cache one set, each starting at row 0 or at a switch.  A run's
+    size is the fixed row's size outside the varying columns plus the sum of
+    its first row of ``part``, summed once and repeated over the run.
+    LFU's keys are unique in a row, so it caches exactly M files in every
+    row and its sizes are M, with nothing summed.  A block with no varying
+    column repeats its fixed row, so its sizes are that row's and only its
+    first row can switch.  The block's first row is compared whole with the
+    previous block's last, since a column that is fixed inside a block can
+    still differ from the block before.
 
     In analytic mode, and for LFU under dedup accounting, the rates are
     charged on the slices of ``policies.block_rows`` slots that start at its
@@ -321,9 +326,15 @@ class _PolicyRecord:
         stop = start + len(part)
         sizes, switches = self.sizes[start:stop], self.switches[start:stop]
         if part.shape[1]:
-            sizes[:] = part.sum(axis=1)
-            sizes += np.count_nonzero(fixed) - np.count_nonzero(fixed[varying])
             switches[:] = switch_flags(part)
+            if self.policy == "lfu":  # unique keys: every row caches the top M
+                sizes[:] = self.config.params.cache_size
+            else:  # one sum per run of rows caching the same set
+                switches[0] = True  # row 0 starts a run; its flag is set below
+                starts = np.flatnonzero(switches)
+                sums = part[starts].sum(axis=1)
+                sums += np.count_nonzero(fixed) - np.count_nonzero(fixed[varying])
+                sizes[:] = np.repeat(sums, np.diff(starts, append=len(part)))
         else:  # every row repeats the fixed row
             sizes[:] = np.count_nonzero(fixed)
             switches[1:] = False
@@ -491,34 +502,36 @@ class ExperimentResult:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Independent trials, aggregated in trial order.
 
-    The means are streamed: each trial's per-slot rates, cumulative switches
-    and cumulative regrets are added to one running sum per policy, in trial
-    order, and divided by the trial count at the end, the same sequential
-    sum, bit for bit, as a mean over the stacked trials.  The standard error
-    of the cumulative regret takes a second pass over the trials
-    (:func:`_stderr`), so each trial keeps its per-slot regrets as runs of
-    equal values (:func:`_runs`), and pass two rebuilds its cumulative
-    regrets one trial at a time.  An analytic rate changes only when the
-    cached set switches, so a trial keeps a few runs where it has thousands
-    of slots, and the memory grows with the horizon plus the runs, not with
-    trials times horizon; a bit-level trial, whose rate changes from slot to
-    slot, keeps its per-slot regrets as they are.  mean_switches
+    The means are streamed: each trial's per-slot rates and cumulative
+    regrets are added to one running sum per policy, in trial order, and
+    divided by the trial count at the end, the same sequential sum, bit for
+    bit, as a mean over the stacked trials.  Each trial's switch flags are
+    added to one int64 total per slot and policy, which is cumsummed once
+    per experiment: the totals are exact integers, so ``cumsum(total) /
+    trials`` has the bits of the mean of each trial's cumulative switches.
+    The standard error of the cumulative regret takes a second pass over the
+    trials (:func:`_stderr`), so each trial keeps its per-slot regrets as
+    runs of equal values (:func:`_runs`), and pass two rebuilds its
+    cumulative regrets one trial at a time.  An analytic rate changes only
+    when the cached set switches, so a trial keeps a few runs where it has
+    thousands of slots, and the memory grows with the horizon plus the runs,
+    not with trials times horizon; a bit-level trial, whose rate changes from
+    slot to slot, keeps its per-slot regrets as they are.  mean_switches
     accumulates: its value at slot t is the mean number of cache rewrites up
     to and including t.
     """
-    sums = {}  # per policy: running sums of rates, cumulative switches and regrets
+    sums = {}  # per policy: running sums of rates, switches and cumulative regrets
     runs = {name: [] for name in config.policies}  # per policy: each trial's runs
     for trial in range(config.trials):
         result = run_trial(config, trial)
         for tr in result.traces:
-            switched = np.cumsum(tr.switches)
             if tr.policy in sums:
                 rate_sum, switch_sum, regret_sum = sums[tr.policy]
                 rate_sum += tr.rates
-                switch_sum += switched
+                switch_sum += tr.switches
                 regret_sum += tr.cum_regret
             else:  # the sums start as the first trial's own rows, which nothing keeps
-                sums[tr.policy] = (tr.rates, switched.astype(float), tr.cum_regret)
+                sums[tr.policy] = (tr.rates, tr.switches.astype(np.int64), tr.cum_regret)
             runs[tr.policy].append(_runs(tr.rates - result.reference_rates))
     aggregates = []
     for name in config.policies:
@@ -532,7 +545,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 mean_rate=rate_sum / config.trials,
                 mean_cum_regret=mean,
                 stderr_cum_regret=_stderr(regrets, mean),
-                mean_switches=switch_sum / config.trials,
+                mean_switches=np.cumsum(switch_sum) / config.trials,
             )
         )
     return ExperimentResult(config, tuple(aggregates))

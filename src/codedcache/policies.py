@@ -384,9 +384,13 @@ def switch_flags(decisions: np.ndarray, previous: np.ndarray | None = None) -> n
 
     ``previous`` is the set cached in the slot before the first row, for a
     block that continues a history; without it the first row is no switch.
+    The rows are compared in one flat scan whose nonzero entries, few
+    because a cache changes rarely, give the rows that switch.  This is the
+    one switch detector: the harness's records count switches with it too.
     """
     flags = np.zeros(len(decisions), dtype=bool)
-    flags[1:] = (decisions[1:] != decisions[:-1]).any(axis=1)
+    changed = np.flatnonzero(decisions[1:] != decisions[:-1])
+    flags[changed // decisions.shape[1] + 1] = True
     if previous is not None and len(decisions):
         flags[0] = (decisions[0] != previous).any()
     return flags

@@ -30,6 +30,7 @@ from codedcache.harness import (
 from codedcache.model import PopularityDistribution, SystemParams, make_zipf
 from codedcache.policies import (
     POLICY_NAMES,
+    block_matrix,
     block_rows,
     decision_blocks,
     decision_matrix,
@@ -518,6 +519,83 @@ def test_shared_first_block_changes_no_record(monkeypatch, shape):
         assert sum(start >= 192 for start in both) >= 2, both
 
 
+@pytest.mark.parametrize("shape", ["readme", "wide", "dense fallback"])
+def test_record_sizes_and_switches_equal_each_expanded_block(monkeypatch, shape):
+    # a record counts sizes once per run of equal rows, and LFU's as M; block
+    # by block they equal the expanded block's row sums.  README: one dense
+    # block is the whole horizon.  N=1000, K=100: frontier blocks for
+    # tracking and LFU, and blocks with no varying column for oracle and
+    # uniform.  The fallback (N=40, K=2, M=21, uniform): dense blocks past
+    # the first
+    if shape == "readme":
+        params, dist, horizon = SystemParams(20, 10, 2.0), make_zipf(20, 1.0), 2000
+    elif shape == "wide":
+        params, dist, horizon = SystemParams(1000, 100, 20.0), make_zipf(1000, 0.8), 2000
+    else:
+        monkeypatch.setattr(policies, "BLOCK_ELEMS", 64 * 40)
+        monkeypatch.setattr(harness, "REQUEST_CHUNK", 3 * 64 * 2)
+        params, dist, horizon = SystemParams(40, 2, 21.0), make_zipf(40, 0.0), 640
+    blocks = {name: [] for name in POLICY_NAMES}
+    step = policies.DecisionWalk.step
+
+    def spy(walk, requests):
+        block = step(walk, requests)
+        blocks[walk.policy].append(block)
+        return block
+
+    monkeypatch.setattr(policies.DecisionWalk, "step", spy)
+    cfg = ExperimentConfig(params=params, dist=dist, policies=POLICY_NAMES,
+                           horizon=horizon, trials=1, seed=2)
+    result = run_trial(cfg, 0)
+    kinds = set()
+    for name in POLICY_NAMES:
+        trace, previous = result.trace(name), None
+        for start, fixed, varying, part in blocks[name]:
+            block = block_matrix(fixed, varying, part)
+            rows = slice(start, start + len(part))
+            assert trace.set_sizes[rows].tolist() == block.sum(axis=1).tolist(), (name, start)
+            assert trace.switches[rows].tolist() == switch_flags(block, previous).tolist()
+            previous = block[-1]
+            kinds.add("dense" if isinstance(varying, slice) else
+                      "frontier" if len(varying) else "constant")
+        if name == "lfu":
+            assert (trace.set_sizes == params.cache_size).all()
+    if shape == "readme":
+        assert [len(part) for *_, part in blocks["tracking"]] == [horizon]
+        assert kinds == {"dense", "constant"}
+    elif shape == "wide":
+        assert kinds == {"dense", "frontier", "constant"}
+        assert result.trace("tracking").total_switches > 0
+    else:
+        assert sum(isinstance(varying, slice) for _, _, varying, _ in blocks["lfu"]) > 1
+
+
+@pytest.mark.parametrize("n, k, m", [(8, 1, 1), (8, 1, 3), (8, 1, 8), (1000, 100, 20)])
+def test_every_lfu_row_caches_m_files_at_both_key_widths(monkeypatch, n, k, m):
+    # the record fills LFU's sizes with M: its keys are unique in a row, so
+    # it caches exactly the top M.  Uniform popularity makes count ties
+    # common; small blocks give frontier blocks at N=8.  A walk built for a
+    # longer horizon ranks on int64 keys and decides the same rows
+    if n == 8:
+        monkeypatch.setattr(policies, "BLOCK_ROW_MULTIPLE", 1)
+        monkeypatch.setattr(policies, "BLOCK_ELEMS", 4 * n)
+    params = SystemParams(n, k, float(m))
+    dist = make_zipf(n, 0.0 if n == 8 else 0.8)
+    cfg = ExperimentConfig(params=params, dist=dist, policies=("lfu",), horizon=400,
+                           trials=1, seed=3)
+    requests = _draw_requests(cfg, 0)
+    decided = []
+    for horizon, width in ((400, np.int32), (2**31 // (k * n) + 1, np.int64)):
+        walk = policies.DecisionWalk("lfu", dist.probs, params, horizon)
+        assert walk._tie_break.dtype == width
+        rows = []
+        while walk.start < len(requests):
+            rows.append(block_matrix(*walk.step(requests[walk.start :])[1:]))
+        decided.append(np.concatenate(rows))
+        assert (decided[-1].sum(axis=1) == m).all(), width
+    assert decided[0].tolist() == decided[1].tolist()
+
+
 def test_frontier_blocks_build_no_dense_block():
     # N=20000 files for 2 users: past the first chunk, a trial's frontier
     # blocks span thousands of slots, whose (rows, N) bool block would be
@@ -805,7 +883,9 @@ def test_single_trial_aggregate_equals_trial():
 def test_streamed_means_equal_the_stacked_means(trials, overrides):
     # the running sums, divided once, give the bits of a mean over the
     # stacked trials, and the cumulative regrets rebuilt from each trial's
-    # runs give the bits of the stacked standard error
+    # runs give the bits of the stacked standard error.  Switches are summed
+    # as integers and cumsummed once, which gives the same bits as the mean
+    # of each trial's cumsum
     cfg = ExperimentConfig(**{
         "params": SystemParams(20, 10, 2.0), "dist": make_zipf(20, 1.0),
         "policies": POLICY_NAMES, "horizon": 300, "trials": trials, "seed": 5, **overrides,
@@ -813,11 +893,16 @@ def test_streamed_means_equal_the_stacked_means(trials, overrides):
     result = run_experiment(cfg)
     traces = [run_trial(cfg, trial) for trial in range(trials)]
     per_slot = 0  # trials whose regrets are kept slot by slot
+    switched = 0  # cache rewrites over every policy and trial
     for agg in result.aggregates:
         mine = [trial.trace(agg.policy) for trial in traces]
         rates = np.stack([tr.rates for tr in mine]).mean(axis=0)
         regrets = np.stack([tr.cum_regret for tr in mine])
-        switches = np.stack([np.cumsum(tr.switches) for tr in mine]).mean(axis=0)
+        # one int64 total per slot, cumsummed once, against the float mean
+        # of each trial's cumulative switches
+        stacked = np.stack([tr.switches for tr in mine])
+        switches = np.cumsum(stacked, axis=1).mean(axis=0)
+        switched += int(stacked.sum())
         if trials > 1:
             stderr = regrets.std(axis=0, ddof=1) / np.sqrt(trials)
         else:
@@ -831,6 +916,7 @@ def test_streamed_means_equal_the_stacked_means(trials, overrides):
             per_slot += isinstance(lengths, int)
     # bit-level rates change from slot to slot, analytic ones only on a switch
     assert (per_slot > 0) == (cfg.rate_mode == "bitlevel")
+    assert switched > 0
 
 
 def test_runs_give_back_the_bits():

@@ -1,6 +1,8 @@
 """Tests for the policy decision rules and the LFU rate accounting."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codedcache.engine import build_delivery, sample_placement, slot_rates
 from codedcache.harness import ExperimentConfig, _draw_requests, _lfu_dedup_rates
@@ -142,6 +144,46 @@ def test_decision_blocks_tile_the_history(monkeypatch):
         assert np.concatenate(flags).tolist() == switch_flags(whole).tolist()
     with pytest.raises(ValueError, match="unknown policy"):
         next(decision_blocks("mru", requests, probs, params))
+
+
+def reference_switch_flags(decisions, previous=None):
+    """Row-wise switch flags: row t differs anywhere from row t - 1."""
+    flags = np.zeros(len(decisions), dtype=bool)
+    flags[1:] = (decisions[1:] != decisions[:-1]).any(axis=1)
+    if previous is not None and len(decisions):
+        flags[0] = (decisions[0] != previous).any()
+    return flags
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(
+    width=st.sampled_from([0, 1, 20, 64, 65, 1000]),
+    rows=st.sampled_from([0, 1, 2, 3, 200]),
+    flip=st.sampled_from([0.0, 0.02, 0.3, 1.0]),
+    previous=st.sampled_from([None, "same", "flipped", "random"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_switch_flags_equal_the_row_wise_reference(width, rows, flip, previous, seed):
+    # a row that changes flips one to three bits, at any column, the first
+    # and last included, so a change in a row's last column and one in the
+    # next row's first are told apart by the flat scan's row index
+    rng = np.random.default_rng(seed)
+    decisions = np.empty((rows, width), dtype=bool)
+    row = rng.random(width) < 0.5
+    for t in range(rows):
+        if width and rng.random() < flip:
+            row[rng.integers(width, size=rng.integers(1, 4))] ^= True
+        decisions[t] = row
+    before = decisions[0].copy() if rows else row
+    if previous == "flipped" and width:
+        before[rng.integers(width)] ^= True
+    elif previous == "random":
+        before = rng.random(width) < 0.5
+    elif previous is None:
+        before = None
+    got = switch_flags(decisions, before)
+    assert got.dtype == bool
+    assert got.tolist() == reference_switch_flags(decisions, before).tolist()
 
 
 def test_wide_history_is_decided_on_narrow_frontiers(monkeypatch):
