@@ -23,6 +23,7 @@ on another C library, or when ``mallopt`` cannot be reached.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -142,7 +143,10 @@ def _add_system_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--m", type=float, required=True, help="cache size in files")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged,
+    so every :func:`main` call can reuse it."""
     parser = argparse.ArgumentParser(
         prog="codedcache",
         description="coded-caching simulation and bound calculators",

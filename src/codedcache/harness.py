@@ -29,15 +29,21 @@ rates are charged on slices of ``policies.block_rows`` slots, rebuilt as
 float rows in one buffer that a record holds only while it is fed a chunk,
 so every rate has the bits of charging the whole history a slice at a
 time.  A constant policy (oracle, uniform) repeats one row, so in analytic
-mode it is charged once per experiment and slice length.  Bit-level delivery is planned for a
-bounded batch of slots at a time.
+mode its whole trace, and the closed-form reference, are built once per
+experiment and shared read-only by every trial; such a policy has no
+record and is handed no requests.  Bit-level delivery is planned for a
+bounded batch of slots at a time, for every policy, since each trial draws
+its own placements.
 An experiment aggregates its trials in trial order: the means are running
 sums, the switches one integer total per slot that is cumsummed once, and
 each trial keeps its per-slot regrets as runs of equal values, from which
 the standard error's second pass rebuilds the cumulative regrets one trial
-at a time.  Its memory grows with the horizon plus the runs, not
-with trials times horizon, and every aggregate has the bits of a stacked
-(trials, horizon) array.
+at a time.  A shared constant trace is aggregated once, after the trials,
+with the bits of adding it trial by trial.  Its memory grows with the
+horizon plus the runs, not with trials times horizon, and every aggregate
+has the bits of a stacked (trials, horizon) array.  The CSV is written a
+chunk of slots at a time, and a column that is constant over a chunk is
+formatted once for it.
 """
 from __future__ import annotations
 
@@ -71,6 +77,7 @@ from .policies import (
     DecisionWalk,
     block_rows,
     check_policy,
+    constant_row,
     count_floors,
     switch_flags,
 )
@@ -135,6 +142,14 @@ class ExperimentConfig:
         return {}
 
     @functools.cached_property
+    def _constant_traces(self) -> dict[str, PolicyTrace]:
+        """In analytic mode, the traces of the constant policies, those
+        listed and the paired oracle, built once and shared read-only by
+        every trial (:func:`_constant_traces`).  Empty in bit-level mode,
+        where each trial pays delivery over its own placements."""
+        return _constant_traces(self) if self.rate_mode == "analytic" else {}
+
+    @functools.cached_property
     def _tracking_floors(self) -> np.ndarray:
         """Tracking's ``count_floors`` over the horizon, computed once and
         shared by every trial: they depend only on the slot and params."""
@@ -143,10 +158,13 @@ class ExperimentConfig:
         return floors
 
     @functools.cached_property
-    def _oracle_rate_upper(self) -> float:
-        """The closed-form reference rate, computed once and shared by every
-        trial: it depends only on the popularity and params."""
-        return oracle_rate_upper(self.dist, self.params)
+    def _closed_form_rates(self) -> np.ndarray:
+        """The closed-form reference rate of every slot, one read-only row
+        computed once and shared by every trial: it depends only on the
+        popularity, params and horizon."""
+        rates = np.full(self.horizon, oracle_rate_upper(self.dist, self.params))
+        rates.setflags(write=False)
+        return rates
 
 
 @dataclasses.dataclass(frozen=True)
@@ -267,7 +285,9 @@ class _PolicyRecord:
     inside each set is one ``decisions @ probs`` product per slice, and
     ``engine.rates_of_mass`` turns a feed's masses into rates at once.  A
     constant policy's slices repeat one row, so each slice length is charged
-    once per experiment (``ExperimentConfig._constant_charges``).
+    once per experiment (``ExperimentConfig._constant_charges``); in analytic
+    mode a trial shares such a policy's trace instead of keeping a record
+    (:func:`_constant_traces`), which has the bits of this one.
 
     In bit-level mode each policy pays real delivery over a placement
     sampled in the first slot and on every switch, from the policy's own
@@ -310,7 +330,8 @@ class _PolicyRecord:
             if self.charge == "bitlevel":
                 self._deliver(start, fixed, varying, part, requests[done:])
             elif self.constant:
-                self._charge_constant(start, fixed, start + len(part))
+                stop = start + len(part)
+                _charge_constant(self.config, self.policy, fixed, self.rates, start, stop)
             else:
                 self._charge(start, fixed, varying, part, requests, first)
             done += len(part)
@@ -374,17 +395,6 @@ class _PolicyRecord:
             else:
                 np.matmul(decisions, probs, out=self.rates[base:end])
 
-    def _charge_constant(self, start, row, stop) -> None:
-        """A constant policy's analytic rates: each slice length is charged
-        once per experiment."""
-        config, charges = self.config, self.config._constant_charges
-        for base, end, lo, hi in _slices(start, stop, self.walk.rows, config.horizon):
-            key = (self.policy, end - base)
-            if key not in charges:
-                block = np.broadcast_to(row, (end - base, len(row)))
-                charges[key] = slot_rates(block, config.dist.probs, config.params)
-            self.rates[lo:hi] = charges[key][lo - base : hi - base]
-
     def _deliver(self, start, fixed, varying, part, requests) -> None:
         """Bit-level rates of the block's slots; ``requests`` start at its
         first slot."""
@@ -412,6 +422,22 @@ class _PolicyRecord:
         self.placed = placed[-1:] if stop < config.horizon else []
 
 
+def _charge_constant(
+    config: ExperimentConfig, policy: str, row: np.ndarray, rates: np.ndarray,
+    start: int, stop: int,
+) -> None:
+    """A constant policy's analytic rates of slots ``start`` to ``stop``, which
+    cache ``row``, written into ``rates``: each slice length is charged once
+    per experiment."""
+    charges, step = config._constant_charges, block_rows(config.params.n_files)
+    for base, end, lo, hi in _slices(start, stop, step, config.horizon):
+        key = (policy, end - base)
+        if key not in charges:
+            block = np.broadcast_to(row, (end - base, len(row)))
+            charges[key] = slot_rates(block, config.dist.probs, config.params)
+        rates[lo:hi] = charges[key][lo - base : hi - base]
+
+
 def _slices(start: int, stop: int, step: int, horizon: int) -> Iterator[tuple[int, int, int, int]]:
     """``(base, end, lo, hi)`` for each rate slice that slots ``start`` to
     ``stop`` meet: the slice [base, end) starts at a multiple of ``step``
@@ -437,6 +463,35 @@ def _policy_record(
     return record.rates, record.sizes, record.switches
 
 
+def _constant_traces(config: ExperimentConfig) -> dict[str, PolicyTrace]:
+    """The analytic traces of the constant policies, those listed and the
+    paired oracle, which every trial would rebuild the same: a constant
+    policy's rates depend only on its row and the slice lengths, it never
+    switches, its size is fixed, and its reference, the closed-form row or
+    the paired oracle's rates, is itself constant.  Every array is read-only;
+    the sizes and switches are broadcast views of one value."""
+    names = [name for name in config.policies if name in CONSTANT_POLICIES]
+    if config.reference == "paired" and "oracle" not in names:
+        names.append("oracle")
+    if not names:
+        return {}
+    horizon, rates, sizes = config.horizon, {}, {}
+    for name in names:
+        row = constant_row(name, config.dist.probs, config.params)
+        rates[name] = np.empty(horizon)
+        _charge_constant(config, name, row, rates[name], 0, horizon)
+        rates[name].setflags(write=False)
+        sizes[name] = np.broadcast_to(np.int64(np.count_nonzero(row)), (horizon,))
+    ref = rates["oracle"] if config.reference == "paired" else config._closed_form_rates
+    switches = np.broadcast_to(False, (horizon,))
+    traces = {}
+    for name in names:
+        cum_regret = np.cumsum(rates[name] - ref)
+        cum_regret.setflags(write=False)
+        traces[name] = PolicyTrace(name, sizes[name], rates[name], cum_regret, switches)
+    return traces
+
+
 def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
     """Play every configured policy against one sampled request history.
 
@@ -445,24 +500,37 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
     among them, and is released before the next is drawn, so no (horizon,
     n_users) request matrix is held.  The records' walks share one counts
     holder, so the first block, which tracking and LFU both decide densely,
-    is counted once; it is emptied with each chunk.
+    is counted once; it is emptied with each chunk.  In analytic mode the
+    constant policies, oracle and uniform, have no record: their traces are
+    the experiment's shared read-only ones
+    (``ExperimentConfig._constant_traces``), the same objects in every
+    trial, and when no other policy needs the requests none are drawn.  The
+    closed-form reference is one read-only row per experiment.
     """
     names = config.policies
     if config.reference == "paired" and "oracle" not in names:
         names += ("oracle",)
+    shared = config._constant_traces
     counts = {}  # the first block's counts while the first chunk is fed
-    records = {name: _PolicyRecord(config, name, trial, counts) for name in names}
-    for requests in _request_chunks(config, trial):
+    records = {
+        name: _PolicyRecord(config, name, trial, counts) for name in names if name not in shared
+    }
+    for requests in _request_chunks(config, trial) if records else ():
         for record in records.values():
             record.feed(requests)
         counts.clear()
         del requests  # the chunk is freed before the next is drawn
     if config.reference == "closed-form":
-        ref = np.full(config.horizon, config._oracle_rate_upper)
+        ref = config._closed_form_rates
+    elif "oracle" in shared:
+        ref = shared["oracle"].rates
     else:
         ref = records["oracle"].rates
     traces = []
     for name in config.policies:
+        if name in shared:
+            traces.append(shared[name])
+            continue
         record = records[name]
         traces.append(
             PolicyTrace(
@@ -519,12 +587,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     slot to slot, keeps its per-slot regrets as they are.  mean_switches
     accumulates: its value at slot t is the mean number of cache rewrites up
     to and including t.
+
+    In analytic mode a constant policy's trace is the same shared row in
+    every trial (``ExperimentConfig._constant_traces``), so the trial loop
+    adds nothing for it.  After the loop its rate and regret sums are the
+    row plus trials - 1 sequential adds of the same row, which is the
+    running sum bit for bit, pass two yields the one cumulative regret row
+    once per trial, and its switches are zeros.
     """
+    shared = config._constant_traces
     sums = {}  # per policy: running sums of rates, switches and cumulative regrets
-    runs = {name: [] for name in config.policies}  # per policy: each trial's runs
+    runs = {name: [] for name in config.policies if name not in shared}  # each trial's runs
     for trial in range(config.trials):
         result = run_trial(config, trial)
         for tr in result.traces:
+            if tr.policy in shared:
+                continue  # the same trace in every trial, summed after the loop
             if tr.policy in sums:
                 rate_sum, switch_sum, regret_sum = sums[tr.policy]
                 rate_sum += tr.rates
@@ -535,20 +613,37 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             runs[tr.policy].append(_runs(tr.rates - result.reference_rates))
     aggregates = []
     for name in config.policies:
-        rate_sum, switch_sum, regret_sum = sums[name]
+        if name in shared:
+            tr = shared[name]
+            rate_sum = _sum_of_copies(tr.rates, config.trials)
+            regret_sum = _sum_of_copies(tr.cum_regret, config.trials)
+            regrets = itertools.repeat(tr.cum_regret, config.trials)
+            switches = np.zeros(config.horizon)
+        else:
+            rate_sum, switch_sum, regret_sum = sums[name]
+            # the cumsum of run_trial, over the same per-slot regrets
+            regrets = (np.cumsum(np.repeat(*trial)) for trial in runs.pop(name))
+            switches = np.cumsum(switch_sum) / config.trials
         mean = regret_sum / config.trials
-        # the cumsum of run_trial, over the same per-slot regrets
-        regrets = (np.cumsum(np.repeat(*trial)) for trial in runs.pop(name))
         aggregates.append(
             PolicyAggregate(
                 policy=name,
                 mean_rate=rate_sum / config.trials,
                 mean_cum_regret=mean,
                 stderr_cum_regret=_stderr(regrets, mean),
-                mean_switches=np.cumsum(switch_sum) / config.trials,
+                mean_switches=switches,
             )
         )
     return ExperimentResult(config, tuple(aggregates))
+
+
+def _sum_of_copies(row: np.ndarray, copies: int) -> np.ndarray:
+    """``copies`` of ``row`` added one after another: the running sum, bit for
+    bit, of that many trials that each give ``row``."""
+    total = row.copy()
+    for _ in range(copies - 1):
+        total += row
+    return total
 
 
 def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | int]:
@@ -611,7 +706,12 @@ def emit_csv(result: ExperimentResult, destination) -> None:
     line records the full configuration before the header.  The rows are
     written ``CSV_CHUNK`` slots at a time, each chunk one printf-style
     template filled from a tuple of its values; ``%.6g`` gives the text
-    of ``format(x, ".6g")``, both being the same float conversion.
+    of ``format(x, ".6g")``, both being the same float conversion.  A value
+    column whose bits are the same in every slot of a chunk, such as a
+    constant policy's rate or switches, is formatted once, into the chunk's
+    template as text.  Its bits are compared, not its values, so a chunk
+    that mixes -0.0 and 0.0, or NaNs of different payloads, is formatted
+    value by value.
     """
     if hasattr(destination, "write"):
         _write_csv(result, destination)
@@ -625,22 +725,27 @@ def _write_csv(result: ExperimentResult, fh: io.TextIOBase) -> None:
         f"# config: {config_summary(result.config)}\n"
         "t,policy,mean_rate,mean_cum_regret,stderr_cum_regret,mean_switches\n"
     )
-    # one slot's rows; a '%' in a policy name is escaped for the template
-    row = "".join(
-        f"%d,{agg.policy.replace('%', '%%')},%.6g,%.6g,%.6g,%.6g\n"
-        for agg in result.aggregates
-    )
+    # a '%' in a policy name is escaped for the template
+    policies = [agg.policy.replace("%", "%%") for agg in result.aggregates]
     horizon = result.config.horizon
     for lo in range(0, horizon, CSV_CHUNK):
         hi = min(lo + CSV_CHUNK, horizon)
         slots = range(lo + 1, hi + 1)
-        # Python floats from .tolist() format faster than numpy scalars
-        columns = []
-        for agg in result.aggregates:
+        # one slot's rows, and the columns that fill them; Python floats
+        # from .tolist() format faster than numpy scalars
+        row, columns = [], []
+        for policy, agg in zip(policies, result.aggregates):
+            row.append(f"%d,{policy}")
             columns.append(slots)
-            columns.extend(
-                values[lo:hi].tolist()
-                for values in (agg.mean_rate, agg.mean_cum_regret,
-                               agg.stderr_cum_regret, agg.mean_switches)
-            )
-        fh.write((row * (hi - lo)) % tuple(itertools.chain.from_iterable(zip(*columns))))
+            for values in (agg.mean_rate, agg.mean_cum_regret,
+                           agg.stderr_cum_regret, agg.mean_switches):
+                chunk = values[lo:hi]
+                bits = chunk.view(np.int64)
+                if (bits == bits[0]).all():  # constant over the chunk
+                    row.append(",%.6g" % chunk[0])
+                else:
+                    row.append(",%.6g")
+                    columns.append(chunk.tolist())
+            row.append("\n")
+        template = "".join(row) * (hi - lo)
+        fh.write(template % tuple(itertools.chain.from_iterable(zip(*columns))))

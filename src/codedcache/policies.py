@@ -68,6 +68,18 @@ def check_policy(name: str, params: SystemParams) -> None:
         raise ValueError("LFU needs an integer cache size")
 
 
+def constant_row(policy: str, probs: np.ndarray, params: SystemParams) -> np.ndarray:
+    """The one set a constant policy caches in every slot, as a read-only
+    bool row: the oracle thresholds the true popularity ``probs``, uniform
+    caches every file."""
+    if policy == "oracle":
+        row = params.popular(probs)
+    else:
+        row = np.ones(params.n_files, dtype=bool)
+    row.setflags(write=False)
+    return row
+
+
 def block_rows(n_files: int) -> int:
     """Slots per dense decision block and per rate slice: about
     ``BLOCK_ELEMS`` slot-by-file entries, rounded down to a multiple of
@@ -267,9 +279,7 @@ class DecisionWalk:
         self.policy, self.n_files, self.start = policy, n, 0
         self.rows = block_rows(n)
         if policy in CONSTANT_POLICIES:
-            row = params.popular(probs) if policy == "oracle" else np.ones(n, dtype=bool)
-            row.setflags(write=False)
-            self._row = row
+            self._row = constant_row(policy, probs, params)
             return
         if policy == "tracking" and floors is None:
             floors = count_floors(np.arange(horizon), params)

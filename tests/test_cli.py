@@ -61,6 +61,30 @@ def test_simulate_stdout_and_determinism(capsys):
     assert "dist=zipf:0.5" in out_a
 
 
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    # main reuses one parser: a second call writes the bytes of the first, a
+    # bad flag is still refused after a good parse, and a flag left out
+    # takes its default again
+    assert cli._build_parser() is cli._build_parser()
+    argv = [
+        "simulate", "--n", "20", "--k", "10", "--m", "2", "--dist", "zipf:1",
+        "--policies", "tracking,uniform,lfu", "--horizon", "50", "--trials", "3",
+        "--seed", "1",
+    ]
+    outputs = []
+    for name in ("a.csv", "b.csv", "closed-form.csv"):
+        reference = [] if name == "closed-form.csv" else ["--reference", "paired"]
+        assert main([*argv, *reference, "--out", str(tmp_path / name)]) == 0
+        outputs.append((tmp_path / name).read_bytes())
+    assert outputs[0] == outputs[1] != outputs[2]
+    assert b"reference=closed-form" in outputs[2]
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--no-such-flag"])
+        assert exc.value.code == 2
+        assert "--no-such-flag" in capsys.readouterr().err
+
+
 def test_simulate_lfu_fractional_cache_usage_error(capsys):
     code, _, err = run(
         capsys,

@@ -29,6 +29,7 @@ from codedcache.harness import (
 )
 from codedcache.model import PopularityDistribution, SystemParams, make_zipf
 from codedcache.policies import (
+    CONSTANT_POLICIES,
     POLICY_NAMES,
     block_matrix,
     block_rows,
@@ -404,6 +405,59 @@ def test_constant_policy_record_matches_a_charge_per_block(monkeypatch, horizon,
     assert sorted(calls) == sorted(lengths * len(cfg.policies))
 
 
+@pytest.mark.parametrize("names", [POLICY_NAMES, ("uniform", "lfu")])
+@pytest.mark.parametrize("reference", ["closed-form", "paired"])
+def test_constant_traces_are_shared_by_every_trial(reference, names):
+    # N=1000 charges 64-slot slices, so a horizon of 1000 ends on a short
+    # one.  In analytic mode oracle's and uniform's traces, and the closed-
+    # form reference, are built once and handed read-only to every trial;
+    # each equals a record fed that trial's chunks
+    params = SystemParams(1000, 3, 20.0)
+    cfg = ExperimentConfig(params=params, dist=make_zipf(1000, 0.8), policies=names,
+                           horizon=1000, trials=3, seed=2, reference=reference)
+    assert block_rows(params.n_files) == 64
+    trials = [run_trial(cfg, trial) for trial in range(cfg.trials)]
+    for trial, result in enumerate(trials):
+        records = {name: harness._PolicyRecord(cfg, name, trial) for name in CONSTANT_POLICIES}
+        for requests in _request_chunks(cfg, trial):
+            for record in records.values():
+                record.feed(requests)
+        if reference == "paired":
+            ref = records["oracle"].rates
+        else:
+            ref = np.full(cfg.horizon, oracle_rate_upper(cfg.dist, params))
+        assert result.reference_rates.tobytes() == ref.tobytes()
+        assert result.reference_rates is trials[0].reference_rates
+        assert not result.reference_rates.flags.writeable
+        for name in set(names) & set(CONSTANT_POLICIES):
+            trace, record = result.trace(name), records[name]
+            assert trace is trials[0].trace(name)
+            assert trace.rates.tobytes() == record.rates.tobytes(), (name, trial)
+            assert trace.set_sizes.tolist() == record.sizes.tolist()
+            assert trace.switches.tolist() == record.switches.tolist() == [False] * 1000
+            assert trace.cum_regret.tobytes() == np.cumsum(record.rates - ref).tobytes()
+            for values in (trace.rates, trace.set_sizes, trace.switches, trace.cum_regret):
+                assert not values.flags.writeable
+                with pytest.raises(ValueError):
+                    values[0] = values[1]
+    assert set(cfg._constant_traces) == set(names) & set(CONSTANT_POLICIES) | (
+        {"oracle"} if reference == "paired" else set())
+
+
+def test_bitlevel_constant_policies_pay_each_trials_delivery():
+    # bit-level delivery is drawn per trial, so uniform's rates differ
+    # between trials and nothing is shared
+    cfg = ExperimentConfig(params=SystemParams(8, 4, 2.0, 20), dist=make_zipf(8, 1.0),
+                           policies=("oracle", "uniform"), horizon=30, trials=2, seed=4,
+                           rate_mode="bitlevel", reference="paired")
+    assert cfg._constant_traces == {}
+    first, second = run_trial(cfg, 0), run_trial(cfg, 1)
+    for name in cfg.policies:
+        assert first.trace(name) is not second.trace(name)
+    assert first.trace("uniform").rates.tolist() != second.trace("uniform").rates.tolist()
+    assert first.reference_rates.tolist() != second.reference_rates.tolist()
+
+
 @pytest.mark.parametrize("reference", ["closed-form", "paired"])
 def test_wide_csv_unchanged_by_the_frontier_budget(monkeypatch, reference):
     # BLOCK_ELEMS bounds a frontier block's rows * |varying|; from 2**12 to
@@ -526,7 +580,8 @@ def test_record_sizes_and_switches_equal_each_expanded_block(monkeypatch, shape)
     # block is the whole horizon.  N=1000, K=100: frontier blocks for
     # tracking and LFU, and blocks with no varying column for oracle and
     # uniform.  The fallback (N=40, K=2, M=21, uniform): dense blocks past
-    # the first
+    # the first.  The trial shares oracle's and uniform's analytic traces,
+    # so their records are fed the trial's chunks here
     if shape == "readme":
         params, dist, horizon = SystemParams(20, 10, 2.0), make_zipf(20, 1.0), 2000
     elif shape == "wide":
@@ -547,14 +602,23 @@ def test_record_sizes_and_switches_equal_each_expanded_block(monkeypatch, shape)
     cfg = ExperimentConfig(params=params, dist=dist, policies=POLICY_NAMES,
                            horizon=horizon, trials=1, seed=2)
     result = run_trial(cfg, 0)
+    records = {name: harness._PolicyRecord(cfg, name, 0) for name in CONSTANT_POLICIES}
+    for requests in _request_chunks(cfg, 0):
+        for record in records.values():
+            record.feed(requests)
     kinds = set()
     for name in POLICY_NAMES:
         trace, previous = result.trace(name), None
+        sizes, switches = trace.set_sizes, trace.switches
+        if name in records:
+            sizes, switches = records[name].sizes, records[name].switches
+            assert trace.set_sizes.tolist() == sizes.tolist()
+            assert trace.switches.tolist() == switches.tolist()
         for start, fixed, varying, part in blocks[name]:
             block = block_matrix(fixed, varying, part)
             rows = slice(start, start + len(part))
-            assert trace.set_sizes[rows].tolist() == block.sum(axis=1).tolist(), (name, start)
-            assert trace.switches[rows].tolist() == switch_flags(block, previous).tolist()
+            assert sizes[rows].tolist() == block.sum(axis=1).tolist(), (name, start)
+            assert switches[rows].tolist() == switch_flags(block, previous).tolist()
             previous = block[-1]
             kinds.add("dense" if isinstance(varying, slice) else
                       "frontier" if len(varying) else "constant")
@@ -877,6 +941,8 @@ def test_single_trial_aggregate_equals_trial():
     pytest.param(200, {}, id="200"),
     pytest.param(2, {"reference": "paired"}, id="2-paired"),
     pytest.param(200, {"reference": "paired"}, id="200-paired"),
+    pytest.param(3, {"reference": "paired", "policies": ("uniform", "lfu")},
+                 id="3-paired-oracle-unlisted"),
     pytest.param(3, {"params": SystemParams(20, 10, 4.0, 50), "rate_mode": "bitlevel",
                      "horizon": 60}, id="3-bitlevel"),
 ])
@@ -1028,6 +1094,30 @@ def test_emit_csv_matches_the_per_value_writer(horizon, names):
     buf = io.StringIO()
     emit_csv(result, buf)
     assert buf.getvalue() == reference_csv(result)
+    # columns whose bits are constant in some chunks and not in others: the
+    # writer formats those once per chunk, and only those
+    chunk = harness.CSV_CHUNK
+    steady = np.full(horizon, 2.5)
+    steady[chunk:] = np.arange(horizon - chunk) * 0.25  # varies past chunk 0
+    zeros = np.zeros(horizon)
+    zeros[:chunk] = -0.0  # a chunk of -0.0 beside a chunk of 0.0
+    mixed = np.zeros(horizon)
+    mixed[::2] = -0.0  # equal values, different bits, in every chunk
+    nans = np.full(horizon, np.nan)
+    nans.view(np.uint64)[1::3] = 0x7FF8000000000001  # another payload
+    nans.view(np.uint64)[2::3] = 0xFFF8000000000000  # and the sign bit
+    infs = np.full(horizon, np.inf)
+    kinds = itertools.cycle([steady, zeros, mixed, nans, infs])
+    aggregates = tuple(
+        PolicyAggregate(name, *(next(kinds) for _ in range(4))) for name in names
+    )
+    result = ExperimentResult(cfg, aggregates)
+    buf = io.StringIO()
+    emit_csv(result, buf)
+    text = buf.getvalue()
+    assert text == reference_csv(result)
+    if horizon > 1:
+        assert ",-0," in text and ",0," in text  # mixed holds both in one chunk
     empty = ExperimentResult(cfg, ())
     buf = io.StringIO()
     emit_csv(empty, buf)
