@@ -59,19 +59,25 @@ def _positive_gaps(dist: PopularityDistribution, params: SystemParams) -> GapVec
     return gv
 
 
+def _popular_split(dist: PopularityDistribution, params: SystemParams) -> tuple[int, float]:
+    """``(n1, tail)`` of a sorted profile of N files: the number of popular
+    files, which lead it, and the popularity mass of the rest."""
+    _require_sorted(dist)
+    if dist.n_files != params.n_files:
+        raise ValueError("popularity length does not match file count")
+    n1 = int(np.count_nonzero(params.popular(dist.probs)))
+    return n1, float(dist.probs[n1:].sum())
+
+
 def oracle_rate_upper(dist: PopularityDistribution, params: SystemParams) -> float:
     """Upper estimate of the benchmark's expected per-slot rate.
 
     The popular files are served by coded delivery, everything else by
     the cheaper of direct sends and coding over the leftover cache room.
     """
-    _require_sorted(dist)
-    if dist.n_files != params.n_files:
-        raise ValueError("popularity length does not match file count")
-    n1 = int(np.count_nonzero(params.popular(dist.probs)))
+    n1, tail = _popular_split(dist, params)
     m = params.cache_size
     head = max(n1 / m - 1.0, 0.0)
-    tail = float(dist.probs[n1:].sum())
     direct = params.n_users * tail
     if m - n1 > 0:
         coded_rest = (params.n_files - n1) / (m - n1) - 1.0
@@ -81,11 +87,7 @@ def oracle_rate_upper(dist: PopularityDistribution, params: SystemParams) -> flo
 
 def rate_lower_bound(dist: PopularityDistribution, params: SystemParams) -> float:
     """Information-theoretic floor under the benchmark's rate."""
-    _require_sorted(dist)
-    if dist.n_files != params.n_files:
-        raise ValueError("popularity length does not match file count")
-    n1 = int(np.count_nonzero(params.popular(dist.probs)))
-    tail = float(dist.probs[n1:].sum())
+    n1, tail = _popular_split(dist, params)
     head_route = max(n1 / params.cache_size - 1.0, 0.0) / 29.0
     tail_route = max(params.n_users * tail - 2.0, 0.0) / 58.0
     return max(head_route, tail_route)
@@ -141,7 +143,7 @@ def mismatch_tail_chernoff(
     """
     if t < 1:
         raise ValueError("slots are numbered from 1")
-    gaps = np.abs(dist.probs - params.threshold)
+    gaps = threshold_gaps(dist, params).gaps
     expo = gaps**2 * (t - 1) * params.n_users / (2.0 * dist.probs + gaps)
     return float(np.exp(-expo).sum())
 
@@ -202,7 +204,7 @@ def _binomial_tails(trials: int, probs: np.ndarray, cut: int) -> tuple[np.ndarra
 def switching_constants(
     dist: PopularityDistribution, params: SystemParams
 ) -> SwitchingConstants:
-    gaps = np.abs(dist.probs - params.threshold)
+    gaps = threshold_gaps(dist, params).gaps
     cut = math.floor(1.0 / params.cache_size)
     scale = np.exp(2.0 * gaps**2)
     low, high = _binomial_tails(params.n_users, dist.probs, cut)
@@ -225,7 +227,7 @@ def switch_event_tails(
     """Bounds on the chance slot t drops, resp. adds, a cached file."""
     if t < 1:
         raise ValueError("slots are numbered from 1")
-    gaps = np.abs(dist.probs - params.threshold)
+    gaps = threshold_gaps(dist, params).gaps
     const = switching_constants(dist, params)
     popular = params.popular(dist.probs)
     decay = np.exp(-2.0 * params.n_users * (t - 1) * gaps**2)
@@ -241,6 +243,18 @@ def bad_set_gap(params: SystemParams, b: float) -> float:
     if 2.0 / b > params.threshold:
         raise ValueError("need 2/b at most the caching threshold")
     return params.n_files * params.n_users / 2.0 * (params.threshold - 2.0 / b)
+
+
+def _leans_cold(sizes, in_first, hot_half: str):
+    """The bad-set rule, elementwise over sets of ``sizes`` files of which
+    ``in_first`` lie in the catalog's first half: more than half of the set
+    lies in the cold half, or, when the second half is hot, half of it
+    does."""
+    if hot_half == "first":
+        return 2 * (sizes - in_first) > sizes
+    if hot_half == "second":
+        return 2 * in_first >= sizes
+    raise ValueError("hot_half must be 'first' or 'second'")
 
 
 def is_bad_set(cached, n_files: int, hot_half: str) -> bool:
@@ -259,11 +273,7 @@ def is_bad_set(cached, n_files: int, hot_half: str) -> bool:
     if min(members) < 0 or max(members) >= n_files:
         raise ValueError("file index out of range")
     in_first = sum(1 for i in members if i < n_files // 2)
-    if hot_half == "first":
-        return 2 * (len(members) - in_first) > len(members)
-    if hot_half == "second":
-        return 2 * in_first >= len(members)
-    raise ValueError("hot_half must be 'first' or 'second'")
+    return _leans_cold(len(members), in_first, hot_half)
 
 
 def pair_kl_per_slot(a: float, b: float, n_files: int) -> float:
@@ -347,10 +357,8 @@ def bad_set_min_excess(params: SystemParams, a: float, b: float) -> float:
     sizes = bits.sum(axis=1)
     in_first = bits[:, : n // 2].sum(axis=1)
     best = math.inf
-    for dist, bad in (
-        (head, 2 * (sizes - in_first) > sizes),
-        (tail, 2 * in_first >= sizes),
-    ):
+    for dist, hot_half in ((head, "first"), (tail, "second")):
+        bad = _leans_cold(sizes, in_first, hot_half)
         if not bad.any():
             continue
         excess = slot_rates(bits, dist.probs, params)[bad] - oracle

@@ -546,12 +546,7 @@ def decode(
         known[term[learned]] = True
 
 
-def slot_rates(
-    decisions: np.ndarray,
-    probs: np.ndarray,
-    params: SystemParams,
-    sizes: np.ndarray | None = None,
-) -> np.ndarray:
+def slot_rates(decisions: np.ndarray, probs: np.ndarray, params: SystemParams) -> np.ndarray:
     """Analytic one-slot coded-delivery rate of each cached set, over the last axis.
 
     ``decisions`` is a boolean array of shape (..., N), one row per set S.  A
@@ -567,13 +562,10 @@ def slot_rates(
     Each row is charged on its own, so a caller may pass a history a slice of
     rows at a time; the mass inside S is one ``decisions @ probs`` product,
     whose bits match the whole history's when the slices start at multiples
-    of ``policies.BLOCK_ROW_MULTIPLE`` rows.  ``sizes``, the set sizes |S|,
-    may be passed by a caller that has counted them; by default the rows are
-    counted here.  :func:`rates_of_mass` is the rate given that mass, for a
-    caller that takes the products itself.
+    of ``policies.BLOCK_ROW_MULTIPLE`` rows.  :func:`rates_of_mass` is the
+    rate given that mass, for a caller that takes the products itself.
     """
-    if sizes is None:
-        sizes = np.count_nonzero(decisions, axis=-1)
+    sizes = np.count_nonzero(decisions, axis=-1)
     return rates_of_mass(decisions @ probs, sizes, params)
 
 

@@ -136,12 +136,6 @@ class ExperimentConfig:
         return self.lfu_accounting == "per-request"
 
     @functools.cached_property
-    def _constant_charges(self) -> dict[tuple[str, int], np.ndarray]:
-        """Analytic rates of a constant policy's slice of rows, keyed by
-        policy and slice length, charged once and shared by every trial."""
-        return {}
-
-    @functools.cached_property
     def _constant_traces(self) -> dict[str, PolicyTrace]:
         """In analytic mode, the traces of the constant policies, those
         listed and the paired oracle, built once and shared read-only by
@@ -196,20 +190,6 @@ class TrialResult:
         raise KeyError(policy)
 
 
-def _draw_requests(config: ExperimentConfig, trial: int) -> np.ndarray:
-    """The trial's whole (horizon, n_users) request matrix, in one draw.
-
-    It is a read-only view of the drawn profile's requests, not a copy.
-    The trial itself draws the same substream a chunk at a time
-    (:func:`_request_chunks`); joined, the chunks are this matrix.
-    """
-    rng = substream(config.seed, trial, 0)
-    flat = sample_requests(
-        config.dist, config.horizon * config.params.n_users, rng
-    )
-    return flat.requests.reshape(config.horizon, config.params.n_users)
-
-
 def _request_chunks(config: ExperimentConfig, trial: int) -> Iterator[np.ndarray]:
     """The trial's requests, one (rows, n_users) chunk at a time.
 
@@ -217,9 +197,9 @@ def _request_chunks(config: ExperimentConfig, trial: int) -> Iterator[np.ndarray
     ``policies.block_rows`` slots and at least one such slice, or the
     horizon's rest.  The chunks are drawn from the trial's request substream
     as they are asked for; consecutive draws continue one stream, so the
-    chunks joined are :func:`_draw_requests`.  No reference to a chunk is
-    kept here, so a consumer that drops it before asking for the next holds
-    one chunk at a time.
+    chunks joined are one draw of the whole history.  No reference to a
+    chunk is kept here, so a consumer that drops it before asking for the
+    next holds one chunk at a time.
     """
     k, step = config.params.n_users, block_rows(config.params.n_files)
     chunk = step * max(1, REQUEST_CHUNK // (step * k))
@@ -283,11 +263,9 @@ class _PolicyRecord:
     :func:`_request_chunks` does.  LFU under dedup accounting pays per
     distinct missed file; every other policy pays ``slot_rates``: the mass
     inside each set is one ``decisions @ probs`` product per slice, and
-    ``engine.rates_of_mass`` turns a feed's masses into rates at once.  A
-    constant policy's slices repeat one row, so each slice length is charged
-    once per experiment (``ExperimentConfig._constant_charges``); in analytic
-    mode a trial shares such a policy's trace instead of keeping a record
-    (:func:`_constant_traces`), which has the bits of this one.
+    ``engine.rates_of_mass`` turns a feed's masses into rates at once.  In
+    analytic mode a trial keeps no record of a constant policy: it shares
+    the experiment's trace (:func:`_constant_traces`).
 
     In bit-level mode each policy pays real delivery over a placement
     sampled in the first slot and on every switch, from the policy's own
@@ -314,7 +292,6 @@ class _PolicyRecord:
         if self.charge == "bitlevel":
             self.place_rng = substream(config.seed, trial, POLICY_STREAM_KEYS[policy])
             self.per_batch, self.placed = batch_slots(params), []
-        self.constant = policy in CONSTANT_POLICIES
         self.previous = None  # the last decided row
         self.rates = np.empty(config.horizon)
         self.sizes = np.empty(config.horizon, dtype=np.int64)
@@ -329,14 +306,11 @@ class _PolicyRecord:
             self._count(start, fixed, varying, part)
             if self.charge == "bitlevel":
                 self._deliver(start, fixed, varying, part, requests[done:])
-            elif self.constant:
-                stop = start + len(part)
-                _charge_constant(self.config, self.policy, fixed, self.rates, start, stop)
             else:
                 self._charge(start, fixed, varying, part, requests, first)
             done += len(part)
         self.buffer = None  # a trial's records hold one buffer at a time
-        if self.charge == "analytic" and not self.constant:
+        if self.charge == "analytic":
             # _charge left the mass inside each set in the rates
             span = slice(first, self.walk.start)
             params = self.config.params
@@ -422,22 +396,6 @@ class _PolicyRecord:
         self.placed = placed[-1:] if stop < config.horizon else []
 
 
-def _charge_constant(
-    config: ExperimentConfig, policy: str, row: np.ndarray, rates: np.ndarray,
-    start: int, stop: int,
-) -> None:
-    """A constant policy's analytic rates of slots ``start`` to ``stop``, which
-    cache ``row``, written into ``rates``: each slice length is charged once
-    per experiment."""
-    charges, step = config._constant_charges, block_rows(config.params.n_files)
-    for base, end, lo, hi in _slices(start, stop, step, config.horizon):
-        key = (policy, end - base)
-        if key not in charges:
-            block = np.broadcast_to(row, (end - base, len(row)))
-            charges[key] = slot_rates(block, config.dist.probs, config.params)
-        rates[lo:hi] = charges[key][lo - base : hi - base]
-
-
 def _slices(start: int, stop: int, step: int, horizon: int) -> Iterator[tuple[int, int, int, int]]:
     """``(base, end, lo, hi)`` for each rate slice that slots ``start`` to
     ``stop`` meet: the slice [base, end) starts at a multiple of ``step``
@@ -452,34 +410,31 @@ def _slices(start: int, stop: int, step: int, horizon: int) -> Iterator[tuple[in
         lo = hi
 
 
-def _policy_record(
-    config: ExperimentConfig, policy: str, trial: int, requests: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One policy's per-slot rates, cached-set sizes and switch flags over a
-    whole (horizon, n_users) history held in memory: a :class:`_PolicyRecord`
-    fed the history in one piece."""
-    record = _PolicyRecord(config, policy, trial)
-    record.feed(requests)
-    return record.rates, record.sizes, record.switches
-
-
 def _constant_traces(config: ExperimentConfig) -> dict[str, PolicyTrace]:
     """The analytic traces of the constant policies, those listed and the
     paired oracle, which every trial would rebuild the same: a constant
-    policy's rates depend only on its row and the slice lengths, it never
-    switches, its size is fixed, and its reference, the closed-form row or
-    the paired oracle's rates, is itself constant.  Every array is read-only;
-    the sizes and switches are broadcast views of one value."""
+    policy never switches, its size is fixed, and its reference, the
+    closed-form row or the paired oracle's rates, is itself constant.  Its
+    rates are charged on the slices of ``policies.block_rows`` slots from
+    slot 0, as a record's are, and every slice repeats one row, so each
+    slice length, a whole slice and the horizon's rest, is charged once by
+    ``slot_rates``.  Every array is read-only; the sizes and switches are
+    broadcast views of one value."""
     names = [name for name in config.policies if name in CONSTANT_POLICIES]
     if config.reference == "paired" and "oracle" not in names:
         names.append("oracle")
     if not names:
         return {}
-    horizon, rates, sizes = config.horizon, {}, {}
+    horizon, probs, params = config.horizon, config.dist.probs, config.params
+    step, rates, sizes = block_rows(params.n_files), {}, {}
     for name in names:
-        row = constant_row(name, config.dist.probs, config.params)
-        rates[name] = np.empty(horizon)
-        _charge_constant(config, name, row, rates[name], 0, horizon)
+        row = constant_row(name, probs, params)
+        rates[name], charged = np.empty(horizon), {}  # slice length: its rates
+        for lo in range(0, horizon, step):
+            rows = min(step, horizon - lo)
+            if rows not in charged:
+                charged[rows] = slot_rates(np.broadcast_to(row, (rows, len(row))), probs, params)
+            rates[name][lo : lo + rows] = charged[rows]
         rates[name].setflags(write=False)
         sizes[name] = np.broadcast_to(np.int64(np.count_nonzero(row)), (horizon,))
     ref = rates["oracle"] if config.reference == "paired" else config._closed_form_rates

@@ -9,13 +9,9 @@ that is fed the requests as they are drawn and decides them a block of slots
 at a time, row t of a block being the set cached during slot t, decided
 before its requests arrive.  A block comes factored: the files whose
 decision cannot change inside it share one fixed row, and only the rest,
-the block's ``varying`` columns, are decided per slot.
-:func:`decision_blocks` feeds a walk a whole history held in memory,
-:func:`block_matrix` expands one block to its (slots, n_files) indicators,
-and :func:`decision_matrix` joins the expanded blocks for callers that want
-the (horizon, n_files) matrix whole.  Tracking compares each count with one
-integer per slot, :func:`count_floors`, the least count whose empirical
-popularity clears the threshold.
+the block's ``varying`` columns, are decided per slot.  Tracking compares
+each count with one integer per slot, :func:`count_floors`, the least count
+whose empirical popularity clears the threshold.
 
 Counts and count floors never fall, so within a block most files keep one
 decision in every row: tracking caches a file whose count already reaches
@@ -34,8 +30,6 @@ for tracking and LFU.  LFU ranks on int32 keys when the horizon keeps
 every key below 2**31, and on int64 keys otherwise.
 """
 from __future__ import annotations
-
-from typing import Iterator
 
 import numpy as np
 
@@ -203,8 +197,8 @@ class DecisionWalk:
     whose decision can differ between its rows, ``part``, (rows, |varying|),
     holds their decisions, and every other column takes its ``fixed_row``
     value in every row.  Row t of the block, ``fixed_row`` with ``part[t]``
-    written into its varying columns (:func:`block_matrix`), is the set
-    cached during slot ``start + t``, decided before its requests arrive.
+    written into its varying columns, is the set cached during slot
+    ``start + t``, decided before its requests arrive.
     The next step is given the requests after the block's.
 
     - ``tracking`` caches the files whose empirical popularity, the request
@@ -352,41 +346,6 @@ class DecisionWalk:
         if self.policy == "tracking":
             return self._floors[self.start : self.start + rows]
         return None
-
-
-def block_matrix(
-    fixed_row: np.ndarray, varying: np.ndarray | slice, part: np.ndarray
-) -> np.ndarray:
-    """The (rows, n_files) cached-set indicators of one factored block."""
-    block = np.repeat(fixed_row[None], len(part), axis=0)
-    block[:, varying] = part
-    return block
-
-
-def decision_blocks(
-    policy: str, requests: np.ndarray, probs: np.ndarray, params: SystemParams
-) -> Iterator[tuple[int, np.ndarray, np.ndarray | slice, np.ndarray]]:
-    """``(start, fixed_row, varying, part)`` blocks covering a (horizon,
-    n_users) history in order: a :class:`DecisionWalk` fed the history's
-    remaining requests at each step.  The walk is built, and an invalid policy
-    or an LFU history too long for its key refused, when the first block is
-    asked for.
-    """
-    walk = DecisionWalk(policy, probs, params, len(requests))
-    while walk.start < len(requests):
-        yield walk.step(requests[walk.start :])
-
-
-def decision_matrix(
-    policy: str, requests: np.ndarray, probs: np.ndarray, params: SystemParams
-) -> np.ndarray:
-    """(horizon, n_files) cached-set indicators: the blocks of
-    :func:`decision_blocks`, expanded and concatenated."""
-    blocks = decision_blocks(policy, requests, probs, params)
-    return np.concatenate(
-        [np.zeros((0, params.n_files), dtype=bool)]
-        + [block_matrix(fixed, varying, part) for _, fixed, varying, part in blocks]
-    )
 
 
 def switch_flags(decisions: np.ndarray, previous: np.ndarray | None = None) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +27,13 @@ def parse_kv(out):
     return pairs
 
 
+def readme_block(heading):
+    """The lines of the first fenced block under a README.md heading."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1]
+    return section.split("```", 2)[1].splitlines()[1:]
+
+
 def write_counts(tmp_path, rows, name="counts.csv"):
     path = tmp_path / name
     path.write_text("".join(f"{i},{c}\n" for i, c in rows))
@@ -47,6 +55,27 @@ def test_simulate_writes_expected_rows(tmp_path, capsys):
     assert lines[0].startswith("# config: ")
     assert lines[1].startswith("t,policy,")
     assert len(lines) == 2 + 200
+
+
+def test_readme_output_example_is_the_readme_commands_first_rows(tmp_path):
+    # the "Output format" block shows the header and first rows of the CSV
+    # that the README's simulate command writes; its abbreviated config
+    # line and the "..." row are not compared
+    lines = readme_block("CLI")
+    at = next(i for i, line in enumerate(lines) if line.startswith("codedcache simulate"))
+    command = ""
+    for line in lines[at:]:
+        command += line.removesuffix("\\")
+        if not line.endswith("\\"):
+            break
+    argv = shlex.split(command)[1:]
+    argv[argv.index("--out") + 1] = str(tmp_path / "results.csv")
+    assert main(argv) == 0
+    written = (tmp_path / "results.csv").read_text().splitlines()
+    shown = [line for line in readme_block("Output format")
+             if line != "..." and not line.startswith("# config: ")]
+    assert len(shown) > 1
+    assert shown == written[1 : 1 + len(shown)]
 
 
 def test_simulate_stdout_and_determinism(capsys):

@@ -1,5 +1,4 @@
 """Tests for the experiment harness."""
-import dataclasses
 import io
 import itertools
 import tracemalloc
@@ -17,9 +16,7 @@ from codedcache.harness import (
     ExperimentConfig,
     ExperimentResult,
     PolicyAggregate,
-    _draw_requests,
     _lfu_dedup_rates,
-    _policy_record,
     _request_chunks,
     _stderr,
     config_summary,
@@ -28,14 +25,14 @@ from codedcache.harness import (
     run_trial,
 )
 from codedcache.model import PopularityDistribution, SystemParams, make_zipf
-from codedcache.policies import (
-    CONSTANT_POLICIES,
-    POLICY_NAMES,
+from codedcache.policies import CONSTANT_POLICIES, POLICY_NAMES, block_rows, switch_flags
+from histories import (
     block_matrix,
-    block_rows,
     decision_blocks,
     decision_matrix,
-    switch_flags,
+    draw_requests,
+    policy_record,
+    sliced_rates,
 )
 from test_policy_reference import SteppedPolicy, reference_lfu_rate, reference_slot_rate
 
@@ -158,7 +155,7 @@ def test_decision_matrix_matches_policy_classes():
             params=params, dist=dist, policies=("tracking", "lfu"),
             horizon=40, trials=1, seed=case, reference="paired",
         )
-        requests = _draw_requests(cfg, 0)
+        requests = draw_requests(cfg, 0)
         for name in POLICY_NAMES:
             decisions = decision_matrix(name, requests, dist.probs, params)
             flags = switch_flags(decisions)
@@ -198,7 +195,7 @@ def test_bitlevel_lfu_engine_calls(monkeypatch, accounting, calls_per_slot):
 def test_lfu_dedup_accounting_in_analytic_mode():
     cfg = config(policies=("lfu",), lfu_accounting="dedup", horizon=3, trials=1)
     tr = run_trial(cfg, 0).trace("lfu")
-    requests = _draw_requests(cfg, 0)
+    requests = draw_requests(cfg, 0)
     pol = SteppedPolicy("lfu", cfg.params, cfg.dist.probs)
     for s in range(3):
         cached, _ = pol.decide()
@@ -214,7 +211,8 @@ def test_streamed_record_matches_whole_matrix(horizon):
     # 64-slot rate slices at N=1000: 192 slots are three whole slices, 200
     # leave an 8-slot tail; over 1024 slots LFU and tracking decide blocks
     # of more than 64 rows.  Rates are compared with the whole-horizon
-    # products
+    # products.  Oracle and uniform are the experiment's shared traces,
+    # whose rates are also those of each 64-slot slice of the matrix
     params = SystemParams(1000, 20, 20.0)
     dist = make_zipf(1000, 0.8)
     assert block_rows(params.n_files) == 64
@@ -223,13 +221,18 @@ def test_streamed_record_matches_whole_matrix(horizon):
             params=params, dist=dist, policies=POLICY_NAMES, horizon=horizon, trials=1,
             seed=4, lfu_accounting=accounting,
         )
-        requests = _draw_requests(cfg, 0)
+        requests = draw_requests(cfg, 0)
         if horizon == 1024:
             for name in ("tracking", "lfu"):
                 blocks = decision_blocks(name, requests, dist.probs, params)
                 assert max(len(part) for _, _, _, part in blocks) > 64, name
         for name in POLICY_NAMES:
-            rates, sizes, switches = _policy_record(cfg, name, 0, requests)
+            if name in CONSTANT_POLICIES:
+                trace = cfg._constant_traces[name]
+                rates, sizes, switches = trace.rates, trace.set_sizes, trace.switches
+                assert rates.tolist() == sliced_rates(cfg, name, requests).tolist(), name
+            else:
+                rates, sizes, switches = policy_record(cfg, name, 0, requests)
             whole = decision_matrix(name, requests, dist.probs, params)
             assert sizes.tolist() == whole.sum(axis=1).tolist()
             assert switches.tolist() == switch_flags(whole).tolist()
@@ -253,7 +256,7 @@ def test_rate_slices_span_decision_blocks():
     for accounting in ("per-request", "dedup"):
         cfg = ExperimentConfig(params=params, dist=dist, policies=("tracking", "lfu"),
                                horizon=1500, trials=1, seed=1, lfu_accounting=accounting)
-        requests = _draw_requests(cfg, 0)
+        requests = draw_requests(cfg, 0)
         starts = [start for start, *_ in decision_blocks("tracking", requests, dist.probs, params)]
         assert any(start % 192 for start in starts)
         for name in cfg.policies:
@@ -265,7 +268,7 @@ def test_rate_slices_span_decision_blocks():
                     want.append(_lfu_dedup_rates(cfg, rows, slots))
                 else:
                     want.append(slot_rates(rows, dist.probs, params))
-            rates, _, _ = _policy_record(cfg, name, 0, requests)
+            rates, _, _ = policy_record(cfg, name, 0, requests)
             assert rates.tolist() == np.concatenate(want).tolist(), (name, accounting)
 
 
@@ -287,7 +290,7 @@ def test_rate_slices_of_small_blocks_match_the_whole_matrix(monkeypatch):
             cfg = ExperimentConfig(params=params, dist=dist, policies=("tracking", "lfu"),
                                    horizon=horizon, trials=1, seed=case,
                                    lfu_accounting=accounting, reference="paired")
-            requests = _draw_requests(cfg, 0)
+            requests = draw_requests(cfg, 0)
             for name in cfg.policies:
                 blocks = decision_blocks(name, requests, dist.probs, params)
                 straddled += sum(start % step != 0 for start, *_ in blocks)
@@ -299,7 +302,7 @@ def test_rate_slices_of_small_blocks_match_the_whole_matrix(monkeypatch):
                         want.append(_lfu_dedup_rates(cfg, rows, slots))
                     else:
                         want.append(slot_rates(rows, dist.probs, params))
-                rates, _, _ = _policy_record(cfg, name, 0, requests)
+                rates, _, _ = policy_record(cfg, name, 0, requests)
                 assert rates.tolist() == np.concatenate(want).tolist(), (case, name)
     assert straddled > 50
 
@@ -317,7 +320,7 @@ def test_switch_in_fixed_columns_at_a_block_edge(monkeypatch):
     assert [len(varying) for _, _, varying, _ in blocks[1:]] == [0]
     cfg = ExperimentConfig(params=params, dist=dist, policies=("tracking",), horizon=2,
                            trials=1, seed=0)
-    _, sizes, switches = _policy_record(cfg, "tracking", 0, requests)
+    _, sizes, switches = policy_record(cfg, "tracking", 0, requests)
     assert sizes.tolist() == [3, 1] and switches.tolist() == [False, True]
 
 
@@ -327,13 +330,13 @@ def test_streamed_bitlevel_record_across_blocks(monkeypatch):
     # edges
     cfg = config(params=SystemParams(6, 4, 2.0, 24), dist=make_zipf(6, 1.0), seed=6,
                  rate_mode="bitlevel", lfu_accounting="per-request", horizon=10)
-    requests = _draw_requests(cfg, 0)
-    one_block = {name: _policy_record(cfg, name, 0, requests) for name in POLICY_NAMES}
+    requests = draw_requests(cfg, 0)
+    one_block = {name: policy_record(cfg, name, 0, requests) for name in POLICY_NAMES}
     monkeypatch.setattr(policies, "BLOCK_ROW_MULTIPLE", 1)
     monkeypatch.setattr(policies, "BLOCK_ELEMS", 3 * 6)
     edge_switches = 0
     for name in POLICY_NAMES:
-        rates, sizes, switches = _policy_record(cfg, name, 0, requests)
+        rates, sizes, switches = policy_record(cfg, name, 0, requests)
         whole = decision_matrix(name, requests, cfg.dist.probs, cfg.params)
         assert sizes.tolist() == whole.sum(axis=1).tolist()
         assert switches.tolist() == switch_flags(whole).tolist()
@@ -364,15 +367,19 @@ def test_bitlevel_csv_unchanged_by_block_size(monkeypatch):
 @pytest.mark.parametrize("horizon", [1, 63, 64, 65, 200])
 @pytest.mark.parametrize("reference", ["closed-form", "paired"])
 def test_constant_policy_record_matches_a_charge_per_block(monkeypatch, horizon, reference):
-    # oracle and uniform blocks repeat one row: one slot_rates call per
-    # distinct 64-slot slice length gives the bits of charging every slice,
-    # and an experiment charges each length once, not once per trial
+    # oracle's and uniform's shared traces repeat one row: one slot_rates
+    # call per distinct 64-slot slice length gives the bits of charging
+    # every slice of the expanded decision matrix, and an experiment of
+    # three trials charges each length once
     params = SystemParams(1000, 3, 20.0)
     dist = make_zipf(1000, 0.8)
     assert block_rows(params.n_files) == 64
     cfg = ExperimentConfig(params=params, dist=dist, policies=("oracle", "uniform"),
-                           horizon=horizon, trials=1, seed=2, reference=reference)
-    requests = _draw_requests(cfg, 0)
+                           horizon=horizon, trials=3, seed=2, reference=reference)
+    requests = draw_requests(cfg, 0)
+    want = {name: sliced_rates(cfg, name, requests) for name in cfg.policies}
+    ref = want["oracle"] if reference == "paired" else np.full(
+        horizon, oracle_rate_upper(dist, params))
     calls = []
 
     def counted(*args, **kwargs):
@@ -380,29 +387,17 @@ def test_constant_policy_record_matches_a_charge_per_block(monkeypatch, horizon,
         return slot_rates(*args, **kwargs)
 
     monkeypatch.setattr(harness, "slot_rates", counted)
+    result = run_experiment(cfg)
     lengths = sorted({min(64, horizon), horizon % 64} - {0})
-    want = {}
+    assert sorted(calls) == sorted(lengths * len(cfg.policies))
     for name in cfg.policies:
+        trace = cfg._constant_traces[name]
         whole = decision_matrix(name, requests, dist.probs, params)
-        slices = [whole[lo : lo + 64] for lo in range(0, horizon, 64)]
-        want[name] = np.concatenate([slot_rates(s, dist.probs, params) for s in slices])
-        calls.clear()
-        rates, sizes, switches = _policy_record(cfg, name, 0, requests)
-        assert sorted(calls) == lengths
-        assert rates.tolist() == want[name].tolist(), name
-        assert sizes.tolist() == [int(whole[0].sum())] * horizon
-        assert not switches.any()
-    result = run_trial(cfg, 0)
-    ref = want["oracle"] if reference == "paired" else result.reference_rates
-    for name in cfg.policies:
-        trace = result.trace(name)
         assert trace.rates.tolist() == want[name].tolist(), name
         assert trace.cum_regret.tolist() == np.cumsum(want[name] - ref).tolist()
-    calls.clear()
-    three = dataclasses.replace(cfg, trials=3)
-    for agg in run_experiment(three).aggregates:
-        assert agg.mean_rate.tolist() == want[agg.policy].tolist(), agg.policy
-    assert sorted(calls) == sorted(lengths * len(cfg.policies))
+        assert trace.set_sizes.tolist() == whole.sum(axis=1).tolist()
+        assert not trace.switches.any()
+        assert result.aggregate(name).mean_rate.tolist() == want[name].tolist(), name
 
 
 @pytest.mark.parametrize("names", [POLICY_NAMES, ("uniform", "lfu")])
@@ -411,31 +406,30 @@ def test_constant_traces_are_shared_by_every_trial(reference, names):
     # N=1000 charges 64-slot slices, so a horizon of 1000 ends on a short
     # one.  In analytic mode oracle's and uniform's traces, and the closed-
     # form reference, are built once and handed read-only to every trial;
-    # each equals a record fed that trial's chunks
+    # their rates are slot_rates of each slice of the expanded decisions
     params = SystemParams(1000, 3, 20.0)
     cfg = ExperimentConfig(params=params, dist=make_zipf(1000, 0.8), policies=names,
                            horizon=1000, trials=3, seed=2, reference=reference)
     assert block_rows(params.n_files) == 64
     trials = [run_trial(cfg, trial) for trial in range(cfg.trials)]
-    for trial, result in enumerate(trials):
-        records = {name: harness._PolicyRecord(cfg, name, trial) for name in CONSTANT_POLICIES}
-        for requests in _request_chunks(cfg, trial):
-            for record in records.values():
-                record.feed(requests)
-        if reference == "paired":
-            ref = records["oracle"].rates
-        else:
-            ref = np.full(cfg.horizon, oracle_rate_upper(cfg.dist, params))
+    requests = draw_requests(cfg, 0)
+    want = {name: sliced_rates(cfg, name, requests) for name in CONSTANT_POLICIES}
+    if reference == "paired":
+        ref = want["oracle"]
+    else:
+        ref = np.full(cfg.horizon, oracle_rate_upper(cfg.dist, params))
+    for result in trials:
         assert result.reference_rates.tobytes() == ref.tobytes()
         assert result.reference_rates is trials[0].reference_rates
         assert not result.reference_rates.flags.writeable
         for name in set(names) & set(CONSTANT_POLICIES):
-            trace, record = result.trace(name), records[name]
-            assert trace is trials[0].trace(name)
-            assert trace.rates.tobytes() == record.rates.tobytes(), (name, trial)
-            assert trace.set_sizes.tolist() == record.sizes.tolist()
-            assert trace.switches.tolist() == record.switches.tolist() == [False] * 1000
-            assert trace.cum_regret.tobytes() == np.cumsum(record.rates - ref).tobytes()
+            trace = result.trace(name)
+            assert trace is cfg._constant_traces[name]
+            assert trace.rates.tobytes() == want[name].tobytes(), name
+            whole = decision_matrix(name, requests, cfg.dist.probs, params)
+            assert trace.set_sizes.tolist() == whole.sum(axis=1).tolist()
+            assert trace.switches.tolist() == [False] * 1000
+            assert trace.cum_regret.tobytes() == np.cumsum(want[name] - ref).tobytes()
             for values in (trace.rates, trace.set_sizes, trace.switches, trace.cum_regret):
                 assert not values.flags.writeable
                 with pytest.raises(ValueError):
@@ -647,7 +641,7 @@ def test_every_lfu_row_caches_m_files_at_both_key_widths(monkeypatch, n, k, m):
     dist = make_zipf(n, 0.0 if n == 8 else 0.8)
     cfg = ExperimentConfig(params=params, dist=dist, policies=("lfu",), horizon=400,
                            trials=1, seed=3)
-    requests = _draw_requests(cfg, 0)
+    requests = draw_requests(cfg, 0)
     decided = []
     for horizon, width in ((400, np.int32), (2**31 // (k * n) + 1, np.int64)):
         walk = policies.DecisionWalk("lfu", dist.probs, params, horizon)
@@ -747,7 +741,8 @@ def test_request_blocks_join_into_the_whole_draw(monkeypatch):
             chunks = list(_request_chunks(cfg, 0))
         assert drawn == [4 * min(192, horizon - lo) for lo in range(0, horizon, 192)]
         assert [len(c) for c in chunks[:-1]] == [192] * (len(chunks) - 1)
-        assert np.concatenate(chunks).tolist() == _draw_requests(cfg, 0).tolist()
+        whole = model.sample_requests(cfg.dist, 4 * horizon, model.substream(cfg.seed, 0, 0))
+        assert np.concatenate(chunks).ravel().tolist() == whole.requests.tolist()
 
 
 def test_trial_frees_each_chunk_before_drawing_the_next(monkeypatch):
@@ -776,7 +771,9 @@ def test_trial_frees_each_chunk_before_drawing_the_next(monkeypatch):
 def test_lockstep_trial_equals_the_whole_matrix_records(monkeypatch, horizon, rate_mode):
     # 64-slot blocks at N=600, drawn 3 blocks (192 slots) at a time: each
     # trace is bit for bit the record of the whole request matrix, with the
-    # oracle a listed policy or only the paired reference
+    # oracle a listed policy or only the paired reference.  An analytic
+    # oracle or uniform trace is shared by the experiment, and its rates are
+    # slot_rates of each 64-slot slice of the expanded decisions
     monkeypatch.setattr(harness, "REQUEST_CHUNK", 3 * 64 * 4)
     params = SystemParams(600, 4, 30.0, 8)
     dist = make_zipf(600, 0.8)
@@ -791,14 +788,21 @@ def test_lockstep_trial_equals_the_whole_matrix_records(monkeypatch, horizon, ra
                                trials=1, seed=7, rate_mode=rate_mode, reference=reference,
                                lfu_accounting=accounting)
         result = run_trial(cfg, 0)
-        requests = _draw_requests(cfg, 0)
+        requests = draw_requests(cfg, 0)
+
+        def record(name):
+            rates, sizes, switches = policy_record(cfg, name, 0, requests)
+            if name in cfg._constant_traces:
+                rates = sliced_rates(cfg, name, requests)
+            return rates, sizes, switches
+
         if reference == "paired":
-            ref = _policy_record(cfg, "oracle", 0, requests)[0]
+            ref = record("oracle")[0]
         else:
             ref = np.full(horizon, oracle_rate_upper(dist, params))
         assert result.reference_rates.tolist() == ref.tolist()
         for name in names:
-            rates, sizes, switches = _policy_record(cfg, name, 0, requests)
+            rates, sizes, switches = record(name)
             trace = result.trace(name)
             assert trace.rates.tolist() == rates.tolist(), (name, reference, accounting)
             assert trace.set_sizes.tolist() == sizes.tolist()
@@ -850,6 +854,9 @@ def test_closed_form_reference_is_computed_once_per_experiment(monkeypatch):
 
 
 def test_request_matrix_is_a_view_of_the_drawn_profile(monkeypatch):
+    # 64-slot chunks at N=600 for 4 users: each chunk is its drawn profile's
+    # requests, reshaped, not a copy
+    monkeypatch.setattr(harness, "REQUEST_CHUNK", 64 * 4)
     drawn = []
 
     def sample(*args):
@@ -857,24 +864,31 @@ def test_request_matrix_is_a_view_of_the_drawn_profile(monkeypatch):
         return drawn[-1]
 
     monkeypatch.setattr(harness, "sample_requests", sample)
-    requests = _draw_requests(config(), 0)
-    assert np.shares_memory(requests, drawn[0].requests)
+    cfg = ExperimentConfig(params=SystemParams(600, 4, 30.0), dist=make_zipf(600, 0.8),
+                           policies=("lfu",), horizon=300, trials=1, seed=2)
+    chunks = list(_request_chunks(cfg, 0))
+    assert len(chunks) == len(drawn) == 5
+    for chunk, profile in zip(chunks, drawn):
+        assert np.shares_memory(chunk, profile.requests)
 
 
 def test_wide_request_draw_holds_one_copy():
-    # the wide draw is 10^6 int64 requests, 8 MB; a second copy of them
-    # would take the peak past 16 MB
+    # the wide history is 10^6 int64 requests, 8 MB; drawn a 640-slot chunk
+    # (0.5 MB) at a time, each dropped before the next, the draw holds one
+    # chunk and the sampler's temporaries, never the history
     cfg = ExperimentConfig(
         params=SystemParams(1000, 100, 20.0), dist=make_zipf(1000, 0.8),
         policies=POLICY_NAMES, horizon=10_000, trials=1, seed=1,
     )
     tracemalloc.start()
     try:
-        _draw_requests(cfg, 0)
+        for chunk in _request_chunks(cfg, 0):
+            assert chunk.nbytes <= 640 * 100 * 8
+            del chunk
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12e6
+    assert peak < 4e6
 
 
 # --- determinism ------------------------------------------------------------
@@ -888,8 +902,8 @@ def test_trial_determinism_and_request_pairing():
         assert np.array_equal(ta.rates, tb.rates)
         assert np.array_equal(ta.cum_regret, tb.cum_regret)
         assert np.array_equal(ta.switches, tb.switches)
-    assert np.array_equal(_draw_requests(cfg, 1), _draw_requests(cfg, 1))
-    assert not np.array_equal(_draw_requests(cfg, 1), _draw_requests(cfg, 2))
+    assert np.array_equal(draw_requests(cfg, 1), draw_requests(cfg, 1))
+    assert not np.array_equal(draw_requests(cfg, 1), draw_requests(cfg, 2))
 
 
 def test_extra_trials_leave_earlier_ones_unchanged():

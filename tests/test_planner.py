@@ -23,9 +23,10 @@ from codedcache.engine import (
     plan_slots,
     sample_placement,
 )
-from codedcache.harness import ExperimentConfig, _draw_requests, _policy_record
+from codedcache.harness import ExperimentConfig
 from codedcache.model import RequestProfile, SystemParams, make_zipf, substream
 from codedcache.policies import POLICY_NAMES
+from histories import draw_requests, policy_record
 
 
 def assert_same_transmission(got, want):
@@ -139,12 +140,12 @@ def test_bitlevel_record_unchanged_by_batch_budget(monkeypatch, elems):
     cfg = ExperimentConfig(params=params, dist=make_zipf(8, 1.0), policies=POLICY_NAMES,
                            horizon=23, trials=1, seed=5, rate_mode="bitlevel",
                            lfu_accounting="per-request")
-    requests = _draw_requests(cfg, 0)
-    default = {name: _policy_record(cfg, name, 0, requests) for name in POLICY_NAMES}
+    requests = draw_requests(cfg, 0)
+    default = {name: policy_record(cfg, name, 0, requests) for name in POLICY_NAMES}
     monkeypatch.setattr(engine, "PLAN_ELEMS", elems)
     assert batch_slots(params) == max(1, elems // (5 * 16))
     for name in POLICY_NAMES:
-        got = _policy_record(cfg, name, 0, requests)
+        got = policy_record(cfg, name, 0, requests)
         for a, b in zip(got, default[name]):
             assert a.tolist() == b.tolist(), name
 
@@ -159,11 +160,11 @@ def test_bitlevel_record_memory_does_not_grow_with_the_horizon(policy):
     for horizon in (50, 400):
         cfg = ExperimentConfig(params=params, dist=make_zipf(20, 1.0), policies=(policy,),
                                horizon=horizon, trials=1, seed=1, rate_mode="bitlevel")
-        requests = _draw_requests(cfg, 0)
-        _policy_record(cfg, policy, 0, requests)
+        requests = draw_requests(cfg, 0)
+        policy_record(cfg, policy, 0, requests)
         tracemalloc.start()
         try:
-            _policy_record(cfg, policy, 0, requests)
+            policy_record(cfg, policy, 0, requests)
             peaks[horizon] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -176,8 +177,8 @@ def test_bitlevel_batch_ends_before_a_switch_once_its_placements_fill_the_budget
     params = SystemParams(16, 2, 2.0, 8)
     cfg = ExperimentConfig(params=params, dist=make_zipf(16, 0.5), policies=("tracking",),
                            horizon=40, trials=1, seed=5, rate_mode="bitlevel")
-    requests = _draw_requests(cfg, 0)
-    default = _policy_record(cfg, "tracking", 0, requests)
+    requests = draw_requests(cfg, 0)
+    default = policy_record(cfg, "tracking", 0, requests)
     monkeypatch.setattr(engine, "PLAN_ELEMS", 192)
     batches = []
     plan = harness.plan_slots
@@ -187,7 +188,7 @@ def test_bitlevel_batch_ends_before_a_switch_once_its_placements_fill_the_budget
         return plan(params, placements, which, requests)
 
     monkeypatch.setattr(harness, "plan_slots", recording)
-    got = _policy_record(cfg, "tracking", 0, requests)
+    got = policy_record(cfg, "tracking", 0, requests)
     assert batch_slots(params) == 12 and sum(batches) == 40
     assert any(size < 12 for size in batches[:-1])
     for a, b in zip(got, default):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codedcache.engine import build_delivery, sample_placement, slot_rates
-from codedcache.harness import ExperimentConfig, _draw_requests, _lfu_dedup_rates
+from codedcache.harness import ExperimentConfig, _lfu_dedup_rates
 from codedcache.model import (
     PopularityDistribution,
     RequestProfile,
@@ -14,14 +14,8 @@ from codedcache.model import (
     substream,
 )
 from codedcache import policies
-from codedcache.policies import (
-    POLICY_NAMES,
-    block_matrix,
-    count_floors,
-    decision_blocks,
-    decision_matrix,
-    switch_flags,
-)
+from codedcache.policies import POLICY_NAMES, count_floors, switch_flags
+from histories import block_matrix, decision_blocks, decision_matrix, draw_requests
 
 
 def decide(policy, requests, params, probs=None):
@@ -197,7 +191,7 @@ def test_wide_history_is_decided_on_narrow_frontiers(monkeypatch):
     dist = make_zipf(1000, 0.8)
     cfg = ExperimentConfig(params=params, dist=dist, policies=("tracking", "lfu"),
                            horizon=2000, trials=1, seed=1)
-    requests = _draw_requests(cfg, 0)
+    requests = draw_requests(cfg, 0)
     seen = []
     rule = policies._frontier
 

@@ -14,14 +14,7 @@ from hypothesis import strategies as st
 
 from codedcache import policies
 from codedcache.engine import build_delivery, sample_placement
-from codedcache.harness import (
-    POLICY_STREAM_KEYS,
-    ExperimentConfig,
-    _draw_requests,
-    _lfu_dedup_rates,
-    _policy_record,
-    run_trial,
-)
+from codedcache.harness import POLICY_STREAM_KEYS, ExperimentConfig, _lfu_dedup_rates, run_trial
 from codedcache.model import (
     PopularityDistribution,
     RequestProfile,
@@ -29,13 +22,13 @@ from codedcache.model import (
     make_zipf,
     substream,
 )
-from codedcache.policies import (
-    POLICY_NAMES,
+from codedcache.policies import POLICY_NAMES, count_floors, switch_flags
+from histories import (
     block_matrix,
-    count_floors,
     decision_blocks,
     decision_matrix,
-    switch_flags,
+    draw_requests,
+    policy_record,
 )
 
 
@@ -230,7 +223,7 @@ def test_frontier_blocks_match_stepped_reference(monkeypatch):
             cfg = ExperimentConfig(params=params, dist=PopularityDistribution(probs),
                                    policies=(name,), horizon=t_len, trials=1, seed=0,
                                    reference="paired")
-            _, sizes, switches = _policy_record(cfg, name, 0, requests)
+            _, sizes, switches = policy_record(cfg, name, 0, requests)
             assert sizes.tolist() == np.count_nonzero(got, axis=1).tolist(), (name, n, k, m)
             assert switches.tolist() == switch_flags(got).tolist(), (name, n, k, m)
     assert 2 * sum(narrow) > len(narrow) and not all(narrow)
@@ -310,7 +303,7 @@ def test_bitlevel_trial_matches_stepped_run(lfu_accounting):
         lfu_accounting=lfu_accounting,
     )
     result = run_trial(cfg, 0)
-    requests = _draw_requests(cfg, 0)
+    requests = draw_requests(cfg, 0)
     for name in POLICY_NAMES:
         pol = SteppedPolicy(name, params, cfg.dist.probs)
         place_rng = substream(cfg.seed, 0, POLICY_STREAM_KEYS[name])

@@ -1,4 +1,8 @@
-"""The package's public surface, pinned so that removing a name is deliberate."""
+"""The package's public surface, pinned so that removing a name is deliberate,
+and its private helpers, each of which the package itself must use."""
+import ast
+from pathlib import Path
+
 import codedcache
 
 PUBLIC_NAMES = [
@@ -23,7 +27,6 @@ PUBLIC_NAMES = [
     "bad_set_gap",
     "bad_set_min_excess",
     "build_delivery",
-    "decision_matrix",
     "decode",
     "emit_csv",
     "is_bad_set",
@@ -62,3 +65,30 @@ def test_public_names_are_pinned_and_resolve():
     assert codedcache.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(codedcache, name) is not None
+
+
+def test_every_private_helper_is_used_by_the_package():
+    # a module-level private function or class that only tests read belongs
+    # in the tests; a name counts as used when a statement other than its
+    # own definition, in any module, reads it
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(codedcache.__file__).parent.glob("*.py"))}
+    statements = [node for tree in trees.values() for node in tree.body]
+    names = {id(node): set() for node in statements}
+    for node in statements:
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.Name):
+                names[id(node)].add(inner.id)
+            elif isinstance(inner, ast.Attribute):
+                names[id(node)].add(inner.attr)
+            elif isinstance(inner, ast.alias):
+                names[id(node)].add(inner.name)
+    unused = [
+        f"{module}:{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+        and not any(node.name in names[id(other)] for other in statements if other is not node)
+    ]
+    assert unused == []
