@@ -18,7 +18,6 @@ arrays against a user's bits in the words, and only reading
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -37,11 +36,6 @@ FUZZ_MAX_FILES = 6
 FUZZ_MAX_USERS = 5
 FUZZ_MAX_CACHE = 3.0
 FUZZ_MAX_SUBPACKETS = 64
-
-def _decimal_cache_size(params: SystemParams):
-    """M as an exact Fraction of its decimal text: as floats, 0.07 * 100 > 7."""
-    from fractions import Fraction  # local import keeps module load cheap
-    return Fraction(str(params.cache_size))
 
 
 @dataclass(frozen=True)
@@ -179,18 +173,20 @@ def sample_placement(
     """Independent random placement of every user's cache over the cached set.
 
     Each user keeps min(F, floor(M*F/|S|)) uniformly random subpackets of
-    every file in S, the floor taken from the decimal M, not its binary
-    float, so a set of at most M files is stored whole and draws nothing
-    from ``rng``.  The random keys of every (user, file) draw come user by
-    user and file by file from ``rng.random`` calls over blocks of users of
-    about ``BLOCK_ELEMS`` keys each, which draw the same stream as one call.
+    every file in S, the floor taken from the exact decimal M
+    (``params.exact_cache_size``), not its binary float, so a set of at
+    most M files is stored whole and draws nothing from ``rng``.  The
+    random keys of every (user, file) draw come user by user and file by
+    file from ``rng.random`` calls over blocks of users of about
+    ``BLOCK_ELEMS`` keys each, which draw the same stream as one call.
     A draw keeps the subpackets of its ``take`` smallest keys
     (:func:`_smallest`), and its mask sets the user's bit in the words.
     """
     S = _check_files(params, cached)
     k, f = params.n_users, params.subpackets
     holders = np.zeros((-(-k // _WORD_MEMBERS), len(S), f), dtype=np.int64)
-    take = min(f, math.floor(_decimal_cache_size(params) * f / len(S))) if S else 0
+    num, den = params.exact_cache_size
+    take = min(f, num * f // (den * len(S))) if S else 0
     if take == f:  # every user holds the whole set
         holders[:] = np.array(
             [(1 << min(_WORD_MEMBERS, k - lo)) - 1 for lo in range(0, k, _WORD_MEMBERS)],

@@ -17,7 +17,8 @@ requests and a whole number of ``policies.block_rows`` slots, and hands each
 chunk to every policy in turn, the paired oracle among them, before it
 releases the chunk and draws the next.  Each policy's
 ``policies.DecisionWalk`` decides the chunk in factored blocks sized by
-their frontier work, and its record charges each block as it comes.  So
+their frontier work, tracking computing the exact count floors of each
+block's slots as it goes, and its record charges each block as it comes.  So
 neither a (horizon, n_users) request matrix nor a (horizon, n_files)
 decision array of any dtype is held; a trial's memory grows with the
 horizon only through its per-slot records.  The walks of a trial share one
@@ -78,7 +79,6 @@ from .policies import (
     block_rows,
     check_policy,
     constant_row,
-    count_floors,
     switch_flags,
 )
 
@@ -142,14 +142,6 @@ class ExperimentConfig:
         every trial (:func:`_constant_traces`).  Empty in bit-level mode,
         where each trial pays delivery over its own placements."""
         return _constant_traces(self) if self.rate_mode == "analytic" else {}
-
-    @functools.cached_property
-    def _tracking_floors(self) -> np.ndarray:
-        """Tracking's ``count_floors`` over the horizon, computed once and
-        shared by every trial: they depend only on the slot and params."""
-        floors = count_floors(np.arange(self.horizon), self.params)
-        floors.setflags(write=False)
-        return floors
 
     @functools.cached_property
     def _closed_form_rates(self) -> np.ndarray:
@@ -281,8 +273,7 @@ class _PolicyRecord:
         self, config: ExperimentConfig, policy: str, trial: int, counts: dict | None = None
     ):
         params = config.params
-        floors = config._tracking_floors if policy == "tracking" else None
-        self.walk = DecisionWalk(policy, config.dist.probs, params, config.horizon, floors, counts)
+        self.walk = DecisionWalk(policy, config.dist.probs, params, config.horizon, counts)
         self.config, self.policy = config, policy
         self.buffer = None  # the float rows of the slices a feed charges
         if policy == "lfu" and not config.lfu_per_request():
@@ -644,9 +635,12 @@ def _stderr(rows: Iterable[np.ndarray], mean: np.ndarray) -> np.ndarray:
 
 
 def config_summary(config: ExperimentConfig) -> str:
+    """The fields of the CSV's ``# config:`` line.  M is written as the
+    decimal it is read as, with no trailing ``.0``, so it parses back exactly."""
     p = config.params
+    m = str(p.cache_size).removesuffix(".0")
     return (
-        f"n={p.n_files} k={p.n_users} m={p.cache_size:g} f={p.subpackets} "
+        f"n={p.n_files} k={p.n_users} m={m} f={p.subpackets} "
         f"dist={config.dist_label} policies={','.join(config.policies)} "
         f"horizon={config.horizon} trials={config.trials} seed={config.seed} "
         f"rate_mode={config.rate_mode} reference={config.reference} "

@@ -10,6 +10,7 @@ later draw reuses them.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -31,9 +32,12 @@ GUIDE_SPAN = 4
 class SystemParams:
     """Static description of one caching network.
 
-    cache_size is measured in files and may be fractional.  subpackets is the
-    number of equal pieces each file is split into for bit-level simulation;
-    analytic computations ignore it.
+    cache_size is measured in files and may be fractional.  Its exact value
+    M is the decimal its float prints as (:attr:`exact_cache_size`), so
+    ``2.3`` is 23/10, not the binary float nearest it; the threshold,
+    tracking's count floors and the placement budget read M.  subpackets is
+    the number of equal pieces each file is split into for bit-level
+    simulation; analytic computations ignore it.
     """
 
     n_files: int
@@ -51,10 +55,28 @@ class SystemParams:
         if self.subpackets < 1:
             raise ValueError("subpackets must be >= 1")
 
-    @property
+    @cached_property
+    def exact_cache_size(self) -> tuple[int, int]:
+        """M as coprime ``(num, den)`` with M = num / den exactly, the value of
+        the decimal text of cache_size, as ``Fraction(str(cache_size))``.
+
+        The text is parsed here, not by ``fractions``: importing that module
+        during a run raised the ``wide`` benchmark's warm peak RSS by 4%.
+        """
+        mantissa, _, exponent = str(self.cache_size).partition("e")
+        whole, _, digits = mantissa.partition(".")
+        scale = len(digits) - int(exponent or 0)
+        num = int(whole + digits) * 10 ** max(0, -scale)
+        den = 10 ** max(0, scale)
+        gcd = math.gcd(num, den)
+        return num // gcd, den // gcd
+
+    @cached_property
     def threshold(self) -> float:
-        """Popularity level at which caching a file starts to pay off: 1/(K*M)."""
-        return 1.0 / (self.n_users * self.cache_size)
+        """Popularity level at which caching a file starts to pay off:
+        1/(K*M), correctly rounded from the exact M."""
+        num, den = self.exact_cache_size
+        return den / (self.n_users * num)  # int / int rounds correctly
 
     def popular(self, probs: np.ndarray) -> np.ndarray:
         """Mask of the popularities that clear the threshold; ties cache."""

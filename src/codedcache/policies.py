@@ -85,30 +85,20 @@ def block_rows(n_files: int) -> int:
 def count_floors(slots: np.ndarray, params: SystemParams) -> np.ndarray:
     """Per slot t, the least request count c that tracking caches at t.
 
-    A file with c requests in the t slots seen is cached iff
-    ``params.popular(c / (t * K))``.  The rounded quotient never falls as c
-    grows, so the test holds exactly for the counts at or above the floor.
-    With no data yet, at t = 0, the floor is 0 and every file is cached.
-    The estimate ceil(t * K * threshold) is stepped to the least c that
-    passes the float test itself, so the decisions are those of the
-    division, ties included.
-
-    The floors never fall as t grows.  c and t * K are exact in float64, so
-    for t < t' the exact quotients satisfy c / (t' * K) <= c / (t * K), and
-    correct rounding keeps that order; a count that passes at t' therefore
-    passes at t, and the least passing count at t is at most the one at t'.
-    The floor 0 at t = 0 is the least of all.
+    A file with c requests in the t slots seen is cached iff its empirical
+    popularity c / (t * K) reaches the threshold 1 / (K * M), ties included,
+    that is iff c * M >= t; K cancels.  With the exact M = num / den
+    (``params.exact_cache_size``) the floor is ceil(t * den / num), computed
+    in integers, so it is exact; at t = 0 it is 0 and every file is cached.
+    The floors are int64 while every t * den, and num and den themselves,
+    stay below 2**63, and Python ints in an object array otherwise.  They
+    never fall as t grows.
     """
-    seen = np.asarray(slots, dtype=np.int64) * params.n_users
-    fresh = seen == 0
-    seen = np.where(fresh, 1, seen)
-    floor = np.ceil(seen * params.threshold).astype(np.int64)
-    while (short := ~params.popular(floor / seen)).any():
-        floor += short
-    while (slack := (floor > 0) & params.popular((floor - 1) / seen)).any():
-        floor -= slack
-    floor[fresh] = 0
-    return floor
+    num, den = params.exact_cache_size
+    t = np.asarray(slots, dtype=np.int64)
+    if max(1, int(t.max(initial=0))) * den + num >= 2**63:
+        t = t.astype(object)
+    return -(-(t * den) // num)
 
 
 def _frontier(
@@ -122,21 +112,21 @@ def _frontier(
     """``(fixed, frontier)`` masks over the files for one block of slots.
 
     ``running`` and ``end`` are the per-file counts before the block's first
-    slot and after its last, ``floors`` the block's :func:`count_floors`
-    (tracking), ``m`` the budget and ``tie_break`` the walk's N - 1 - id per
-    file, in its key width (LFU).  Every file outside ``frontier``
-    takes the decision ``fixed`` in every row of the block; the frontier
-    holds the files whose decision can differ between rows.
+    slot and after its last, ``floors`` the :func:`count_floors` of the
+    block's slots (tracking), ``m`` the budget and ``tie_break`` the walk's
+    N - 1 - id per file, in its key width (LFU).  Every file outside
+    ``frontier`` takes the decision ``fixed`` in every row of the block; the
+    frontier holds the files whose decision can differ between rows.
 
     A file's count in any row lies between ``running`` and ``end``, and the
-    floors rise through the block.  Tracking caches a file with ``running >=
-    floors[-1]`` in every row and one with ``end < floors[0]`` in none.  LFU
-    ranks by ``count * N + (N - 1 - id)``; the M files at or above the
-    (N - M)-th order statistic ``kth0`` of the first row's keys keep keys of
-    at least ``kth0`` in every row, so no row's M-th key is below ``kth0``
-    and a file whose key at the end is still below it is never cached.  The
-    LFU frontier therefore holds the first row's top M and always has at
-    least M files.
+    floors, ceil(t / M) in exact arithmetic, never fall through the block.
+    Tracking caches a file with ``running >= floors[-1]`` in every row and
+    one with ``end < floors[0]`` in none.  LFU ranks by ``count * N + (N -
+    1 - id)``; the M files at or above the (N - M)-th order statistic
+    ``kth0`` of the first row's keys keep keys of at least ``kth0`` in every
+    row, so no row's M-th key is below ``kth0`` and a file whose key at the
+    end is still below it is never cached.  The LFU frontier therefore
+    holds the first row's top M and always has at least M files.
     """
     if policy == "tracking":
         fixed = running >= floors[-1]
@@ -204,8 +194,8 @@ class DecisionWalk:
     - ``tracking`` caches the files whose empirical popularity, the request
       count so far over slots seen times K, clears the threshold (ties
       cache); with no data yet, in the first slot, it caches every file.
-      Each count is compared with its slot's :func:`count_floors`, which
-      decides exactly as the division would.
+      Each count is compared with its slot's :func:`count_floors`, the
+      exact least count c with c * M >= t.
     - ``oracle`` thresholds the true popularity ``probs`` and never switches.
     - ``uniform`` caches every file.
     - ``lfu`` caches the M most-requested files so far, breaking ties
@@ -238,11 +228,11 @@ class DecisionWalk:
     multiples of ``BLOCK_ROW_MULTIPLE`` slots, as the harness draws them,
     every block but the history's last has a multiple of that many rows.
 
-    The walk is built for a ``horizon`` of slots.  Tracking takes its
-    ``floors``, ``count_floors(np.arange(horizon), params)``, as given, so
-    walks over many histories of one horizon can share them, or computes
-    them.  LFU ranks on int32 keys when every key fits, that is when
-    (horizon * n_users + 1) * n_files <= 2**31, and on int64 keys otherwise.
+    The walk is built for a ``horizon`` of slots.  Tracking computes the
+    :func:`count_floors` of each block's slots as it decides the block, so
+    it holds no per-slot array of the horizon.  LFU ranks on int32 keys
+    when every key fits, that is when (horizon * n_users + 1) * n_files <=
+    2**31, and on int64 keys otherwise.
     An invalid policy is refused, and so is an LFU walk whose horizon *
     n_users * n_files reaches 2**63, where even an int64 key could overflow.
 
@@ -263,7 +253,6 @@ class DecisionWalk:
         probs: np.ndarray,
         params: SystemParams,
         horizon: int,
-        floors: np.ndarray | None = None,
         counts: dict | None = None,
     ):
         check_policy(policy, params)
@@ -275,9 +264,7 @@ class DecisionWalk:
         if policy in CONSTANT_POLICIES:
             self._row = constant_row(policy, probs, params)
             return
-        if policy == "tracking" and floors is None:
-            floors = count_floors(np.arange(horizon), params)
-        self._floors, self._counts = floors, counts
+        self._params, self._counts = params, counts
         self._m = int(params.cache_size)
         # the largest key is horizon * n_users * n + n - 1
         width = np.int32 if (horizon * params.n_users + 1) * n <= 2**31 else np.int64
@@ -325,7 +312,7 @@ class DecisionWalk:
         column = np.full(n, len(cols))
         column[cols] = np.arange(len(cols))
         before = _counts_before(np.take(column, requests[:rows]), running[cols], len(cols) + 1)
-        part = _decide(policy, before[:rows, :-1], self._floors_of(rows), m, n, tie_break[cols])
+        part = _decide(policy, before[:rows, :-1], floors, m, n, tie_break[cols])
         self._running = end
         self.start += rows
         return start, fixed, cols, part
@@ -344,7 +331,7 @@ class DecisionWalk:
     def _floors_of(self, rows: int) -> np.ndarray | None:
         """Tracking's count floors for the ``rows`` slots from ``start``."""
         if self.policy == "tracking":
-            return self._floors[self.start : self.start + rows]
+            return count_floors(np.arange(self.start, self.start + rows), self._params)
         return None
 
 

@@ -186,6 +186,21 @@ def test_bounds_report_leaves_scipy_unloaded():
     assert not probe_scipy_loaded(f"codedcache.cli.main({argv!r})")
 
 
+def test_readme_config_and_trial_leave_fractions_unloaded():
+    # the exact cache size is parsed in integers: importing fractions costs
+    # about 1.6 ms of start-up, and importing it during a run raised the
+    # wide benchmark's peak RSS by 4%
+    probe = (
+        "import sys, codedcache as cc; "
+        "cfg = cc.ExperimentConfig(params=cc.SystemParams(20, 10, 2), "
+        "dist=cc.make_zipf(20, 1.0), policies=('tracking', 'uniform', 'lfu'), "
+        "horizon=2000, trials=200, seed=1, dist_label='zipf:1'); "
+        "built = 'fractions' in sys.modules; cc.run_trial(cfg, 0); "
+        "print(built, 'fractions' in sys.modules)"
+    )
+    assert probe_last_line(probe) == "False False"
+
+
 def test_simulate_lbpair_dist(tmp_path, capsys):
     out = tmp_path / "pair.csv"
     code, _, _ = run(
@@ -285,6 +300,18 @@ def test_bounds_degenerate_exit_code(capsys):
         capsys, "bounds", "--n", "4", "--k", "4", "--m", "1", "--dist", "zipf:0",
     )
     assert code == 4
+    assert "equals the threshold" in err
+
+
+@pytest.mark.parametrize("n, m, counts", [(2, "1.3", [10, 3]), (3, "3", [1, 1, 1])])
+def test_bounds_count_popularity_on_the_exact_threshold_exit_code(tmp_path, capsys, n, m, counts):
+    # K=1: counts 10,3 give file 0 exactly 10/13 = 1/(K*M) at M = 1.3, and
+    # counts 1,1,1 give every file 1/3 at M = 3; both are ties, not gaps
+    path = write_counts(tmp_path, enumerate(counts))
+    code, out, err = run(
+        capsys, "bounds", "--n", str(n), "--k", "1", "--m", m, "--dist", f"counts:{path}",
+    )
+    assert code == 4 and out == ""
     assert "equals the threshold" in err
 
 

@@ -823,21 +823,6 @@ def test_lfu_refuses_a_long_history_before_any_draw(monkeypatch):
         run_trial(cfg, 0)
 
 
-def test_tracking_floors_are_computed_once_per_experiment(monkeypatch):
-    calls = []
-    floors = harness.count_floors
-
-    def counted(slots, params):
-        calls.append(len(slots))
-        return floors(slots, params)
-
-    monkeypatch.setattr(harness, "count_floors", counted)
-    monkeypatch.setattr(policies, "count_floors", counted)
-    cfg = config(trials=3, horizon=9)
-    run_experiment(cfg)
-    assert calls == [9]
-
-
 def test_closed_form_reference_is_computed_once_per_experiment(monkeypatch):
     calls = []
 
@@ -1152,6 +1137,17 @@ def test_emit_csv_escapes_percent_in_a_policy_name():
 def test_percent_format_is_format_spec(x):
     # the chunked writer's template relies on this identity for every float64
     assert "%.6g" % x == format(x, ".6g")
+
+
+@pytest.mark.parametrize("m, text", [
+    (2, "2"), (2.0, "2"), (20.0, "20"), (2.3, "2.3"), (0.07, "0.07"),
+    (2.3456789, "2.3456789"), (1e-05, "1e-05"),
+])
+def test_config_line_records_the_exact_cache_size(m, text):
+    # the # config: line's m= reads back as the M that was run
+    cfg = config(params=SystemParams(20, 4, m), dist=make_zipf(20, 1.0), policies=("uniform",))
+    fields = dict(tok.split("=", 1) for tok in config_summary(cfg).split())
+    assert fields["m"] == text and float(fields["m"]) == m
 
 
 def test_emit_csv_layout_and_roundtrip():

@@ -1,4 +1,7 @@
 """Tests for the system model: parameters, distributions, request sampling."""
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +34,25 @@ def test_params_validation():
         SystemParams(4, 2, 4.5)  # cache larger than the library
     with pytest.raises(ValueError):
         SystemParams(4, 2, 1.0, 0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(min_value=5e-324, max_value=1e308) | st.integers(1, 10**30))
+def test_exact_cache_size_is_the_decimal_text(m):
+    num, den = SystemParams(max(1, math.ceil(m)), 1, m).exact_cache_size
+    assert Fraction(num, den) == Fraction(str(m)) and math.gcd(num, den) == 1
+
+
+def test_threshold_is_correctly_rounded_from_the_exact_cache_size():
+    # M = 1.3 is 13/10, so 1/(K*M) is 10/13, the popularity that counts 10,3
+    # give file 0; the float 1.3 is not 13/10, and 1.0 / 1.3 misses it
+    p = SystemParams(2, 1, 1.3)
+    assert p.exact_cache_size == (13, 10)
+    assert p.threshold == 10 / 13 != 1.0 / 1.3
+    assert p.popular(np.array([10 / 13, 3 / 13])).tolist() == [True, False]
+    # an integer M keeps the bits of the float division
+    for k, m in [(10, 2), (100, 20), (7, 3.0), (3, 1)]:
+        assert SystemParams(20, k, m).threshold == 1.0 / (k * m)
 
 
 def test_pmf_validation():

@@ -1,4 +1,6 @@
 """Tests for the policy decision rules and the LFU rate accounting."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from codedcache.model import (
     substream,
 )
 from codedcache import policies
-from codedcache.policies import POLICY_NAMES, count_floors, switch_flags
+from codedcache.policies import POLICY_NAMES, DecisionWalk, block_rows, count_floors, switch_flags
 from histories import block_matrix, decision_blocks, decision_matrix, draw_requests
 
 
@@ -320,3 +322,21 @@ def test_tracking_matches_oracle_inside_the_gap_tube():
         shift = rng.uniform(-1.0, 1.0, size=n) * gaps * 0.999
         perturbed = probs + shift
         assert np.array_equal(params.popular(perturbed), target)
+
+
+def test_tracking_walk_holds_nothing_per_slot_of_its_horizon():
+    # at the README shape, a walk built for 10**6 slots and stepped once
+    # computes the floors of its first block only; the int64 floors of the
+    # whole horizon alone would take 8 MB
+    params = SystemParams(20, 10, 2.0)
+    probs = make_zipf(20, 1.0).probs
+    requests = np.random.default_rng(0).choice(20, size=(2 * block_rows(20), 10), p=probs)
+    tracemalloc.start()
+    try:
+        walk = DecisionWalk("tracking", probs, params, 10**6)
+        walk.step(requests)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert walk.start == block_rows(20)
+    assert peak < 4 * 2**20

@@ -7,6 +7,9 @@ arithmetic.  The vectorized code in ``policies``, ``engine.slot_rates`` and
 ``harness`` must reproduce it slot for slot; other test modules import the
 reference from here.
 """
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,7 +55,12 @@ class SteppedPolicy:
         elif self.name == "oracle":
             cached = self._popular(self.probs)
         elif self.name == "tracking":
-            cached = self._popular(self.counts / (self.slots_seen * self.params.n_users))
+            # exact: c / (t * K) >= 1 / (K * M), with M the decimal cache size
+            k = self.params.n_users
+            bar = 1 / (k * Fraction(str(self.params.cache_size)))
+            seen = self.slots_seen * k
+            counts = enumerate(self.counts)
+            cached = frozenset(i for i, c in counts if Fraction(int(c), seen) >= bar)
         else:  # lfu: most requested first, ties to the lower id
             ranked = sorted(range(n), key=lambda i: (-self.counts[i], i))
             cached = frozenset(ranked[: int(self.params.cache_size)])
@@ -148,23 +156,49 @@ def test_block_decisions_match_stepped_reference_fractional_budget(monkeypatch, 
 
 
 def test_count_floors_decide_as_the_division():
-    # the floor passes the float test and one request fewer fails it, so a
-    # count compared with the floor is cached exactly when c / (t * K) clears
-    # the threshold
+    # the floor c is the least count with c * M >= t in exact arithmetic,
+    # whatever K: with M = tenths / 10, c * tenths >= 10 * t > (c - 1) * tenths
     slots = np.arange(1, 3000)
     for k in range(1, 30):
         for tenths in range(1, 60):
-            params = SystemParams(6, k, tenths / 10)
-            floor = count_floors(slots, params)
-            seen = slots * k
-            assert params.popular(floor / seen).all(), (k, tenths)
-            assert not params.popular((floor - 1) / seen)[floor > 0].any(), (k, tenths)
+            floor = count_floors(slots, SystemParams(6, k, tenths / 10))
+            assert (floor * tenths >= 10 * slots).all(), (k, tenths)
+            assert ((floor - 1) * tenths < 10 * slots).all(), (k, tenths)
     assert count_floors(np.array([0, 1]), SystemParams(6, 1, 1.0)).tolist() == [0, 1]
     # K=1, M=2.3, t=23: 10 requests are exactly 1/(K*M), which the rule
-    # caches, but fl(10/23) < fl(1/2.3), so the float test and the floor do not
+    # caches, though the float quotient fl(10/23) is below fl(1/2.3)
     params = SystemParams(6, 1, 2.3)
-    assert not params.popular(10 / 23)
-    assert count_floors(np.array([23]), params).tolist() == [11]
+    assert not 10 / 23 >= 1 / 2.3
+    assert count_floors(np.array([23]), params).tolist() == [10]
+
+
+def test_tracking_caches_a_count_exactly_on_the_threshold():
+    # K=1, M=2.3: file 0 has 10 requests in the 23 slots before row 23,
+    # exactly 1/(K*M), and 10 in 24 slots before row 24, below it
+    params = SystemParams(6, 1, 2.3)
+    requests = np.array([0] * 10 + [1] * 13 + [2, 2])[:, None]
+    decisions = decision_matrix("tracking", requests, np.full(6, 1 / 6), params)
+    assert decisions[23, 0] and not decisions[24, 0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_count_floors_are_the_exact_ceiling(data):
+    # M is a decimal of 1 to 17 significant digits, M = num / den exactly;
+    # slots are drawn on both sides of the first t with t * den + num >= 2**63,
+    # where the floors leave int64 for Python ints
+    digits = data.draw(st.integers(1, 17), label="digits")
+    mantissa = data.draw(st.integers(10 ** (digits - 1), 10**digits - 1), label="mantissa")
+    m = float(f"{mantissa}e-{data.draw(st.integers(0, 20), label='scale')}")
+    params = SystemParams(max(1, math.ceil(m)), data.draw(st.integers(1, 5), label="k"), m)
+    exact = Fraction(str(m))
+    num, den = exact.numerator, exact.denominator
+    edge = min(-(-(2**63 - num) // den), 2**63 - 1)
+    below = data.draw(st.lists(st.integers(0, max(0, edge - 1)), min_size=1), label="below")
+    above = data.draw(st.lists(st.integers(edge, 2**63 - 1), min_size=1), label="above")
+    for slots in (below, above):
+        want = [-(-(t * den) // num) for t in slots]
+        assert count_floors(np.array(slots, dtype=np.int64), params).tolist() == want
 
 
 def test_block_decisions_match_stepped_reference_wide_shape():
