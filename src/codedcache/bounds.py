@@ -4,9 +4,7 @@ Everything here is a pure function of the popularity profile and the
 system parameters: the benchmark rate sandwich, the tracking-policy
 regret bound with its two concentration routes, the switching-cost
 bound, and the minimax lower-bound machinery built on a mirrored pair
-of two-level instances.  Functions taking a full popularity profile
-expect it sorted most-popular-first, matching how profiles are
-normally reported.
+of two-level instances.
 """
 from __future__ import annotations
 
@@ -27,11 +25,6 @@ class DegenerateGapError(ValueError):
     popularity and the threshold, so a zero distance leaves the bound
     undefined rather than merely loose.
     """
-
-
-def _require_sorted(dist: PopularityDistribution) -> None:
-    if not dist.is_sorted():
-        raise ValueError("popularities must be sorted in non-increasing order")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,29 +53,24 @@ def _positive_gaps(dist: PopularityDistribution, params: SystemParams) -> GapVec
 
 
 def _popular_split(dist: PopularityDistribution, params: SystemParams) -> tuple[int, float]:
-    """``(n1, tail)`` of a sorted profile of N files: the number of popular
-    files, which lead it, and the popularity mass of the rest."""
-    _require_sorted(dist)
+    """``(n1, tail)`` of a profile of N files: the number of popular files
+    and the popularity mass of the rest."""
     if dist.n_files != params.n_files:
         raise ValueError("popularity length does not match file count")
-    n1 = int(np.count_nonzero(params.popular(dist.probs)))
-    return n1, float(dist.probs[n1:].sum())
+    popular = params.popular(dist.probs)
+    return int(np.count_nonzero(popular)), float(dist.probs[~popular].sum())
 
 
 def oracle_rate_upper(dist: PopularityDistribution, params: SystemParams) -> float:
     """Upper estimate of the benchmark's expected per-slot rate.
 
-    The popular files are served by coded delivery, everything else by
-    the cheaper of direct sends and coding over the leftover cache room.
+    The benchmark caches the popular files, so this is
+    :func:`slot_rates` of that set: max(n1/M - 1, 0) for the popular
+    files plus K times the mass of the rest, each of whose requests is sent
+    whole.
     """
     n1, tail = _popular_split(dist, params)
-    m = params.cache_size
-    head = max(n1 / m - 1.0, 0.0)
-    direct = params.n_users * tail
-    if m - n1 > 0:
-        coded_rest = (params.n_files - n1) / (m - n1) - 1.0
-        return head + min(direct, coded_rest)
-    return head + direct
+    return max(n1 / params.cache_size - 1.0, 0.0) + params.n_users * tail
 
 
 def rate_lower_bound(dist: PopularityDistribution, params: SystemParams) -> float:
@@ -117,7 +105,6 @@ def tracking_regret_bound(
     regret against, typically :func:`oracle_rate_upper` or the looser
     :func:`rate_lower_bound`; a smaller reference gives a larger bound.
     """
-    _require_sorted(dist)
     gv = _positive_gaps(dist, params)
     k = params.n_users
     excess = k - oracle_rate
@@ -213,7 +200,6 @@ def switching_constants(
 
 def switch_count_bound(dist: PopularityDistribution, params: SystemParams) -> float:
     """Expected number of cache rewrites over any horizon, plus the first."""
-    _require_sorted(dist)
     gv = _positive_gaps(dist, params)
     const = switching_constants(dist, params)
     popular = params.popular(dist.probs)
@@ -341,10 +327,9 @@ def regret_lower_curve(
 def bad_set_min_excess(params: SystemParams, a: float, b: float) -> float:
     """Smallest rate excess over the benchmark among all bad cache sets.
 
-    Every nonempty set is charged :func:`slot_rates`.  A set of exactly M
-    files therefore competes with its finite rate K * (mass outside), which
-    is what the engine charges for it (the set is stored whole and every
-    outside request is sent whole); it is not excluded as infinitely costly.
+    Every nonempty set is charged :func:`slot_rates`, as the engine sends it.
+    A set of at most M files is stored whole, so it competes with
+    K * (mass outside) alone.
     """
     _require_hard_pair(params, a, b)
     n = params.n_files

@@ -14,7 +14,8 @@ and the payload dedup.  :func:`plan_slots` runs it on a batch of slots, and
 :func:`build_delivery` is its one-slot call; :func:`decode` peels one slot's
 arrays against a user's bits in the words, and only reading
 ``Transmission.coded`` builds a :class:`CodedMessage`/:class:`Segment` view.
-:func:`slot_rates` is the analytic (upper) estimate of that delivery's rate.
+:func:`slot_rates` is the analytic estimate of that delivery's rate as the
+subpacket count grows.
 """
 from __future__ import annotations
 
@@ -545,15 +546,14 @@ def decode(
 def slot_rates(decisions: np.ndarray, probs: np.ndarray, params: SystemParams) -> np.ndarray:
     """Analytic one-slot coded-delivery rate of each cached set, over the last axis.
 
-    ``decisions`` is a boolean array of shape (..., N), one row per set S.  A
-    set at least as large as the budget is charged |S|/M - 1 + K * (mass
-    outside S); a smaller one is charged (N - |S|)/(M - |S|) - 1.  That
-    branch is the closed form of a leftover spread over the other files that
-    :func:`sample_placement` no longer makes (it stores such a set whole and
-    nothing else), and item 1 of ROADMAP.md replaces it.  At |S| == M < N the
-    first branch gives K * (mass outside S), which is what the engine charges
-    there: placement stores S whole, so every request outside S is sent whole
-    and every request inside it costs nothing.
+    ``decisions`` is a boolean array of shape (..., N), one row per set S,
+    each charged max(|S|/M - 1, 0) + K * (mass outside S).  Every request
+    outside S is sent whole.  A set of more than M files is charged
+    |S|/M - 1 for its coded delivery (the decentralized scheme of
+    Maddah-Ali & Niesen), an upper estimate of what the engine sends for it
+    as the subpacket count grows; at finite counts zero padding sends more.
+    A set of at most M files is stored whole by :func:`sample_placement`, so
+    its requests cost nothing.
 
     Each row is charged on its own, so a caller may pass a history a slice of
     rows at a time; the mass inside S is one ``decisions @ probs`` product,
@@ -568,12 +568,8 @@ def slot_rates(decisions: np.ndarray, probs: np.ndarray, params: SystemParams) -
 def rates_of_mass(inside: np.ndarray, sizes: np.ndarray, params: SystemParams) -> np.ndarray:
     """:func:`slot_rates` of sets of ``sizes`` files holding ``inside`` of the
     popularity mass; each element is charged on its own."""
-    n, k, m = params.n_files, params.n_users, params.cache_size
-    sizes = np.asarray(sizes, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coded = sizes / m - 1.0 + k * (1.0 - inside)
-        leftover = (n - sizes) / (m - sizes) - 1.0
-    return np.where(sizes >= m, coded, leftover)
+    m = params.cache_size
+    return np.maximum(sizes / m - 1.0, 0.0) + params.n_users * (1.0 - inside)
 
 
 @dataclass(frozen=True)

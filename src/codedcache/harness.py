@@ -126,8 +126,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown reference mode: {self.reference}")
         if self.lfu_accounting not in LFU_ACCOUNTINGS:
             raise ValueError(f"unknown LFU accounting: {self.lfu_accounting}")
-        if self.reference == "closed-form" and not self.dist.is_sorted():
-            raise ValueError("closed-form reference needs sorted popularities")
 
     def lfu_per_request(self) -> bool:
         """Analytic mode defaults to per-request charging, bit-level to dedup."""
@@ -235,13 +233,11 @@ class _PolicyRecord:
     above (``policies.switch_flags``), so the block's rows fall into runs
     that cache one set, each starting at row 0 or at a switch.  A run's
     size is the fixed row's size outside the varying columns plus the sum of
-    its first row of ``part``, summed once and repeated over the run.
-    LFU's keys are unique in a row, so it caches exactly M files in every
-    row and its sizes are M, with nothing summed.  A block with no varying
-    column repeats its fixed row, so its sizes are that row's and only its
-    first row can switch.  The block's first row is compared whole with the
-    previous block's last, since a column that is fixed inside a block can
-    still differ from the block before.
+    its first row of ``part``, summed once and repeated over the run; a
+    block with no varying column is one run of its fixed row.  The block's
+    first row is compared whole with the previous block's last, since a
+    column that is fixed inside a block can still differ from the block
+    before.
 
     In analytic mode, and for LFU under dedup accounting, the rates are
     charged on the slices of ``policies.block_rows`` slots that start at its
@@ -311,19 +307,13 @@ class _PolicyRecord:
         """The block's set sizes and switch flags."""
         stop = start + len(part)
         sizes, switches = self.sizes[start:stop], self.switches[start:stop]
-        if part.shape[1]:
-            switches[:] = switch_flags(part)
-            if self.policy == "lfu":  # unique keys: every row caches the top M
-                sizes[:] = self.config.params.cache_size
-            else:  # one sum per run of rows caching the same set
-                switches[0] = True  # row 0 starts a run; its flag is set below
-                starts = np.flatnonzero(switches)
-                sums = part[starts].sum(axis=1)
-                sums += np.count_nonzero(fixed) - np.count_nonzero(fixed[varying])
-                sizes[:] = np.repeat(sums, np.diff(starts, append=len(part)))
-        else:  # every row repeats the fixed row
-            sizes[:] = np.count_nonzero(fixed)
-            switches[1:] = False
+        # one sum per run of rows caching the same set
+        switches[:] = switch_flags(part)
+        switches[0] = True  # row 0 starts a run; its flag is set below
+        starts = np.flatnonzero(switches)
+        sums = part[starts].sum(axis=1)
+        sums += np.count_nonzero(fixed) - np.count_nonzero(fixed[varying])
+        sizes[:] = np.repeat(sums, np.diff(starts, append=len(part)))
         row = fixed.copy()
         row[varying] = part[0]
         switches[0] = self.previous is not None and (row != self.previous).any()

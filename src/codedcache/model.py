@@ -106,10 +106,6 @@ class PopularityDistribution:
     def n_files(self) -> int:
         return int(self.probs.size)
 
-    def is_sorted(self) -> bool:
-        """True when ranks agree with indices (most popular first)."""
-        return bool((np.diff(self.probs) <= 0).all())
-
     @cached_property
     def _inverse_cdf(self) -> _InverseCdf:
         """The tables :func:`sample_requests` searches, built on first use."""

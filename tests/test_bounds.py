@@ -1,12 +1,16 @@
 """Tests for the closed-form bounds against hand-evaluated oracles."""
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codedcache.bounds import (
     DegenerateGapError,
     _binomial_tails,
+    _popular_split,
     bad_set_gap,
     bad_set_min_excess,
     is_bad_set,
@@ -58,13 +62,13 @@ def test_oracle_rate_upper_worked_instance():
 
 
 def test_oracle_rate_upper_small_popular_set():
-    # one popular file, plenty of cache room: coding over the rest can
-    # beat direct sends when there are many users
+    # one popular file, plenty of cache room: it is stored whole and every
+    # other request is sent whole, K * 0.15, however many users there are
     dist = PopularityDistribution(np.array([0.85, 0.05, 0.05, 0.05]))
-    few = SystemParams(4, 2, 3.0)  # threshold 1/6, direct sends cheaper
+    few = SystemParams(4, 2, 3.0)  # threshold 1/6
     assert oracle_rate_upper(dist, few) == pytest.approx(0.3, abs=1e-12)
-    many = SystemParams(4, 4, 3.0)  # threshold 1/12, leftover coding cheaper
-    assert oracle_rate_upper(dist, many) == pytest.approx(0.5, abs=1e-12)
+    many = SystemParams(4, 4, 3.0)  # threshold 1/12
+    assert oracle_rate_upper(dist, many) == pytest.approx(0.6, abs=1e-12)
 
 
 def test_oracle_rate_upper_everything_popular():
@@ -73,10 +77,7 @@ def test_oracle_rate_upper_everything_popular():
     assert oracle_rate_upper(dist, params) == pytest.approx(4 / 3 - 1, abs=1e-12)
 
 
-def test_oracle_rate_rejects_unsorted():
-    dist = PopularityDistribution(np.array([0.3, 0.7]))
-    with pytest.raises(ValueError, match="sorted"):
-        oracle_rate_upper(dist, SystemParams(2, 2, 1.0))
+def test_oracle_rate_rejects_mismatched_length():
     with pytest.raises(ValueError, match="does not match"):
         oracle_rate_upper(make_zipf(3, 1.0), SystemParams(2, 2, 1.0))
 
@@ -98,6 +99,38 @@ def test_rate_sandwich_on_random_instances():
         params = SystemParams(n, int(rng.integers(1, 9)), float(rng.uniform(0.2, n)))
         dist = random_sorted_dist(rng, n)
         assert oracle_rate_upper(dist, params) >= rate_lower_bound(dist, params) - 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 20_000),
+    k=st.integers(1, 8),
+    tenths=st.integers(1, 300),
+)
+def test_bounds_do_not_depend_on_file_order(seed, n, k, tenths):
+    # the bounds read the popular files through a mask, so a shuffled
+    # profile gives the sorted one's bounds up to summation order, and on a
+    # sorted profile the masked tail is the plain tail bit for bit
+    rng = np.random.default_rng(seed)
+    probs = np.sort(rng.dirichlet(np.full(n, 0.5)))[::-1]
+    ranked = PopularityDistribution(probs)
+    shuffled = PopularityDistribution(rng.permutation(probs))
+    params = SystemParams(n, k, min(n, tenths / 10))
+    n1, tail = _popular_split(ranked, params)
+    assert tail == float(probs[n1:].sum())
+    for bound in (oracle_rate_upper, rate_lower_bound):
+        assert bound(shuffled, params) == pytest.approx(bound(ranked, params), rel=1e-12)
+    if threshold_gaps(ranked, params).min_gap == 0.0:
+        return
+    rate = oracle_rate_upper(ranked, params)
+    want = tracking_regret_bound(ranked, params, rate)
+    got = tracking_regret_bound(shuffled, params, rate)
+    for field in ("chernoff_route", "dkw_route", "first_slot"):
+        assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12)
+    assert switch_count_bound(shuffled, params) == pytest.approx(
+        switch_count_bound(ranked, params), rel=1e-12
+    )
 
 
 # --- tracking regret bound -------------------------------------------------
@@ -412,6 +445,28 @@ def test_brute_force_gap_random_valid_pairs():
         done += 1
     pairs = list(integer_budget_pairs())
     assert len(pairs) >= 20
+    for params, a, b in pairs:
+        assert verify_bad_set_gap(params, a, b)
+
+
+def hard_pair_grid(n):
+    """The valid pair instances of N = n on a grid of K, M in halves and the
+    hot half's mass u, with a = N/u and b = N/(1 - u)."""
+    for k, halves, u in itertools.product(range(2, 9), range(1, 2 * n + 1), (0.6, 0.7, 0.8, 0.9)):
+        params, a, b = SystemParams(n, k, halves / 2), n / u, n / (1 - u)
+        try:
+            regret_lower_bound(params, a, b)
+        except ValueError:
+            continue
+        yield params, a, b
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_bad_set_gap_holds_on_a_grid_of_hard_pairs(n):
+    # every set, smaller than M or not, is charged slot_rates, so a small
+    # bad set competes with K * (mass outside) too
+    pairs = list(hard_pair_grid(n))
+    assert len(pairs) >= 10
     for params, a, b in pairs:
         assert verify_bad_set_gap(params, a, b)
 

@@ -243,6 +243,21 @@ def test_simulate_large_negative_zipf_exponent(capsys):
     assert out.count("\n") == 4  # comment, header and two rows
 
 
+def test_increasing_popularity_runs_in_every_command(tmp_path, capsys):
+    # zipf:-1 puts the most popular file last; no command needs sorted input
+    code, out, err = run(capsys, "bounds", "--n", "10", "--k", "2", "--m", "3", "--dist", "zipf:-1")
+    assert code == 0 and err == ""
+    assert float(parse_kv(out)["oracle_rate_upper"]) > 0
+    code, _, err = run(
+        capsys,
+        "simulate", "--n", "10", "--k", "2", "--m", "3", "--dist", "zipf:-1",
+        "--policies", "tracking,oracle", "--horizon", "20", "--trials", "2",
+        "--out", str(tmp_path / "r.csv"),
+    )
+    assert code == 0 and err == ""
+    assert (tmp_path / "r.csv").read_text().count("\n") == 2 + 40
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text(

@@ -385,9 +385,12 @@ def test_approx_rate_large_set_branch():
 
 
 def test_approx_rate_small_set_branch():
+    # a set smaller than M is stored whole: each outside request costs a file
     params = SystemParams(4, 2, 2.0)
     dist = make_zipf(4, 1.0)
-    assert set_rate(params, [0], dist) == pytest.approx(2.0, abs=1e-12)
+    expected = 2 * (1.0 - float(dist.probs[0]))
+    assert set_rate(params, [0], dist) == pytest.approx(expected, abs=1e-12)
+    assert expected == pytest.approx(1.04, abs=1e-12)
 
 
 def test_approx_rate_everything_cached():
@@ -404,20 +407,37 @@ def test_approx_rate_boundary_sentinel():
     assert set_rate(params, [0, 1], dist) == pytest.approx(expected, abs=1e-12)
 
 
+def uncoded_engine_mean(params, dist, cached, seed, slots=2000):
+    """Mean and standard error of the engine's rate over ``slots`` slots of
+    one set of at most M files, which is stored whole: every slot sends no
+    coded message, only each outside request whole."""
+    rates = []
+    for t in range(slots):
+        rng = substream(seed, t)
+        placement = sample_placement(params, cached, rng)
+        profile = sample_requests(dist, params.n_users, rng)
+        tx = build_delivery(params, profile, placement, cached)
+        assert len(tx.message_length) == 0
+        outside = ~np.isin(profile.requests, cached)
+        assert tx.rate == float(np.count_nonzero(outside))
+        rates.append(tx.rate)
+    return np.mean(rates), np.std(rates, ddof=1) / np.sqrt(slots)
+
+
 def test_slot_rates_boundary_matches_engine():
     params = SystemParams(4, 3, 2.0, 8)
     dist = make_zipf(4, 1.0)
-    cached = [0, 1]
-    rates = []
-    for t in range(2000):
-        rng = substream(37, t)
-        placement = sample_placement(params, cached, rng)
-        profile = sample_requests(dist, params.n_users, rng)
-        rate = build_delivery(params, profile, placement, cached).rate
-        assert rate == float(np.count_nonzero(profile.requests >= 2))
-        rates.append(rate)
-    mean, stderr = np.mean(rates), np.std(rates, ddof=1) / np.sqrt(len(rates))
-    assert abs(mean - set_rate(params, cached, dist)) <= 4 * stderr
+    mean, stderr = uncoded_engine_mean(params, dist, [0, 1], 37)
+    assert abs(mean - set_rate(params, [0, 1], dist)) <= 4 * stderr
+
+
+def test_slot_rates_below_the_budget_match_engine():
+    # one file under M = 2 sends no coded message, so finite-F zero padding
+    # does not apply and the analytic charge is the bit-level mean
+    params = SystemParams(4, 2, 2.0, 8)
+    dist = make_zipf(4, 1.0)
+    mean, stderr = uncoded_engine_mean(params, dist, [0], 38)
+    assert abs(mean - set_rate(params, [0], dist)) <= 4 * stderr
 
 
 def test_expected_slot_rate_agrees_off_boundary():

@@ -76,8 +76,6 @@ def test_config_rejects_bad_inputs():
         config(lfu_accounting="amortized")
     with pytest.raises(ValueError, match="does not match"):
         config(dist=make_zipf(3, 1.0))
-    with pytest.raises(ValueError, match="sorted"):
-        config(dist=PopularityDistribution(np.array([0.1, 0.4, 0.35, 0.15])))
 
 
 def test_bitlevel_config_runs_at_any_user_count():
@@ -128,6 +126,24 @@ def test_oracle_regret_constant_per_slot():
     slot_regret = np.diff(np.concatenate([[0.0], tr.cum_regret]))
     assert np.allclose(slot_regret, slot_regret[0], atol=1e-12)
     assert slot_regret[0] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("params, dist, rate", [
+    # one popular file under M = 3, stored whole
+    (SystemParams(10, 2, 3.0), make_zipf(10, 2.0), 0.709484),
+    # K * (mass outside) = 0.6 is charged, though coding over the three
+    # other files in the spare room of 2 would look cheaper (0.5)
+    (SystemParams(4, 4, 3.0), PopularityDistribution(np.array([0.85, 0.05, 0.05, 0.05])), 0.6),
+], ids=["zipf2", "spare-room"])
+def test_oracle_below_the_budget_pays_the_closed_form(params, dist, rate):
+    cfg = ExperimentConfig(
+        params=params, dist=dist, policies=("oracle",), horizon=50, trials=1, seed=1,
+    )
+    tr = run_trial(cfg, 0).trace("oracle")
+    assert tr.set_sizes[0] < params.cache_size
+    assert oracle_rate_upper(dist, params) == pytest.approx(rate, abs=1e-6)
+    assert np.all(np.abs(tr.rates - oracle_rate_upper(dist, params)) <= 1e-12)
+    assert np.all(np.abs(tr.cum_regret) <= 1e-12 * np.arange(1, cfg.horizon + 1))
 
 
 def test_paired_oracle_regret_is_zero():
@@ -630,8 +646,8 @@ def test_record_sizes_and_switches_equal_each_expanded_block(monkeypatch, shape)
 
 @pytest.mark.parametrize("n, k, m", [(8, 1, 1), (8, 1, 3), (8, 1, 8), (1000, 100, 20)])
 def test_every_lfu_row_caches_m_files_at_both_key_widths(monkeypatch, n, k, m):
-    # the record fills LFU's sizes with M: its keys are unique in a row, so
-    # it caches exactly the top M.  Uniform popularity makes count ties
+    # LFU's keys are unique in a row, so it caches exactly the top M, and
+    # the record's run sums give M in every slot.  Uniform popularity makes count ties
     # common; small blocks give frontier blocks at N=8.  A walk built for a
     # longer horizon ranks on int64 keys and decides the same rows
     if n == 8:

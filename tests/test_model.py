@@ -57,8 +57,8 @@ def test_threshold_is_correctly_rounded_from_the_exact_cache_size():
 
 def test_pmf_validation():
     d = PopularityDistribution(np.array([0.5, 0.5]))
-    assert d.n_files == 2 and d.is_sorted()
-    assert not PopularityDistribution(np.array([0.25, 0.75])).is_sorted()
+    assert d.n_files == 2 and np.all(np.diff(d.probs) <= 0)
+    assert PopularityDistribution(np.array([0.25, 0.75])).n_files == 2  # any order
     with pytest.raises(ValueError):
         PopularityDistribution(np.array([0.5, 0.6]))
     with pytest.raises(ValueError):
@@ -103,7 +103,7 @@ def test_zipf_random_instances_are_valid():
         s = float(rng.uniform(0.0, 3.0))
         d = make_zipf(n, s)
         assert abs(d.probs.sum() - 1.0) <= 1e-12
-        assert d.is_sorted()
+        assert np.all(np.diff(d.probs) <= 0)
         assert (d.probs > 0).all()
 
 
@@ -151,7 +151,7 @@ def test_two_level_pair_random_instances_mirror():
         head, tail = make_two_level_pair(n, a, b)
         half = n // 2
         assert abs(head.probs.sum() - 1.0) <= 1e-12
-        assert head.is_sorted()
+        assert np.all(np.diff(head.probs) <= 0)
         assert np.array_equal(head.probs[:half], tail.probs[half:])
         assert np.array_equal(head.probs[half:], tail.probs[:half])
 

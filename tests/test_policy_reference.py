@@ -86,12 +86,11 @@ def stepped_decisions(name, params, probs, requests):
 
 
 def reference_slot_rate(cached, probs, params):
-    """Expected coded-delivery rate of one set, per-request charged at |S| == M."""
-    n, k, m = params.n_files, params.n_users, params.cache_size
-    size = len(cached)
-    if size >= m:
-        return size / m - 1.0 + k * (1.0 - sum(float(probs[i]) for i in cached))
-    return (n - size) / (m - size) - 1.0
+    """Expected coded-delivery rate of one set: coding over a set larger than
+    M, and one whole file per request outside the set."""
+    k, m = params.n_users, params.cache_size
+    inside = sum(float(probs[i]) for i in cached)
+    return max(len(cached) / m - 1.0, 0.0) + k * (1.0 - inside)
 
 
 def reference_lfu_rate(cached, probs, n_users, *, per_request):
