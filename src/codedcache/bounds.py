@@ -4,7 +4,9 @@ Everything here is a pure function of the popularity profile and the
 system parameters: the benchmark rate sandwich, the tracking-policy
 regret bound with its two concentration routes, the switching-cost
 bound, and the minimax lower-bound machinery built on a mirrored pair
-of two-level instances.
+of two-level instances.  The sandwich's upper side,
+:func:`oracle_rate_upper`, is the model's rate rule on the popular set;
+it is defined in ``model`` and read from here with the other bounds.
 """
 from __future__ import annotations
 
@@ -13,8 +15,14 @@ import math
 
 import numpy as np
 
-from .engine import slot_rates
-from .model import PopularityDistribution, SystemParams, make_two_level_pair
+from .model import (  # oracle_rate_upper is re-exported as a bound
+    PopularityDistribution,
+    SystemParams,
+    _popular_split,
+    make_two_level_pair,
+    oracle_rate_upper,
+    slot_rates,
+)
 from .policies import BLOCK_ELEMS
 
 
@@ -50,27 +58,6 @@ def _positive_gaps(dist: PopularityDistribution, params: SystemParams) -> GapVec
             "regret bound inapplicable: a popularity equals the threshold"
         )
     return gv
-
-
-def _popular_split(dist: PopularityDistribution, params: SystemParams) -> tuple[int, float]:
-    """``(n1, tail)`` of a profile of N files: the number of popular files
-    and the popularity mass of the rest."""
-    if dist.n_files != params.n_files:
-        raise ValueError("popularity length does not match file count")
-    popular = params.popular(dist.probs)
-    return int(np.count_nonzero(popular)), float(dist.probs[~popular].sum())
-
-
-def oracle_rate_upper(dist: PopularityDistribution, params: SystemParams) -> float:
-    """Upper estimate of the benchmark's expected per-slot rate.
-
-    The benchmark caches the popular files, so this is
-    :func:`slot_rates` of that set: max(n1/M - 1, 0) for the popular
-    files plus K times the mass of the rest, each of whose requests is sent
-    whole.
-    """
-    n1, tail = _popular_split(dist, params)
-    return max(n1 / params.cache_size - 1.0, 0.0) + params.n_users * tail
 
 
 def rate_lower_bound(dist: PopularityDistribution, params: SystemParams) -> float:

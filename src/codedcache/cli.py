@@ -9,6 +9,11 @@ normalized popularity table).
 Exit codes: 0 success, 2 usage or validation error, 4 bound inapplicable
 on this instance.
 
+Each command imports the layers it runs when it runs: ``bounds`` only in
+``bounds`` and ``lowerbound``, and ``engine`` only in ``verify-decode``
+and a bit-level ``simulate`` (through the harness), so an analytic
+``simulate`` loads neither.
+
 Heap settings: on glibc, :func:`main` sets ``mallopt``'s mmap threshold to
 ``MMAP_THRESHOLD`` (4 MiB) and its trim threshold to ``TRIM_THRESHOLD``
 (8 MiB), once per process and before it dispatches.  A simulation's trials
@@ -27,16 +32,6 @@ import functools
 import os
 import sys
 
-from .bounds import (
-    DegenerateGapError,
-    oracle_rate_upper,
-    rate_lower_bound,
-    regret_lower_bound,
-    switch_count_bound,
-    tracking_regret_bound,
-    verify_bad_set_gap,
-)
-from .engine import run_decode_fuzz
 from .harness import LFU_ACCOUNTINGS, RATE_MODES, REFERENCES
 from .harness import ExperimentConfig, emit_csv, run_experiment
 from .model import (
@@ -214,13 +209,25 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    from .bounds import (
+        DegenerateGapError,
+        oracle_rate_upper,
+        rate_lower_bound,
+        switch_count_bound,
+        tracking_regret_bound,
+    )
+
     params = SystemParams(args.n, args.k, args.m)
     dist = _parse_dist(args.dist, args.n)
     upper = oracle_rate_upper(dist, params)
     lower = rate_lower_bound(dist, params)
     reference = lower if args.reference == "lower" else upper
-    report = tracking_regret_bound(dist, params, reference)
-    switch = switch_count_bound(dist, params)
+    try:
+        report = tracking_regret_bound(dist, params, reference)
+        switch = switch_count_bound(dist, params)
+    except DegenerateGapError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_INAPPLICABLE
     for key, value in [
         ("oracle_rate_upper", upper),
         ("oracle_rate_lower", lower),
@@ -236,6 +243,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_lowerbound(args: argparse.Namespace) -> int:
+    from .bounds import regret_lower_bound, verify_bad_set_gap
+
     params = SystemParams(args.n, args.k, args.m)
     report = regret_lower_bound(params, args.a, args.b)
     for key, value in [
@@ -256,6 +265,8 @@ def _cmd_lowerbound(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_decode(args: argparse.Namespace) -> int:
+    from .engine import run_decode_fuzz
+
     if args.trials < 0:
         raise ValueError("need a nonnegative trial count")
     result = run_decode_fuzz(args.trials, args.seed, corrupt=args.corrupt)
@@ -302,9 +313,6 @@ def main(argv: list[str] | None = None) -> int:
     _tune_heap()
     try:
         return _DISPATCH[args.command](args)
-    except DegenerateGapError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INAPPLICABLE
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,4 +1,4 @@
-"""Bit-level cache placement, XOR multicast delivery, decoding, and the slot rate.
+"""Bit-level cache placement, XOR multicast delivery, and decoding.
 
 Files are split into `subpackets` equal pieces and caches are tracked as
 holder sets, so delivery plans carry exact lengths without simulating payload
@@ -14,8 +14,8 @@ and the payload dedup.  :func:`plan_slots` runs it on a batch of slots, and
 :func:`build_delivery` is its one-slot call; :func:`decode` peels one slot's
 arrays against a user's bits in the words, and only reading
 ``Transmission.coded`` builds a :class:`CodedMessage`/:class:`Segment` view.
-:func:`slot_rates` is the analytic estimate of that delivery's rate as the
-subpacket count grows.
+Only bit-level runs and the decode fuzzer load this module; the analytic
+estimate of this delivery's rate, ``model.slot_rates``, lives with the model.
 """
 from __future__ import annotations
 
@@ -541,35 +541,6 @@ def decode(
         if not learned.size:
             return bool(known.reshape(-1, f)[profile.requests[user]].all())
         known[term[learned]] = True
-
-
-def slot_rates(decisions: np.ndarray, probs: np.ndarray, params: SystemParams) -> np.ndarray:
-    """Analytic one-slot coded-delivery rate of each cached set, over the last axis.
-
-    ``decisions`` is a boolean array of shape (..., N), one row per set S,
-    each charged max(|S|/M - 1, 0) + K * (mass outside S).  Every request
-    outside S is sent whole.  A set of more than M files is charged
-    |S|/M - 1 for its coded delivery (the decentralized scheme of
-    Maddah-Ali & Niesen), an upper estimate of what the engine sends for it
-    as the subpacket count grows; at finite counts zero padding sends more.
-    A set of at most M files is stored whole by :func:`sample_placement`, so
-    its requests cost nothing.
-
-    Each row is charged on its own, so a caller may pass a history a slice of
-    rows at a time; the mass inside S is one ``decisions @ probs`` product,
-    whose bits match the whole history's when the slices start at multiples
-    of ``policies.BLOCK_ROW_MULTIPLE`` rows.  :func:`rates_of_mass` is the
-    rate given that mass, for a caller that takes the products itself.
-    """
-    sizes = np.count_nonzero(decisions, axis=-1)
-    return rates_of_mass(decisions @ probs, sizes, params)
-
-
-def rates_of_mass(inside: np.ndarray, sizes: np.ndarray, params: SystemParams) -> np.ndarray:
-    """:func:`slot_rates` of sets of ``sizes`` files holding ``inside`` of the
-    popularity mass; each element is charged on its own."""
-    m = params.cache_size
-    return np.maximum(sizes / m - 1.0, 0.0) + params.n_users * (1.0 - inside)
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,13 @@ A trial runs one request history for a fixed horizon and plays every
 configured policy against the same requests (paired comparison), so
 regret differences between policies are not inflated by independent
 request noise.  Each mode charges every policy one way: analytically
-(``engine.slot_rates``, the expected per-slot rate of the chosen cache
-set) or bit-level (actual subpacket placement and coded delivery).  LFU
-alone may instead be charged one file per distinct missed file (dedup
-accounting, the bit-level default); per-request accounting, the analytic
-default, charges it one file per request outside its set, as the shared
-rate does.  Per-slot regret is the rate minus a reference oracle rate;
+(``model.slot_rates``, the expected per-slot rate of the chosen cache
+set) or bit-level (actual subpacket placement and coded delivery, from
+``engine``, which only the bit-level code imports).  LFU alone may
+instead be charged one file per distinct missed file (dedup accounting,
+the bit-level default); per-request accounting, the analytic default,
+charges it one file per request outside its set, as the shared rate
+does.  Per-slot regret is the rate minus a reference oracle rate;
 the reference is either the closed-form upper estimate or the simulated
 oracle of the same trial.
 A trial draws its requests a chunk at a time, about ``REQUEST_CHUNK``
@@ -56,20 +57,14 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .bounds import oracle_rate_upper
-from .engine import (
-    batch_slots,
-    holders_full,
-    plan_slots,
-    rates_of_mass,
-    sample_placement,
-    slot_rates,
-)
 from .model import (
     REQUEST_CHUNK,
     PopularityDistribution,
     SystemParams,
+    oracle_rate_upper,
+    rates_of_mass,
     sample_requests,
+    slot_rates,
     substream,
 )
 from .policies import (
@@ -251,7 +246,7 @@ class _PolicyRecord:
     :func:`_request_chunks` does.  LFU under dedup accounting pays per
     distinct missed file; every other policy pays ``slot_rates``: the mass
     inside each set is one ``decisions @ probs`` product per slice, and
-    ``engine.rates_of_mass`` turns a feed's masses into rates at once.  In
+    ``model.rates_of_mass`` turns a feed's masses into rates at once.  In
     analytic mode a trial keeps no record of a constant policy: it shares
     the experiment's trace (:func:`_constant_traces`).
 
@@ -277,6 +272,8 @@ class _PolicyRecord:
         else:
             self.charge = config.rate_mode
         if self.charge == "bitlevel":
+            from .engine import batch_slots  # only bit-level records load the engine
+
             self.place_rng = substream(config.seed, trial, POLICY_STREAM_KEYS[policy])
             self.per_batch, self.placed = batch_slots(params), []
         self.previous = None  # the last decided row
@@ -353,6 +350,8 @@ class _PolicyRecord:
     def _deliver(self, start, fixed, varying, part, requests) -> None:
         """Bit-level rates of the block's slots; ``requests`` start at its
         first slot."""
+        from .engine import holders_full, plan_slots, sample_placement
+
         config, rates, switches = self.config, self.rates, self.switches
         params, stop = config.params, start + len(part)
         lo, placed = start, self.placed

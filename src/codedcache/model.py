@@ -1,5 +1,10 @@
-"""System model: network parameters, popularity distributions, request sampling.
+"""System model: network parameters, popularity distributions, the analytic
+slot rate, request sampling.
 
+:func:`slot_rates` is the one analytic rate rule: the rate a cached set is
+charged per slot, which the harness charges every analytic policy and
+:func:`oracle_rate_upper` applies to the popular set.  It needs only numpy,
+so an analytic run never loads the bit-level ``engine``.
 Requests are drawn by inverse cdf through a guide table over the cdf, in
 chunks that continue one generator stream, so a draw of any length gives
 the indices of a plain ``searchsorted`` over one ``rng.random`` call, and so
@@ -9,7 +14,6 @@ later draw reuses them.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -146,6 +150,56 @@ class RequestProfile:
         return int(self.requests.size)
 
 
+def slot_rates(decisions: np.ndarray, probs: np.ndarray, params: SystemParams) -> np.ndarray:
+    """Analytic one-slot coded-delivery rate of each cached set, over the last axis.
+
+    ``decisions`` is a boolean array of shape (..., N), one row per set S,
+    each charged max(|S|/M - 1, 0) + K * (mass outside S).  Every request
+    outside S is sent whole.  A set of more than M files is charged
+    |S|/M - 1 for its coded delivery (the decentralized scheme of
+    Maddah-Ali & Niesen), an upper estimate of what the bit-level engine
+    sends for it as the subpacket count grows; at finite counts zero
+    padding sends more.  A set of at most M files is stored whole by
+    ``engine.sample_placement``, so its requests cost nothing.
+
+    Each row is charged on its own, so a caller may pass a history a slice of
+    rows at a time; the mass inside S is one ``decisions @ probs`` product,
+    whose bits match the whole history's when the slices start at multiples
+    of ``policies.BLOCK_ROW_MULTIPLE`` rows.  :func:`rates_of_mass` is the
+    rate given that mass, for a caller that takes the products itself.
+    """
+    sizes = np.count_nonzero(decisions, axis=-1)
+    return rates_of_mass(decisions @ probs, sizes, params)
+
+
+def rates_of_mass(inside: np.ndarray, sizes: np.ndarray, params: SystemParams) -> np.ndarray:
+    """:func:`slot_rates` of sets of ``sizes`` files holding ``inside`` of the
+    popularity mass; each element is charged on its own."""
+    m = params.cache_size
+    return np.maximum(sizes / m - 1.0, 0.0) + params.n_users * (1.0 - inside)
+
+
+def _popular_split(dist: PopularityDistribution, params: SystemParams) -> tuple[int, float]:
+    """``(n1, tail)`` of a profile of N files: the number of popular files
+    and the popularity mass of the rest."""
+    if dist.n_files != params.n_files:
+        raise ValueError("popularity length does not match file count")
+    popular = params.popular(dist.probs)
+    return int(np.count_nonzero(popular)), float(dist.probs[~popular].sum())
+
+
+def oracle_rate_upper(dist: PopularityDistribution, params: SystemParams) -> float:
+    """Upper estimate of the benchmark's expected per-slot rate.
+
+    The benchmark caches the popular files, so this is
+    :func:`slot_rates` of that set: max(n1/M - 1, 0) for the popular
+    files plus K times the mass of the rest, each of whose requests is sent
+    whole.
+    """
+    n1, tail = _popular_split(dist, params)
+    return max(n1 / params.cache_size - 1.0, 0.0) + params.n_users * tail
+
+
 def make_zipf(n_files: int, exponent: float) -> PopularityDistribution:
     """Zipf popularity: p_i proportional to rank**-exponent.
 
@@ -214,6 +268,8 @@ def popularity_from_counts(
 
 def read_counts_csv(path) -> list[tuple[int, float]]:
     """Read file_id,count rows from a CSV file; one header line is allowed."""
+    import csv  # here, so only a counts file loads the csv module
+
     out: list[tuple[int, float]] = []
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh)):

@@ -43,7 +43,7 @@ CONSTANT_POLICIES = ("oracle", "uniform")
 BLOCK_ELEMS = 2**16
 
 # Every decision block but a history's last has a multiple of this many rows,
-# and so does every slice of ``block_rows`` rows that ``engine.slot_rates`` is
+# and so does every slice of ``block_rows`` rows that ``model.slot_rates`` is
 # charged on.  The last bits of a row of ``decisions @ probs`` depend on how
 # the BLAS gemv tiles and threads the rows; slices of 64 rows reproduce the
 # rows of the whole-horizon product, where slices of 65 (BLOCK_ELEMS // N at

@@ -7,8 +7,8 @@ compare a trial with the (horizon, n_files) decision matrix.
 """
 import numpy as np
 
-from codedcache.engine import slot_rates
 from codedcache.harness import _PolicyRecord, _request_chunks
+from codedcache.model import slot_rates
 from codedcache.policies import DecisionWalk, block_rows
 
 

@@ -28,7 +28,6 @@ from codedcache.engine import (
     build_delivery,
     run_decode_fuzz,
     sample_placement,
-    slot_rates,
 )
 from codedcache.harness import ExperimentConfig, run_experiment
 from codedcache.model import (
@@ -38,6 +37,7 @@ from codedcache.model import (
     make_two_level_pair,
     make_zipf,
     sample_requests,
+    slot_rates,
     substream,
 )
 from placements import placement_of

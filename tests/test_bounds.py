@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 from codedcache.bounds import (
     DegenerateGapError,
     _binomial_tails,
-    _popular_split,
     bad_set_gap,
     bad_set_min_excess,
     is_bad_set,
     mismatch_tail_chernoff,
     mismatch_tail_dkw,
-    oracle_rate_upper,
     pair_kl_per_slot,
     pair_kl_total,
     pair_oracle_rate,
@@ -30,12 +28,14 @@ from codedcache.bounds import (
     tracking_regret_bound,
     verify_bad_set_gap,
 )
-from codedcache.engine import slot_rates
 from codedcache.model import (
     PopularityDistribution,
     SystemParams,
+    _popular_split,
     make_two_level_pair,
     make_zipf,
+    oracle_rate_upper,
+    slot_rates,
 )
 from test_policy_reference import reference_slot_rate
 

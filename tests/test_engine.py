@@ -8,7 +8,6 @@ from codedcache.engine import (
     decode,
     run_decode_fuzz,
     sample_placement,
-    slot_rates,
 )
 from codedcache.harness import ExperimentConfig, run_experiment
 from codedcache.model import (
@@ -17,6 +16,7 @@ from codedcache.model import (
     SystemParams,
     make_zipf,
     sample_requests,
+    slot_rates,
     substream,
 )
 from placements import cache_sizes, placement_of, subpackets_held, within_budget

@@ -9,9 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codedcache import harness, model, policies
-from codedcache.bounds import oracle_rate_upper
-from codedcache.engine import slot_rates
+from codedcache import engine, harness, model, policies
 from codedcache.harness import (
     ExperimentConfig,
     ExperimentResult,
@@ -24,7 +22,13 @@ from codedcache.harness import (
     run_experiment,
     run_trial,
 )
-from codedcache.model import PopularityDistribution, SystemParams, make_zipf
+from codedcache.model import (
+    PopularityDistribution,
+    SystemParams,
+    make_zipf,
+    oracle_rate_upper,
+    slot_rates,
+)
 from codedcache.policies import CONSTANT_POLICIES, POLICY_NAMES, block_rows, switch_flags
 from histories import (
     block_matrix,
@@ -196,13 +200,13 @@ def test_bitlevel_lfu_engine_calls(monkeypatch, accounting, calls_per_slot):
     # per-request LFU is charged by the engine like every other policy, each
     # slot planned once; dedup accounting, the bit-level default, plans none
     planned = []
-    plan = harness.plan_slots
+    plan = engine.plan_slots
 
     def counting(params, placements, which, requests):
         planned.extend(requests)
         return plan(params, placements, which, requests)
 
-    monkeypatch.setattr(harness, "plan_slots", counting)
+    monkeypatch.setattr(engine, "plan_slots", counting)
     cfg = config(policies=("lfu",), rate_mode="bitlevel", lfu_accounting=accounting)
     run_experiment(cfg)
     assert len(planned) == calls_per_slot * cfg.horizon * cfg.trials

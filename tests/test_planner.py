@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codedcache import engine, harness
+from codedcache import engine
 from codedcache.engine import (
     Transmission,
     batch_slots,
@@ -181,13 +181,13 @@ def test_bitlevel_batch_ends_before_a_switch_once_its_placements_fill_the_budget
     default = policy_record(cfg, "tracking", 0, requests)
     monkeypatch.setattr(engine, "PLAN_ELEMS", 192)
     batches = []
-    plan = harness.plan_slots
+    plan = engine.plan_slots
 
     def recording(params, placements, which, requests):
         batches.append(len(requests))
         return plan(params, placements, which, requests)
 
-    monkeypatch.setattr(harness, "plan_slots", recording)
+    monkeypatch.setattr(engine, "plan_slots", recording)
     got = policy_record(cfg, "tracking", 0, requests)
     assert batch_slots(params) == 12 and sum(batches) == 40
     assert any(size < 12 for size in batches[:-1])

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codedcache.engine import build_delivery, sample_placement, slot_rates
+from codedcache.engine import build_delivery, sample_placement
 from codedcache.harness import ExperimentConfig, _lfu_dedup_rates
 from codedcache.model import (
     PopularityDistribution,
     RequestProfile,
     SystemParams,
     make_zipf,
+    slot_rates,
     substream,
 )
 from codedcache import policies

@@ -3,7 +3,7 @@
 The reference consumes a policy slot by slot, the way policies were once
 written: ``decide`` the set for the coming slot, serve the slot, then
 ``observe`` its requests.  Rates are charged one set at a time with scalar
-arithmetic.  The vectorized code in ``policies``, ``engine.slot_rates`` and
+arithmetic.  The vectorized code in ``policies``, ``model.slot_rates`` and
 ``harness`` must reproduce it slot for slot; other test modules import the
 reference from here.
 """
